@@ -68,10 +68,10 @@ def hard_labels_from(posterior: np.ndarray) -> np.ndarray:
 def majority_vote(rm: ResponseMatrix, seed: int = 0) -> FitResult:
     """Histogram of responses per item; unanswered items get the uniform row."""
     del seed  # deterministic; kept for interface symmetry
-    ann, item, label0 = rm.coords
-    del ann
-    counts = np.zeros((rm.n_items, rm.n_classes))
-    np.add.at(counts, (item, label0), 1.0)
+    _, item, label0 = rm.coords
+    counts = np.bincount(item * rm.n_classes + label0,
+                         minlength=rm.n_items * rm.n_classes)
+    counts = counts.reshape(rm.n_items, rm.n_classes).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
     empty = totals[:, 0] == 0
     posterior = np.where(totals > 0, counts / np.maximum(totals, 1.0),
@@ -98,25 +98,52 @@ def initial_posterior(rm: ResponseMatrix, opts: FitOptions) -> np.ndarray:
     return q.copy()
 
 
+def _scatter_columns(index: np.ndarray, columns, n_rows: int) -> np.ndarray:
+    """Sum each column of per-response values into n_rows slots by index;
+    returns shape (n_rows, len(columns)).
+
+    np.bincount adds each slot's terms in input order starting from zero, so
+    every sum is bit-identical to a loop over the responses.
+    """
+    return np.stack([np.bincount(index, weights=col, minlength=n_rows)
+                     for col in columns], axis=1)
+
+
 def _likelihood_logits(rm: ResponseMatrix, log_gamma: np.ndarray) -> np.ndarray:
     """Per-item sums of expected response log-probabilities, shape (N, K)."""
     ann, item, label0 = rm.coords
-    out = np.zeros((rm.n_items, rm.n_classes))
-    np.add.at(out, item, log_gamma[ann, :, label0])
-    return out
+    k = rm.n_classes
+    # Flat offsets of log_gamma[m, 0, l]; true class c sits c * K further on.
+    offsets = ann * (k * k) + label0
+    flat = log_gamma.ravel()
+    return _scatter_columns(item, [flat[c * k:].take(offsets)
+                                   for c in range(k)], rm.n_items)
+
+
+def _response_counts(rm: ResponseMatrix, q: np.ndarray) -> np.ndarray:
+    """Posterior-weighted response counts in the (annotator, true class,
+    response) layout, shape (M, K, K)."""
+    ann, item, label0 = rm.coords
+    k = rm.n_classes
+    # Rows are (annotator, response) pairs; columns are true classes.
+    by_response = _scatter_columns(ann * k + label0,
+                                   [col.take(item) for col in q.T],
+                                   rm.n_annotators * k)
+    return by_response.reshape(rm.n_annotators, k, k).transpose(0, 2, 1)
 
 
 def _vb_m_step(rm: ResponseMatrix, q: np.ndarray,
                priors: PriorConfig) -> PosteriorParams:
-    ann, item, label0 = rm.coords
     alpha = q.sum(axis=0) + priors.alpha0
-    # counts[m, k', k] accumulates q rows by (annotator, response); transpose
-    # to the (annotator, true class, response) layout afterwards.
-    counts = np.zeros_like(priors.beta0)
-    by_response = counts.transpose(0, 2, 1).copy()
-    np.add.at(by_response, (ann, label0), q[item])
-    beta = by_response.transpose(0, 2, 1) + priors.beta0
+    beta = _response_counts(rm, q) + priors.beta0
     return PosteriorParams(alpha=alpha, beta=beta)
+
+
+def _constraint_penalty(src: np.ndarray, dst: np.ndarray, wts: np.ndarray,
+                        q: np.ndarray) -> np.ndarray:
+    """Per-item sums of signed neighbor posteriors, shape (N, K)."""
+    return _scatter_columns(src, [wts * col.take(dst) for col in q.T],
+                            q.shape[0])
 
 
 def _constraint_arrays(cs: ConstraintSet):
@@ -170,9 +197,7 @@ def _vb_loop(rm: ResponseMatrix, priors: PriorConfig, opts: FitOptions,
         logits = expected_log_pi(params)[None, :] + \
             _likelihood_logits(rm, expected_log_gamma_all(params))
         if src is not None:
-            penalty = np.zeros_like(q)
-            np.add.at(penalty, src, wts[:, None] * q[dst])
-            logits = logits + opts.eta * penalty
+            logits = logits + opts.eta * _constraint_penalty(src, dst, wts, q)
         q_new = softmax_rows(logits)
         if pinned:
             for item, cls in pinned.items():
@@ -247,7 +272,6 @@ def ds_em_fit(rm: ResponseMatrix, opts: FitOptions | None = None) -> FitResult:
     """Maximum-likelihood alternation with point estimates of the class
     priors and confusion matrices."""
     opts = opts or FitOptions()
-    ann, item, label0 = rm.coords
     q = initial_posterior(rm, opts)
     trace = []
     converged = False
@@ -257,9 +281,7 @@ def ds_em_fit(rm: ResponseMatrix, opts: FitOptions | None = None) -> FitResult:
         iterations += 1
         nk = q.sum(axis=0) + _EM_SMOOTHING
         pi_hat = nk / nk.sum()
-        by_response = np.zeros((rm.n_annotators, rm.n_classes, rm.n_classes))
-        np.add.at(by_response, (ann, label0), q[item])
-        counts = by_response.transpose(0, 2, 1) + _EM_SMOOTHING
+        counts = _response_counts(rm, q) + _EM_SMOOTHING
         gamma_hat = counts / counts.sum(axis=2, keepdims=True)
         logits = np.log(pi_hat)[None, :] + \
             _likelihood_logits(rm, np.log(gamma_hat))

@@ -105,14 +105,15 @@ def cmd_aggregate(args) -> int:
             cs_fit = constraints.close(cs_all)
             if args.eta_grid:
                 grid = _parse_eta_grid(args.eta_grid)
-                eta, table = constraints.eta_search(rm, priors, cs_fit, grid,
-                                                    chain)
+                eta, table, fit = constraints._eta_search(rm, priors, cs_fit,
+                                                          grid, chain)
                 eta_table = [list(row) for row in table]
             else:
                 eta = args.eta
-            ilc_opts = _fit_options(args, init="given_posterior",
-                                    init_posterior=vb_fit.posterior, eta=eta)
-            fit = aggregators.vb_ilc_fit(rm, priors, cs_fit, ilc_opts)
+                ilc_opts = _fit_options(args, init="given_posterior",
+                                        init_posterior=vb_fit.posterior,
+                                        eta=eta)
+                fit = aggregators.vb_ilc_fit(rm, priors, cs_fit, ilc_opts)
             counted = cs_all if args.violations_on == "given" else cs_fit
             n_v = constraints.count_violations(counted, fit.hard_labels)
 

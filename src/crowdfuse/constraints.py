@@ -223,6 +223,13 @@ def eta_search(rm, priors, cs: ConstraintSet, candidate_etas, opts):
     All candidates share the same initialization posterior so runs are
     comparable.
     """
+    best_eta, table, _ = _eta_search(rm, priors, cs, candidate_etas, opts)
+    return best_eta, table
+
+
+def _eta_search(rm, priors, cs: ConstraintSet, candidate_etas, opts):
+    """`eta_search` that also returns the fit at the chosen weight, so
+    callers need not refit it: (best_eta, table, best_fit)."""
     from . import aggregators  # local import to avoid a cycle
 
     candidates = list(candidate_etas)
@@ -230,11 +237,14 @@ def eta_search(rm, priors, cs: ConstraintSet, candidate_etas, opts):
         raise ValueError("candidate eta list is empty")
     init_q = aggregators.initial_posterior(rm, opts)
     table = []
+    best_key = best_fit = None
     for eta in candidates:
         run_opts = aggregators.FitOptions(
             max_iters=opts.max_iters, tol=opts.tol, eta=float(eta),
             seed=opts.seed, init="given_posterior", init_posterior=init_q)
         fit = aggregators.vb_ilc_fit(rm, priors, cs, run_opts)
-        table.append((float(eta), count_violations(cs, fit.hard_labels)))
-    best_eta, _ = min(table, key=lambda row: (row[1], row[0]))
-    return best_eta, table
+        table.append((float(eta), fit.n_violations))
+        key = (fit.n_violations, float(eta))
+        if best_key is None or key < best_key:
+            best_key, best_fit = key, fit
+    return best_key[1], table, best_fit

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import aggregators, constraints, metrics, selection
 from .constraints import DEFAULT_ETA_GRID, ConstraintSet
+from .fileio import InputFormatError
 from .model import GroundTruth, PriorConfig, ResponseMatrix
 
 PROTOCOLS = ("random-constraints", "bvsb-constraints", "label-derived")
@@ -48,7 +49,11 @@ def worker_count() -> int:
     raw = os.environ.get("CROWDFUSE_THREADS")
     if not raw:
         return 1
-    return max(1, int(raw))
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise InputFormatError(
+            f"CROWDFUSE_THREADS must be an integer, got {raw!r}") from None
 
 
 def _cell_seed(base: int, protocol: str, n_c: int, repeat: int) -> int:
@@ -146,19 +151,9 @@ def _run_cell(rm: ResponseMatrix, truth: GroundTruth, priors: PriorConfig,
     if len(cs_fit) == 0:
         ilc_fit = aggregators.vbem_fit(rm, priors, chain_opts)
         best_eta = 0.0
-    elif len(config.eta_grid) == 1:
-        best_eta = float(config.eta_grid[0])
-        ilc_opts = aggregators.FitOptions(
-            max_iters=config.max_iters, tol=config.tol, eta=best_eta,
-            seed=seed, init="given_posterior", init_posterior=vb_fit.posterior)
-        ilc_fit = aggregators.vb_ilc_fit(rm, priors, cs_fit, ilc_opts)
     else:
-        best_eta, _ = constraints.eta_search(rm, priors, cs_fit,
-                                             config.eta_grid, chain_opts)
-        ilc_opts = aggregators.FitOptions(
-            max_iters=config.max_iters, tol=config.tol, eta=best_eta,
-            seed=seed, init="given_posterior", init_posterior=vb_fit.posterior)
-        ilc_fit = aggregators.vb_ilc_fit(rm, priors, cs_fit, ilc_opts)
+        best_eta, _, ilc_fit = constraints._eta_search(
+            rm, priors, cs_fit, config.eta_grid, chain_opts)
 
     counted = cs_given if config.violations_on == "given" else cs_fit
     n_v = constraints.count_violations(counted, ilc_fit.hard_labels)
@@ -171,6 +166,7 @@ def run_experiment(rm: ResponseMatrix, truth: GroundTruth,
                    priors: PriorConfig, config: ExperimentConfig) -> list:
     """Run every (protocol, N_C, repeat) cell and return result rows ordered
     by (protocol, N_C, repeat, method)."""
+    workers = worker_count()
     base_opts = aggregators.FitOptions(max_iters=config.max_iters,
                                        tol=config.tol, seed=config.seed)
     mv_fit = aggregators.majority_vote(rm)
@@ -188,7 +184,6 @@ def run_experiment(rm: ResponseMatrix, truth: GroundTruth,
         return _run_cell(rm, truth, priors, config, baselines, vb_fit,
                          protocol, n_c, repeat)
 
-    workers = worker_count()
     if workers == 1:
         results = [work(cell) for cell in cells]
     else:

@@ -68,9 +68,7 @@ class ResponseMatrix:
         return len(self.entries)
 
     def responses_per_item(self) -> np.ndarray:
-        counts = np.zeros(self.n_items, dtype=np.intp)
-        np.add.at(counts, self._item, 1)
-        return counts
+        return np.bincount(self._item, minlength=self.n_items)
 
 
 @dataclass(frozen=True)
@@ -191,9 +189,8 @@ def expected_log_gamma_all(params: PosteriorParams) -> np.ndarray:
 
 def dataset_stats(rm: ResponseMatrix) -> dict:
     """Summary counts plus per-annotator response rates."""
-    per_ann = np.zeros(rm.n_annotators, dtype=float)
     ann, _, _ = rm.coords
-    np.add.at(per_ann, ann, 1.0)
+    per_ann = np.bincount(ann, minlength=rm.n_annotators).astype(float)
     mean_per_ann = rm.n_responses / rm.n_annotators if rm.n_annotators else 0.0
     rates = per_ann / rm.n_items if rm.n_items else per_ann
     return {

@@ -18,23 +18,43 @@ _EULER_MASCHERONI = 0.5772156649015328606
 
 
 def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function.
+    """Logarithmic derivative of the gamma function at one point.
 
-    Uses the recurrence psi(x+1) = psi(x) + 1/x to shift the argument to
-    x >= 6, then a six-term asymptotic series. Accurate to ~1e-12, which is
-    more than the 1e-10 needed by callers.
+    Evaluates `digamma_vec` on a one-element array, so the scalar and the
+    array forms agree bit for bit.
     """
     if not x > 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    result = 0.0
-    while x < 6.0:
-        result -= 1.0 / x
-        x += 1.0
+    return float(_digamma_kernel(np.array([x], dtype=float))[0])
+
+
+def digamma_vec(x: np.ndarray) -> np.ndarray:
+    """Elementwise digamma of a positive array; the result has x's shape.
+
+    Uses the recurrence psi(x+1) = psi(x) + 1/x to shift every argument to
+    x >= 6, as six masked array steps, then a six-term asymptotic series on
+    the whole array. Accurate to ~1e-12, which is more than the 1e-10 needed
+    by callers.
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not np.all(arr > 0):
+        raise ValueError("digamma requires all arguments > 0")
+    return _digamma_kernel(arr.ravel()).reshape(arr.shape)
+
+
+def _digamma_kernel(x: np.ndarray) -> np.ndarray:
+    result = np.zeros_like(x)
+    # Six steps take any x > 0 to x >= 6. An element already there gets
+    # 0/x and +0, which leave it and its running sum unchanged.
+    for _ in range(6):
+        small = x < 6.0
+        result -= small / x
+        x = x + small
     # Asymptotic expansion in 1/x**2.
     inv = 1.0 / x
     inv2 = inv * inv
     series = (
-        math.log(x)
+        np.log(x)
         - 0.5 * inv
         - inv2 * (1.0 / 12.0
                   - inv2 * (1.0 / 120.0
@@ -44,19 +64,6 @@ def digamma(x: float) -> float:
                                                           - inv2 * 691.0 / 32760.0)))))
     )
     return result + series
-
-
-def digamma_vec(x: np.ndarray) -> np.ndarray:
-    """Elementwise digamma of a positive array."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(arr > 0):
-        raise ValueError("digamma requires all arguments > 0")
-    out = np.empty_like(arr)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = digamma(flat_in[i])
-    return out
 
 
 def log_sum_exp(v) -> float:

@@ -224,6 +224,15 @@ class TestCliSynthExperimentBounds:
         # 2 protocols x 2 sizes x 5 methods.
         assert len(lines) == 1 + 2 * 2 * 5
 
+    def test_bad_thread_count_exit_code(self, dataset):
+        proc = run_cli(["experiment", "--spec-json",
+                        str(dataset["spec_path"]), "--nc", "0",
+                        "--eta-grid", "1",
+                        "--output", str(dataset["dir"] / "exp.csv")],
+                       env_extra={"CROWDFUSE_THREADS": "abc"})
+        assert proc.returncode == 2
+        assert "CROWDFUSE_THREADS" in proc.stderr
+
     def test_bounds_report(self, dataset):
         vb_out = dataset["dir"] / "vb.json"
         proc = run_cli(["aggregate", "--responses",
