@@ -22,9 +22,8 @@ from .fileio import (InputFormatError, read_constraints, read_responses,
                      write_responses, write_result_json, write_truth)
 from .metrics import ClassScores, ScoreCard, score
 from .model import (GroundTruth, PosteriorParams, PriorConfig, ResponseMatrix,
-                    dataset_stats, paper_default_priors, uniform_priors)
-from .numerics import (digamma, digamma_vec, kl_divergence, log_sum_exp,
-                       softmax_rows)
+                    paper_default_priors, uniform_priors)
+from .numerics import digamma, digamma_vec, kl_divergence, softmax_rows
 from .selection import QueryPlan, answer_queries, bvsb, plan_queries
 from .synth import CrowdSpec, diag_dominant_spec, generate
 
@@ -44,8 +43,8 @@ __all__ = [
     "write_result_json", "write_truth",
     "ClassScores", "ScoreCard", "score",
     "GroundTruth", "PosteriorParams", "PriorConfig", "ResponseMatrix",
-    "dataset_stats", "paper_default_priors", "uniform_priors",
-    "digamma", "digamma_vec", "kl_divergence", "log_sum_exp", "softmax_rows",
+    "paper_default_priors", "uniform_priors",
+    "digamma", "digamma_vec", "kl_divergence", "softmax_rows",
     "QueryPlan", "answer_queries", "bvsb", "plan_queries",
     "CrowdSpec", "diag_dominant_spec", "generate",
 ]

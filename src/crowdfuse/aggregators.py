@@ -1,13 +1,17 @@
 """Label-fusion algorithms: majority vote, EM with point estimates, and the
 variational Bayes family (plain, label-constrained, pairwise-constrained).
 
-Each iteration first refreshes parameter estimates from the current label
-posterior, then recomputes the posterior; convergence is declared when the
-largest per-entry posterior change drops below the tolerance.
+DS-EM and the VB family share one fit loop. Each iteration first refreshes
+parameter estimates from the current label posterior, then recomputes the
+posterior; convergence is declared when the largest per-entry posterior
+change drops below the tolerance. Only the M-step differs: DS-EM uses the
+logs of point estimates, with every count smoothed by 1e-10; VB uses the
+expected logs under Dirichlet posteriors, through digamma.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +30,13 @@ INIT_MODES = ("majority_vote", "given_posterior", "uniform")
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Settings shared by the iterative fits.
+
+    `seed` is recorded but read by no fit: every fit is deterministic. It
+    stays because callers pass it: the CLI, whose result JSON carries the
+    run's seed, the experiment driver and `perfbench/run.py`.
+    """
+
     max_iters: int = 100
     tol: float = 1e-6
     eta: float = 0.0
@@ -65,9 +76,8 @@ def hard_labels_from(posterior: np.ndarray) -> np.ndarray:
     return np.argmax(posterior, axis=1).astype(np.intp) + 1
 
 
-def majority_vote(rm: ResponseMatrix, seed: int = 0) -> FitResult:
+def majority_vote(rm: ResponseMatrix) -> FitResult:
     """Histogram of responses per item; unanswered items get the uniform row."""
-    del seed  # deterministic; kept for interface symmetry
     _, item, label0 = rm.coords
     counts = np.bincount(item * rm.n_classes + label0,
                          minlength=rm.n_items * rm.n_classes)
@@ -82,7 +92,7 @@ def majority_vote(rm: ResponseMatrix, seed: int = 0) -> FitResult:
         iterations_run=1,
         converged=True,
         trace=[],
-        prior_only_items=list(np.flatnonzero(empty)),
+        prior_only_items=np.flatnonzero(empty).tolist(),
     )
 
 
@@ -132,13 +142,6 @@ def _response_counts(rm: ResponseMatrix, q: np.ndarray) -> np.ndarray:
     return by_response.reshape(rm.n_annotators, k, k).transpose(0, 2, 1)
 
 
-def _vb_m_step(rm: ResponseMatrix, q: np.ndarray,
-               priors: PriorConfig) -> PosteriorParams:
-    alpha = q.sum(axis=0) + priors.alpha0
-    beta = _response_counts(rm, q) + priors.beta0
-    return PosteriorParams(alpha=alpha, beta=beta)
-
-
 def _constraint_penalty(src: np.ndarray, dst: np.ndarray, wts: np.ndarray,
                         q: np.ndarray) -> np.ndarray:
     """Per-item sums of signed neighbor posteriors, shape (N, K)."""
@@ -174,57 +177,76 @@ def _check_label_constraints(label_constraints, n_items, n_classes):
     return pinned
 
 
-def _vb_loop(rm: ResponseMatrix, priors: PriorConfig, opts: FitOptions,
-             pinned: dict | None = None,
-             cs: ConstraintSet | None = None) -> FitResult:
+def _check_prior_dimensions(rm: ResponseMatrix, priors: PriorConfig) -> None:
+    if priors.n_classes != rm.n_classes or priors.n_annotators != rm.n_annotators:
+        raise ValueError("prior dimensions do not match the response matrix")
+
+
+def _pin(q: np.ndarray, pinned: dict) -> None:
+    """Set each pinned item's posterior row to its known class, in place."""
+    for item, cls in pinned.items():
+        q[item] = 0.0
+        q[item, cls - 1] = 1.0
+
+
+def _vb_m_step(rm: ResponseMatrix, q: np.ndarray, priors: PriorConfig):
+    """Dirichlet posteriors, and the logits' terms as their expectations."""
+    params = PosteriorParams(alpha=q.sum(axis=0) + priors.alpha0,
+                             beta=_response_counts(rm, q) + priors.beta0)
+    return ({"params": params}, expected_log_pi(params),
+            expected_log_gamma_all(params))
+
+
+def _em_m_step(rm: ResponseMatrix, q: np.ndarray):
+    """Smoothed point estimates, and the logits' terms as their logs."""
+    nk = q.sum(axis=0) + _EM_SMOOTHING
+    pi_hat = nk / nk.sum()
+    counts = _response_counts(rm, q) + _EM_SMOOTHING
+    gamma_hat = counts / counts.sum(axis=2, keepdims=True)
+    return ({"pi_hat": pi_hat, "gamma_hat": gamma_hat}, np.log(pi_hat),
+            np.log(gamma_hat))
+
+
+def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
+              pinned: dict | None = None, cs: ConstraintSet | None = None,
+              cs_items=()) -> FitResult:
+    """Alternate `m_step(rm, q)`, which returns (FitResult fields, log class
+    prior (K,), log confusion array (M, K, K)), with the label update.
+
+    `pinned` maps items to known classes. `cs`, whose items are `cs_items`,
+    adds eta times the signed neighbour posteriors to the logits.
+    """
+    pinned = pinned or {}
     q = initial_posterior(rm, opts)
-    if pinned:
-        for item, cls in pinned.items():
-            q[item] = 0.0
-            q[item, cls - 1] = 1.0
-    if cs is not None and opts.eta > 0 and len(cs):
-        src, dst, wts = _constraint_arrays(cs)
-    else:
-        src = dst = wts = None
+    _pin(q, pinned)
+    pairs = (_constraint_arrays(cs)
+             if cs is not None and opts.eta > 0 and len(cs) else None)
 
     trace = []
-    converged = False
-    iterations = 0
-    params = None
     for _ in range(opts.max_iters):
-        iterations += 1
-        params = _vb_m_step(rm, q, priors)
-        logits = expected_log_pi(params)[None, :] + \
-            _likelihood_logits(rm, expected_log_gamma_all(params))
-        if src is not None:
-            logits = logits + opts.eta * _constraint_penalty(src, dst, wts, q)
+        fields, log_pi, log_gamma = m_step(rm, q)
+        logits = log_pi[None, :] + _likelihood_logits(rm, log_gamma)
+        if pairs is not None:
+            logits = logits + opts.eta * _constraint_penalty(*pairs, q)
         q_new = softmax_rows(logits)
-        if pinned:
-            for item, cls in pinned.items():
-                q_new[item] = 0.0
-                q_new[item, cls - 1] = 1.0
-        delta = float(np.max(np.abs(q_new - q)))
-        trace.append(delta)
+        _pin(q_new, pinned)
+        # initial=0.0 lets a crowd with no items converge at once.
+        trace.append(float(np.max(np.abs(q_new - q), initial=0.0)))
         q = q_new
-        if delta < opts.tol:
-            converged = True
+        if trace[-1] < opts.tol:
             break
 
-    no_response = rm.responses_per_item() == 0
-    if cs is not None:
-        constrained = cs.items
-    else:
-        constrained = set(pinned or ())
-    prior_only = [int(n) for n in np.flatnonzero(no_response)
+    constrained = pinned.keys() | cs_items
+    prior_only = [int(n) for n in np.flatnonzero(rm.responses_per_item() == 0)
                   if n not in constrained]
     result = FitResult(
         posterior=q,
         hard_labels=hard_labels_from(q),
-        iterations_run=iterations,
-        converged=converged,
+        iterations_run=len(trace),
+        converged=bool(trace[-1] < opts.tol),
         trace=trace,
-        params=params,
         prior_only_items=prior_only,
+        **fields,
     )
     if cs is not None:
         result.n_violations = count_violations(cs, result.hard_labels)
@@ -235,21 +257,20 @@ def vbem_fit(rm: ResponseMatrix, priors: PriorConfig,
              opts: FitOptions | None = None) -> FitResult:
     """Mean-field variational inference over labels, class priors, and
     annotator confusion rows."""
-    opts = opts or FitOptions()
-    if priors.n_classes != rm.n_classes or priors.n_annotators != rm.n_annotators:
-        raise ValueError("prior dimensions do not match the response matrix")
-    return _vb_loop(rm, priors, opts)
+    _check_prior_dimensions(rm, priors)
+    return _fit_loop(rm, opts or FitOptions(),
+                     functools.partial(_vb_m_step, priors=priors))
 
 
 def vb_lc_fit(rm: ResponseMatrix, priors: PriorConfig, label_constraints,
               opts: FitOptions | None = None) -> FitResult:
     """Variational inference with known labels pinned for selected items."""
-    opts = opts or FitOptions()
-    if priors.n_classes != rm.n_classes or priors.n_annotators != rm.n_annotators:
-        raise ValueError("prior dimensions do not match the response matrix")
+    _check_prior_dimensions(rm, priors)
     pinned = _check_label_constraints(label_constraints, rm.n_items,
                                       rm.n_classes)
-    return _vb_loop(rm, priors, opts, pinned=pinned)
+    return _fit_loop(rm, opts or FitOptions(),
+                     functools.partial(_vb_m_step, priors=priors),
+                     pinned=pinned)
 
 
 def vb_ilc_fit(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
@@ -257,48 +278,19 @@ def vb_ilc_fit(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     """Variational inference with a pairwise-constraint term in the label
     update: each item's logits gain eta * sum of signed neighbor posteriors
     from the previous iteration (must-link +1, cannot-link -1)."""
-    opts = opts or FitOptions()
-    if priors.n_classes != rm.n_classes or priors.n_annotators != rm.n_annotators:
-        raise ValueError("prior dimensions do not match the response matrix")
+    _check_prior_dimensions(rm, priors)
     if len(cs) and not cs.closed:
         raise ValueError("constraint set must be closed before fitting")
-    for item in cs.items:
+    items = cs.items
+    for item in items:
         if not (0 <= item < rm.n_items):
             raise ValueError(f"constrained item {item} out of range")
-    return _vb_loop(rm, priors, opts, cs=cs)
+    return _fit_loop(rm, opts or FitOptions(),
+                     functools.partial(_vb_m_step, priors=priors),
+                     cs=cs, cs_items=items)
 
 
 def ds_em_fit(rm: ResponseMatrix, opts: FitOptions | None = None) -> FitResult:
     """Maximum-likelihood alternation with point estimates of the class
     priors and confusion matrices."""
-    opts = opts or FitOptions()
-    q = initial_posterior(rm, opts)
-    trace = []
-    converged = False
-    iterations = 0
-    pi_hat = gamma_hat = None
-    for _ in range(opts.max_iters):
-        iterations += 1
-        nk = q.sum(axis=0) + _EM_SMOOTHING
-        pi_hat = nk / nk.sum()
-        counts = _response_counts(rm, q) + _EM_SMOOTHING
-        gamma_hat = counts / counts.sum(axis=2, keepdims=True)
-        logits = np.log(pi_hat)[None, :] + \
-            _likelihood_logits(rm, np.log(gamma_hat))
-        q_new = softmax_rows(logits)
-        delta = float(np.max(np.abs(q_new - q)))
-        trace.append(delta)
-        q = q_new
-        if delta < opts.tol:
-            converged = True
-            break
-    return FitResult(
-        posterior=q,
-        hard_labels=hard_labels_from(q),
-        iterations_run=iterations,
-        converged=converged,
-        trace=trace,
-        pi_hat=pi_hat,
-        gamma_hat=gamma_hat,
-        prior_only_items=list(np.flatnonzero(rm.responses_per_item() == 0)),
-    )
+    return _fit_loop(rm, opts or FitOptions(), _em_m_step)

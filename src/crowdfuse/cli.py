@@ -7,6 +7,7 @@ numeric/domain errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import sys
@@ -36,12 +37,32 @@ def _parse_eta_grid(raw: str):
         raise InputFormatError(f"bad eta grid {raw!r}") from exc
 
 
+@contextlib.contextmanager
+def _document_keys(path):
+    """Report a key missing from the JSON document read from `path` as an
+    input-format error. Wrap only code that reads that document, so that no
+    other KeyError is taken for bad input."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InputFormatError(f"{path}: missing key {exc}") from None
+
+
+def _load_spec(path) -> CrowdSpec:
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    with _document_keys(path):
+        return CrowdSpec.from_dict(data)
+
+
 def _load_priors(args, n_annotators: int, n_classes: int) -> PriorConfig:
     if args.priors_file:
         with open(args.priors_file, encoding="utf-8") as handle:
             data = json.load(handle)
-        return PriorConfig(alpha0=np.asarray(data["alpha0"], dtype=float),
-                           beta0=np.asarray(data["beta0"], dtype=float))
+        with _document_keys(args.priors_file):
+            alpha0, beta0 = data["alpha0"], data["beta0"]
+        return PriorConfig(alpha0=np.asarray(alpha0, dtype=float),
+                           beta0=np.asarray(beta0, dtype=float))
     if args.priors == "uniform":
         return uniform_priors(n_annotators, n_classes)
     return paper_default_priors(n_annotators, n_classes)
@@ -79,7 +100,7 @@ def cmd_aggregate(args) -> int:
     eta_table = None
     n_v = None
     if args.method == "mv":
-        fit = aggregators.majority_vote(rm, seed=args.seed)
+        fit = aggregators.majority_vote(rm)
     elif args.method == "ds":
         fit = aggregators.ds_em_fit(rm, _fit_options(args))
     elif args.method == "vb":
@@ -143,9 +164,7 @@ def cmd_aggregate(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.spec_json:
-        with open(args.spec_json, encoding="utf-8") as handle:
-            spec = CrowdSpec.from_dict(json.load(handle))
-        rm, truth = generate(spec)
+        rm, truth = generate(_load_spec(args.spec_json))
     else:
         if not (args.responses and args.truth):
             raise InputFormatError(
@@ -170,8 +189,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.spec_json:
-        with open(args.spec_json, encoding="utf-8") as handle:
-            spec = CrowdSpec.from_dict(json.load(handle))
+        spec = _load_spec(args.spec_json)
     else:
         spec = diag_dominant_spec(args.n, args.m, args.k, args.diag,
                                   seed=args.seed, mu=args.mu)
@@ -186,19 +204,20 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    with open(args.spec_json, encoding="utf-8") as handle:
-        spec = CrowdSpec.from_dict(json.load(handle))
+    spec = _load_spec(args.spec_json)
     with open(args.result, encoding="utf-8") as handle:
         result = json.load(handle)
-    posterior = np.asarray(result["posterior"], dtype=float)
-    if posterior.shape != (spec.n_items, spec.n_classes):
-        raise InputFormatError("result posterior does not match the spec "
-                               "dimensions")
-    params = None
-    if result.get("params") and "alpha" in result["params"]:
-        params = PosteriorParams(
-            alpha=np.asarray(result["params"]["alpha"], dtype=float),
-            beta=np.asarray(result["params"]["beta"], dtype=float))
+    with _document_keys(args.result):
+        posterior = np.asarray(result["posterior"], dtype=float)
+        if posterior.shape != (spec.n_items, spec.n_classes):
+            raise InputFormatError("result posterior does not match the spec "
+                                   "dimensions")
+        params = None
+        if result.get("params") and "alpha" in result["params"]:
+            params = PosteriorParams(
+                alpha=np.asarray(result["params"]["alpha"], dtype=float),
+                beta=np.asarray(result["params"]["beta"], dtype=float))
+        rm_ids = result["index_maps"]["items"]
     fit = aggregators.FitResult(
         posterior=posterior,
         hard_labels=aggregators.hard_labels_from(posterior),
@@ -208,7 +227,6 @@ def cmd_bounds(args) -> int:
         params=params,
     )
 
-    rm_ids = result["index_maps"]["items"]
     truth = fileio.read_truth(args.truth, rm_ids)
     priors = _load_priors(args, spec.n_annotators, spec.n_classes)
 
@@ -343,7 +361,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFLICT
     except (InputFormatError, FileNotFoundError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ArithmeticError) as exc:

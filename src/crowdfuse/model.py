@@ -98,7 +98,6 @@ class PriorConfig:
 
     alpha0: np.ndarray
     beta0: np.ndarray
-    shared_beta0: bool = False
 
     def __post_init__(self):
         alpha0 = np.asarray(self.alpha0, dtype=float)
@@ -131,7 +130,7 @@ def paper_default_priors(n_annotators: int, n_classes: int) -> PriorConfig:
     alpha0 = np.ones(n_classes)
     row = np.ones((n_classes, n_classes)) + (n_classes - 1) * np.eye(n_classes)
     beta0 = np.broadcast_to(row, (n_annotators, n_classes, n_classes)).copy()
-    return PriorConfig(alpha0=alpha0, beta0=beta0, shared_beta0=True)
+    return PriorConfig(alpha0=alpha0, beta0=beta0)
 
 
 def uniform_priors(n_annotators: int, n_classes: int) -> PriorConfig:
@@ -139,7 +138,6 @@ def uniform_priors(n_annotators: int, n_classes: int) -> PriorConfig:
     return PriorConfig(
         alpha0=np.ones(n_classes),
         beta0=np.ones((n_annotators, n_classes, n_classes)),
-        shared_beta0=True,
     )
 
 
@@ -171,32 +169,8 @@ def expected_log_pi(params: PosteriorParams) -> np.ndarray:
     return digamma_vec(params.alpha) - total
 
 
-def expected_log_gamma(params: PosteriorParams, m: int, k: int) -> np.ndarray:
-    """E[ln gamma_{k,k'}] for annotator m, true class k."""
-    if not (0 <= m < params.beta.shape[0]):
-        raise ValueError(f"annotator index {m} out of range")
-    if not (0 <= k < params.beta.shape[1]):
-        raise ValueError(f"class index {k} out of range")
-    row = params.beta[m, k]
-    return digamma_vec(row) - digamma(float(row.sum()))
-
-
 def expected_log_gamma_all(params: PosteriorParams) -> np.ndarray:
     """(M, K, K) array of E[ln gamma] for every annotator and row."""
     row_sums = params.beta.sum(axis=2)
     return digamma_vec(params.beta) - digamma_vec(row_sums)[:, :, None]
 
-
-def dataset_stats(rm: ResponseMatrix) -> dict:
-    """Summary counts plus per-annotator response rates."""
-    ann, _, _ = rm.coords
-    per_ann = np.bincount(ann, minlength=rm.n_annotators).astype(float)
-    mean_per_ann = rm.n_responses / rm.n_annotators if rm.n_annotators else 0.0
-    rates = per_ann / rm.n_items if rm.n_items else per_ann
-    return {
-        "n_items": rm.n_items,
-        "n_annotators": rm.n_annotators,
-        "n_classes": rm.n_classes,
-        "mean_responses_per_annotator": mean_per_ann,
-        "response_rate_per_annotator": rates,
-    }

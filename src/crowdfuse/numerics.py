@@ -66,17 +66,6 @@ def _digamma_kernel(x: np.ndarray) -> np.ndarray:
     return result + series
 
 
-def log_sum_exp(v) -> float:
-    """ln(sum(exp(v))), computed shift-invariantly."""
-    arr = np.asarray(v, dtype=float)
-    if arr.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    hi = np.max(arr)
-    if not np.isfinite(hi):
-        return float(hi)
-    return float(hi + np.log(np.sum(np.exp(arr - hi))))
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a 2-D array, renormalized after exponentiation."""
     logits = np.asarray(logits, dtype=float)

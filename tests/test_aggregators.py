@@ -208,3 +208,21 @@ class TestVbIlc:
         fit = vb_ilc_fit(rm, priors, cs, FitOptions(eta=1.0))
         assert fit.n_violations is not None
         assert 0 <= fit.n_violations <= 2
+
+    def test_constrained_items_read_once(self, monkeypatch):
+        # Item 1 has no responses but is constrained, so it is not
+        # prior-only; the fit reads cs.items once for that and the range
+        # check.
+        calls = []
+        items = ConstraintSet.items.fget
+
+        def counted(cs):
+            calls.append(cs)
+            return items(cs)
+        monkeypatch.setattr(ConstraintSet, "items", property(counted))
+        rm = ResponseMatrix(3, 1, {(0, 0): 1, (0, 2): 2}, n_classes=2)
+        cs = close(ConstraintSet(must_link=frozenset({(0, 1)})))
+        fit = vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
+                         FitOptions(eta=1.0))
+        assert fit.prior_only_items == []
+        assert len(calls) == 1

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from crowdfuse import aggregators, cli
 from crowdfuse.fileio import (InputFormatError, read_constraints,
                               read_responses, read_truth, result_schema,
                               write_constraints, write_responses,
@@ -194,6 +195,47 @@ class TestCliAggregate:
                         "--k", "3", "--priors-file", str(priors),
                         "--output", str(tmp_path / "o.json")])
         assert proc.returncode == 4
+
+    def test_priors_without_beta0(self, dataset, tmp_path, capsys):
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({"alpha0": [1.0, 1.0, 1.0]}))
+        code = cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--priors-file", str(priors),
+                         "--output", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "missing key 'beta0'" in capsys.readouterr().err
+
+    def test_result_without_posterior(self, dataset, tmp_path, capsys):
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(
+            {"index_maps": {"items": dataset["rm"].item_ids}}))
+        code = cli.main(["bounds", "--spec-json", str(dataset["spec_path"]),
+                         "--result", str(result),
+                         "--truth", str(dataset["truth_path"]),
+                         "--output", str(tmp_path / "b.json")])
+        assert code == 2
+        assert "missing key 'posterior'" in capsys.readouterr().err
+
+    def test_spec_without_mu(self, dataset, tmp_path, capsys):
+        spec = json.loads(dataset["spec_path"].read_text())
+        del spec["mu"]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = cli.main(["synth", "--spec-json", str(spec_path),
+                         "--out-responses", str(tmp_path / "r.csv"),
+                         "--out-truth", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "missing key 'mu'" in capsys.readouterr().err
+
+    def test_internal_key_error_propagates(self, dataset, tmp_path,
+                                           monkeypatch):
+        def broken(rm):
+            raise KeyError("internal")
+        monkeypatch.setattr(aggregators, "majority_vote", broken)
+        with pytest.raises(KeyError):
+            cli.main(["aggregate", "--responses", str(dataset["responses"]),
+                      "--method", "mv", "--output", str(tmp_path / "o.json")])
 
 
 class TestCliSynthExperimentBounds:

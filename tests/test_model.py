@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from scipy import special
+
 from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
-                             ResponseMatrix, dataset_stats,
-                             expected_log_gamma, expected_log_gamma_all,
+                             ResponseMatrix, expected_log_gamma_all,
                              expected_log_pi, paper_default_priors,
                              uniform_priors)
 
@@ -101,8 +102,9 @@ class TestExpectedLogs:
     def test_gamma_row_two_one(self):
         params = PosteriorParams(alpha=np.ones(2),
                                  beta=np.array([[[2.0, 1.0], [1.0, 2.0]]]))
-        np.testing.assert_allclose(expected_log_gamma(params, 0, 0),
-                                   [-0.5, -1.5], atol=1e-12)
+        np.testing.assert_allclose(expected_log_gamma_all(params),
+                                   [[[-0.5, -1.5], [-1.5, -0.5]]],
+                                   atol=1e-12)
 
     def test_gamma_all_matches_single_rows(self):
         rng = np.random.default_rng(0)
@@ -111,36 +113,8 @@ class TestExpectedLogs:
         full = expected_log_gamma_all(params)
         for m in range(3):
             for k in range(4):
-                np.testing.assert_allclose(full[m, k],
-                                           expected_log_gamma(params, m, k),
-                                           atol=1e-12)
-
-    def test_gamma_index_checks(self):
-        params = PosteriorParams(alpha=np.ones(2), beta=np.ones((1, 2, 2)))
-        with pytest.raises(ValueError):
-            expected_log_gamma(params, 1, 0)
-        with pytest.raises(ValueError):
-            expected_log_gamma(params, 0, 2)
-
-
-class TestDatasetStats:
-    def test_sparse_counts(self):
-        stats = dataset_stats(small_matrix())
-        assert stats["n_items"] == 3
-        assert stats["n_annotators"] == 2
-        assert stats["mean_responses_per_annotator"] == pytest.approx(1.5)
-        np.testing.assert_allclose(stats["response_rate_per_annotator"],
-                                   [2 / 3, 1 / 3])
-
-    def test_dense_matrix(self):
-        entries = {(m, n): 1 for m in range(2) for n in range(3)}
-        rm = ResponseMatrix(3, 2, entries, n_classes=2)
-        stats = dataset_stats(rm)
-        assert stats["mean_responses_per_annotator"] == 3.0
-        np.testing.assert_array_equal(stats["response_rate_per_annotator"],
-                                      [1.0, 1.0])
-
-    def test_empty_matrix(self):
-        rm = ResponseMatrix(0, 0, {})
-        stats = dataset_stats(rm)
-        assert stats["mean_responses_per_annotator"] == 0.0
+                row = beta[m, k]
+                np.testing.assert_allclose(
+                    full[m, k],
+                    special.digamma(row) - special.digamma(row.sum()),
+                    atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 from crowdfuse.numerics import (KL_INFINITY, digamma, digamma_vec,
-                                kl_divergence, log_sum_exp, softmax_rows,
+                                kl_divergence, softmax_rows,
                                 validate_prob_vector)
 
 EULER_MASCHERONI = 0.5772156649015328606
@@ -50,27 +50,6 @@ class TestDigamma:
     def test_vectorized_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             digamma_vec(np.array([1.0, -2.0]))
-
-
-class TestLogSumExp:
-    def test_two_zeros(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2))
-
-    def test_shift_invariance(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(
-            1000.0 + math.log(2))
-
-    def test_singleton_identity(self):
-        assert log_sum_exp([0.0]) == 0.0
-        assert log_sum_exp([-3.5]) == pytest.approx(-3.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
-
-    def test_no_overflow_on_large_inputs(self):
-        v = np.array([1e4, 1e4 - 1.0])
-        assert np.isfinite(log_sum_exp(v))
 
 
 class TestSoftmaxRows:

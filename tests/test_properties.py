@@ -1,8 +1,9 @@
-"""Property-based checks of the fit kernels.
+"""Property-based checks of the fit kernels and the fit loop.
 
 The scatter kernels must equal the np.add.at formulation exactly (same
 terms, added in the same order), and the array digamma must agree with
-scipy and with its own scalar form on every positive input.
+scipy and with its own scalar form on every positive input. The shared fit
+loop must keep its trace, convergence flag and prior-only items consistent.
 """
 
 import math
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
 
-from crowdfuse.aggregators import (_constraint_penalty, _likelihood_logits,
-                                   _response_counts, majority_vote)
-from crowdfuse.model import ResponseMatrix
+from crowdfuse.aggregators import (FitOptions, _constraint_penalty,
+                                   _likelihood_logits, _response_counts,
+                                   ds_em_fit, majority_vote, vbem_fit)
+from crowdfuse.model import ResponseMatrix, paper_default_priors
 from crowdfuse.numerics import digamma, digamma_vec
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -114,6 +116,48 @@ class TestScatterKernels:
         q = random_posterior(rng, rm.n_items, rm.n_classes)
         np.testing.assert_array_equal(_constraint_penalty(src, dst, wts, q),
                                       add_at_penalty(src, dst, wts, q))
+
+
+def fit_ds(rm, opts):
+    return ds_em_fit(rm, opts)
+
+
+def fit_vb(rm, opts):
+    priors = paper_default_priors(rm.n_annotators, rm.n_classes)
+    return vbem_fit(rm, priors, opts)
+
+
+def fit_mv(rm, _):
+    return majority_vote(rm)
+
+
+FIT_OPTIONS = st.builds(FitOptions, max_iters=st.integers(1, 8),
+                        tol=st.sampled_from([0.0, 1e-6, 1e-2, 0.5]),
+                        init=st.sampled_from(["majority_vote", "uniform"]))
+
+
+class TestFitLoopBookkeeping:
+    @settings(max_examples=30, deadline=None)
+    @given(crowds(), FIT_OPTIONS)
+    @pytest.mark.parametrize("fit", [fit_ds, fit_vb])
+    def test_trace_and_convergence(self, fit, crowd, opts):
+        result = fit(crowd[0], opts)
+        assert len(result.trace) == result.iterations_run
+        assert result.converged == (result.trace[-1] < opts.tol)
+        # A fit stops before max_iters only when it has converged.
+        assert result.converged or result.iterations_run == opts.max_iters
+        assert result.iterations_run <= opts.max_iters
+
+    @settings(max_examples=30, deadline=None)
+    @given(crowds(), FIT_OPTIONS)
+    @pytest.mark.parametrize("fit", [fit_ds, fit_vb, fit_mv])
+    def test_prior_only_items(self, fit, crowd, opts):
+        rm, _ = crowd
+        answered = set(rm.coords[1].tolist())
+        unanswered = [n for n in range(rm.n_items) if n not in answered]
+        prior_only = fit(rm, opts).prior_only_items
+        assert prior_only == unanswered
+        assert all(type(n) is int for n in prior_only)
 
 
 POSITIVE = st.one_of(
