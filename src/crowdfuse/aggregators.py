@@ -142,25 +142,29 @@ def _response_counts(rm: ResponseMatrix, q: np.ndarray) -> np.ndarray:
     return by_response.reshape(rm.n_annotators, k, k).transpose(0, 2, 1)
 
 
-def _constraint_penalty(src: np.ndarray, dst: np.ndarray, wts: np.ndarray,
-                        q: np.ndarray) -> np.ndarray:
-    """Per-item sums of signed neighbor posteriors, shape (N, K)."""
-    return _scatter_columns(src, [wts * col.take(dst) for col in q.T],
-                            q.shape[0])
+def _component_penalty(cs: ConstraintSet, n_items: int, n_classes: int):
+    """The per-item sums of signed neighbour posteriors of a closed set, as a
+    function of the posterior q (N, K).
 
+    They are computed from `cs.components`: an item's must-link neighbours
+    are the rest of its component, and its cannot-link neighbours are every
+    component joined to its own. Each scatter is one np.bincount over the
+    flat slots item * K + class, which costs less per call than one
+    bincount per column at these sizes.
+    """
+    comp, cl_src, cl_dst = cs.components(n_items)
+    classes = np.arange(n_classes)
+    comp_slots = (comp[:, None] * n_classes + classes).ravel()
+    src_slots = (cl_src[:, None] * n_classes + classes).ravel()
+    size = n_items * n_classes
 
-def _constraint_arrays(cs: ConstraintSet):
-    src, dst, w = [], [], []
-    for a, b in sorted(cs.must_link):
-        src += [a, b]
-        dst += [b, a]
-        w += [1.0, 1.0]
-    for a, b in sorted(cs.cannot_link):
-        src += [a, b]
-        dst += [b, a]
-        w += [-1.0, -1.0]
-    return (np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
-            np.asarray(w))
+    def penalty(q: np.ndarray) -> np.ndarray:
+        sums = np.bincount(comp_slots, weights=q.ravel(),
+                           minlength=size).reshape(q.shape)
+        across = np.bincount(src_slots, weights=sums[cl_dst].ravel(),
+                             minlength=size).reshape(q.shape)
+        return (sums - across)[comp] - q
+    return penalty
 
 
 def _check_label_constraints(label_constraints, n_items, n_classes):
@@ -214,20 +218,21 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     prior (K,), log confusion array (M, K, K)), with the label update.
 
     `pinned` maps items to known classes. `cs`, whose items are `cs_items`,
-    adds eta times the signed neighbour posteriors to the logits.
+    adds eta times the signed neighbour posteriors to the logits, computed
+    from its must-link components.
     """
     pinned = pinned or {}
     q = initial_posterior(rm, opts)
     _pin(q, pinned)
-    pairs = (_constraint_arrays(cs)
-             if cs is not None and opts.eta > 0 and len(cs) else None)
+    penalty = (_component_penalty(cs, rm.n_items, rm.n_classes)
+               if cs is not None and len(cs) else None)
 
     trace = []
     for _ in range(opts.max_iters):
         fields, log_pi, log_gamma = m_step(rm, q)
         logits = log_pi[None, :] + _likelihood_logits(rm, log_gamma)
-        if pairs is not None:
-            logits = logits + opts.eta * _constraint_penalty(*pairs, q)
+        if penalty is not None and opts.eta > 0:
+            logits = logits + opts.eta * penalty(q)
         q_new = softmax_rows(logits)
         _pin(q_new, pinned)
         # initial=0.0 lets a crowd with no items converge at once.
@@ -277,7 +282,13 @@ def vb_ilc_fit(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
                opts: FitOptions | None = None) -> FitResult:
     """Variational inference with a pairwise-constraint term in the label
     update: each item's logits gain eta * sum of signed neighbor posteriors
-    from the previous iteration (must-link +1, cannot-link -1)."""
+    from the previous iteration (must-link +1, cannot-link -1).
+
+    The term is computed per must-link component of the closed set, not per
+    pair: an item's must-link sum is its component's posterior sum less its
+    own row, and its cannot-link sum is the sum over the components joined
+    to its own. A set flagged closed that is not closed raises ValueError.
+    """
     _check_prior_dimensions(rm, priors)
     if len(cs) and not cs.closed:
         raise ValueError("constraint set must be closed before fitting")

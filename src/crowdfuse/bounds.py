@@ -109,13 +109,13 @@ def constraint_counts(cs, truth: GroundTruth,
     the number of cannot-link partners whose true class is that class."""
     n_classes = int(truth.labels.max())
     n_ml, n_cl = cs.per_item_counts(n_items)
-    by_class = np.zeros((n_items, n_classes), dtype=np.intp)
-    for a, b in cs.cannot_link:
-        if truth.labels[b] > 0:
-            by_class[a, truth.labels[b] - 1] += 1
-        if truth.labels[a] > 0:
-            by_class[b, truth.labels[a] - 1] += 1
-    return n_ml, n_cl, by_class
+    _, _, cl_a, cl_b = cs.pair_arrays
+    item = np.concatenate([cl_a, cl_b])
+    partner_class = truth.labels[np.concatenate([cl_b, cl_a])]
+    known = partner_class > 0
+    by_class = np.bincount(item[known] * n_classes + partner_class[known] - 1,
+                           minlength=n_items * n_classes)
+    return n_ml, n_cl, by_class.reshape(n_items, n_classes)
 
 
 def exponent_u(inputs: BoundInputs) -> float:

@@ -38,28 +38,30 @@ def _parse_eta_grid(raw: str):
 
 
 @contextlib.contextmanager
-def _document_keys(path):
-    """Report a key missing from the JSON document read from `path` as an
-    input-format error. Wrap only code that reads that document, so that no
-    other KeyError is taken for bad input."""
+def _json_document(path):
+    """Yield the JSON object read from `path`. A document that is not an
+    object, or a key missing from it, is an input-format error. Wrap only
+    code that reads that document, so that no other KeyError is taken for
+    bad input."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise InputFormatError(f"{path}: expected a JSON object, found "
+                               f"{type(data).__name__}")
     try:
-        yield
+        yield data
     except KeyError as exc:
         raise InputFormatError(f"{path}: missing key {exc}") from None
 
 
 def _load_spec(path) -> CrowdSpec:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    with _document_keys(path):
+    with _json_document(path) as data:
         return CrowdSpec.from_dict(data)
 
 
 def _load_priors(args, n_annotators: int, n_classes: int) -> PriorConfig:
     if args.priors_file:
-        with open(args.priors_file, encoding="utf-8") as handle:
-            data = json.load(handle)
-        with _document_keys(args.priors_file):
+        with _json_document(args.priors_file) as data:
             alpha0, beta0 = data["alpha0"], data["beta0"]
         return PriorConfig(alpha0=np.asarray(alpha0, dtype=float),
                            beta0=np.asarray(beta0, dtype=float))
@@ -205,9 +207,7 @@ def cmd_synth(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _load_spec(args.spec_json)
-    with open(args.result, encoding="utf-8") as handle:
-        result = json.load(handle)
-    with _document_keys(args.result):
+    with _json_document(args.result) as result:
         posterior = np.asarray(result["posterior"], dtype=float)
         if posterior.shape != (spec.n_items, spec.n_classes):
             raise InputFormatError("result posterior does not match the spec "

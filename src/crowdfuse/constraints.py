@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,25 +50,66 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.must_link) + len(self.cannot_link)
 
+    @functools.cached_property
+    def pair_arrays(self) -> tuple[np.ndarray, ...]:
+        """(ml_a, ml_b, cl_a, cl_b): the pairs' endpoints as intp arrays,
+        with a < b in every pair. Computed once per set."""
+        def endpoints(pairs):
+            flat = np.fromiter(itertools.chain.from_iterable(pairs),
+                               dtype=np.intp, count=2 * len(pairs))
+            return flat[0::2], flat[1::2]
+        return (*endpoints(self.must_link), *endpoints(self.cannot_link))
+
     @property
     def items(self) -> set:
-        out = set()
-        for a, b in self.must_link | self.cannot_link:
-            out.add(a)
-            out.add(b)
-        return out
+        return set(np.unique(np.concatenate(self.pair_arrays)).tolist())
 
     def per_item_counts(self, n_items: int) -> tuple[np.ndarray, np.ndarray]:
         """(must-link degree, cannot-link degree) per item index."""
-        ml = np.zeros(n_items, dtype=np.intp)
-        cl = np.zeros(n_items, dtype=np.intp)
-        for a, b in self.must_link:
-            ml[a] += 1
-            ml[b] += 1
-        for a, b in self.cannot_link:
-            cl[a] += 1
-            cl[b] += 1
-        return ml, cl
+        ml_a, ml_b, cl_a, cl_b = self.pair_arrays
+        counts = (np.bincount(np.concatenate([ml_a, ml_b]), minlength=n_items),
+                  np.bincount(np.concatenate([cl_a, cl_b]), minlength=n_items))
+        if any(c.size > n_items for c in counts):
+            raise ValueError(f"constrained item outside 0..{n_items - 1}")
+        return counts
+
+    def components(self, n_items: int):
+        """The set as must-link components: (component id per item, source
+        and target components of each cannot-link edge between components,
+        listed in both directions).
+
+        A component's id is its smallest item; an item with no must-link is
+        its own component. On a closed set every component is a must-link
+        clique and every cannot-link edge joins two whole components, so
+        these arrays determine every pair. Raises ValueError when the set is
+        not closed.
+        """
+        ml_a, ml_b, cl_a, cl_b = self.pair_arrays
+        # Each item's smallest must-link neighbour: pairs keep a < b, so it
+        # is the smallest `a` among the item's pairs as `b`.
+        order = np.lexsort((ml_a, ml_b))
+        b, a = ml_b[order], ml_a[order]
+        first = np.ones(b.size, dtype=bool)
+        first[1:] = b[1:] != b[:-1]
+        comp = np.arange(n_items)
+        comp[b[first]] = a[first]
+        # Where every must-link stays inside one id, each id's items are a
+        # star around it, hence a connected component; its pair count then
+        # tells whether it is a clique.
+        sizes = np.bincount(comp, minlength=n_items)
+        if (np.any(comp[ml_a] != comp[ml_b])
+                or (sizes * (sizes - 1) // 2).sum() != ml_a.size):
+            raise ValueError("constraint set is not closed: its must-links "
+                             "do not form cliques")
+        # No cannot-link lies inside a component: the component is a clique,
+        # so the pair would be a must-link too, which __post_init__ rejects.
+        ca, cb = comp[cl_a], comp[cl_b]
+        edges = np.unique(np.minimum(ca, cb) * n_items + np.maximum(ca, cb))
+        lo, hi = np.divmod(edges, n_items)
+        if (sizes[lo] * sizes[hi]).sum() != cl_a.size:
+            raise ValueError("constraint set is not closed: its cannot-links "
+                             "do not join whole must-link components")
+        return comp, np.concatenate([lo, hi]), np.concatenate([hi, lo])
 
 
 class _UnionFind:
@@ -175,14 +218,9 @@ def count_violations(cs: ConstraintSet, labels) -> int:
     """Violated constraints under a hard labeling: must-links with differing
     labels plus cannot-links with equal labels."""
     labels = np.asarray(labels)
-    count = 0
-    for a, b in cs.must_link:
-        if labels[a] != labels[b]:
-            count += 1
-    for a, b in cs.cannot_link:
-        if labels[a] == labels[b]:
-            count += 1
-    return count
+    ml_a, ml_b, cl_a, cl_b = cs.pair_arrays
+    return int(np.count_nonzero(labels[ml_a] != labels[ml_b])
+               + np.count_nonzero(labels[cl_a] == labels[cl_b]))
 
 
 def derive_from_labels(label_constraints) -> ConstraintSet:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import InputFormatError
 from .model import GroundTruth, ResponseMatrix
 from .numerics import validate_prob_vector
 
@@ -61,14 +62,26 @@ class CrowdSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CrowdSpec":
         return cls(
-            n_items=int(data["n_items"]),
-            n_annotators=int(data["n_annotators"]),
-            n_classes=int(data["n_classes"]),
+            n_items=_int_field(data, "n_items"),
+            n_annotators=_int_field(data, "n_annotators"),
+            n_classes=_int_field(data, "n_classes"),
             pi_star=np.asarray(data["pi_star"], dtype=float),
             gamma_star=np.asarray(data["gamma_star"], dtype=float),
             mu=np.asarray(data["mu"], dtype=float),
-            seed=int(data.get("seed", 0)),
+            seed=_int_field(data, "seed", default=0),
         )
+
+
+def _int_field(data: dict, key: str, default: int | None = None) -> int:
+    """`data[key]` as an int; a value int() rejects is an input-format
+    error naming the key. A missing key raises KeyError unless a default
+    is given."""
+    value = data[key] if default is None else data.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputFormatError(f"spec field {key!r} must be an integer, "
+                               f"got {value!r}") from None
 
 
 def diag_dominant_spec(n_items: int, n_annotators: int, n_classes: int,

@@ -127,3 +127,14 @@ def brute_force_closure(ml, cl, binary_cl_rule=False):
         if ml & cl:
             raise ConstraintConflictError(next(iter(ml & cl)))
     return ml, cl
+
+
+def reference_pair_penalty(must_link, cannot_link, q):
+    """Per-item sums of signed neighbour posteriors, one pair at a time:
+    +q_j for each must-link partner j, -q_j for each cannot-link partner."""
+    penalty = np.zeros_like(q)
+    for pairs, sign in ((must_link, 1.0), (cannot_link, -1.0)):
+        for a, b in pairs:
+            penalty[a] += sign * q[b]
+            penalty[b] += sign * q[a]
+    return penalty

@@ -199,6 +199,25 @@ class TestVbIlc:
             vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
                        FitOptions(eta=1.0))
 
+    @pytest.mark.parametrize("ml, cl", [
+        # A must-link chain whose ends are not linked.
+        ({(0, 1), (1, 2)}, set()),
+        # A cannot-link that reaches only one item of a must-link pair.
+        ({(0, 1)}, {(1, 2)}),
+        # Not connected through each item's smallest neighbour, yet with as
+        # many pairs as cliques on those groups ({0, 1} and {2, 3, 4, 5})
+        # would have.
+        ({(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)}, set()),
+    ])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_rejects_set_flagged_closed_that_is_not(self, ml, cl, eta):
+        rm = matrix_from_labels([[1, 2, 1, 2, 1, 2]], n_classes=2)
+        cs = ConstraintSet(must_link=frozenset(ml), cannot_link=frozenset(cl),
+                           closed=True)
+        with pytest.raises(ValueError, match="not closed"):
+            vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
+                       FitOptions(eta=eta))
+
     def test_reports_violations(self):
         spec = diag_dominant_spec(30, 4, 2, 0.8, seed=1)
         rm, truth = generate(spec)

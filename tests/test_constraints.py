@@ -34,6 +34,11 @@ class TestConstraintSet:
         np.testing.assert_array_equal(ml, [1, 1, 0, 0])
         np.testing.assert_array_equal(cl, [0, 1, 1, 0])
 
+    def test_counts_reject_item_out_of_range(self):
+        cs = ConstraintSet(cannot_link=frozenset({(0, 2)}))
+        with pytest.raises(ValueError, match="outside"):
+            cs.per_item_counts(2)
+
 
 class TestClosure:
     def test_must_link_transitivity(self):

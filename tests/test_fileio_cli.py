@@ -228,6 +228,49 @@ class TestCliAggregate:
         assert code == 2
         assert "missing key 'mu'" in capsys.readouterr().err
 
+    def test_priors_not_an_object(self, dataset, tmp_path, capsys):
+        priors = tmp_path / "priors.json"
+        priors.write_text("[1, 2]")
+        code = cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--priors-file", str(priors),
+                         "--output", str(tmp_path / "o.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(priors) in err and "expected a JSON object" in err
+
+    def test_spec_not_an_object(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[1, 2]")
+        code = cli.main(["synth", "--spec-json", str(spec_path),
+                         "--out-responses", str(tmp_path / "r.csv"),
+                         "--out-truth", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(spec_path) in err and "expected a JSON object" in err
+
+    def test_result_not_an_object(self, dataset, tmp_path, capsys):
+        result = tmp_path / "result.json"
+        result.write_text("[1, 2]")
+        code = cli.main(["bounds", "--spec-json", str(dataset["spec_path"]),
+                         "--result", str(result),
+                         "--truth", str(dataset["truth_path"]),
+                         "--output", str(tmp_path / "b.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(result) in err and "expected a JSON object" in err
+
+    def test_spec_non_integer_field(self, dataset, tmp_path, capsys):
+        spec = json.loads(dataset["spec_path"].read_text())
+        spec["n_items"] = "abc"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = cli.main(["synth", "--spec-json", str(spec_path),
+                         "--out-responses", str(tmp_path / "r.csv"),
+                         "--out-truth", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "'n_items' must be an integer" in capsys.readouterr().err
+
     def test_internal_key_error_propagates(self, dataset, tmp_path,
                                            monkeypatch):
         def broken(rm):

@@ -1,25 +1,33 @@
-"""Property-based checks of the fit kernels and the fit loop.
+"""Property-based checks of the fit kernels, the fit loop and constraint
+sets.
 
 The scatter kernels must equal the np.add.at formulation exactly (same
 terms, added in the same order), and the array digamma must agree with
 scipy and with its own scalar form on every positive input. The shared fit
 loop must keep its trace, convergence flag and prior-only items consistent.
+The component form of the constraint penalty must equal the sum over the
+closed pairs, closure must be idempotent and monotone, and the array forms
+of the constraint-set queries must equal loops over the pairs.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
 
-from crowdfuse.aggregators import (FitOptions, _constraint_penalty,
+from crowdfuse.aggregators import (FitOptions, _component_penalty,
                                    _likelihood_logits, _response_counts,
                                    ds_em_fit, majority_vote, vbem_fit)
+from crowdfuse.constraints import (ConstraintConflictError, ConstraintSet,
+                                   close, count_violations)
 from crowdfuse.model import ResponseMatrix, paper_default_priors
 from crowdfuse.numerics import digamma, digamma_vec
+
+from oracles import reference_pair_penalty
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -63,12 +71,6 @@ def add_at_mv_posterior(rm):
                     1.0 / rm.n_classes)
 
 
-def add_at_penalty(src, dst, wts, q):
-    penalty = np.zeros_like(q)
-    np.add.at(penalty, src, wts[:, None] * q[dst])
-    return penalty
-
-
 def random_posterior(rng, n_items, n_classes):
     q = rng.random((n_items, n_classes))
     return q / np.maximum(q.sum(axis=1, keepdims=True), 1e-300)
@@ -102,20 +104,6 @@ class TestScatterKernels:
         rm, _ = crowd
         np.testing.assert_array_equal(majority_vote(rm).posterior,
                                       add_at_mv_posterior(rm))
-
-    @SETTINGS
-    @given(crowds(), st.integers(0, 30))
-    def test_constraint_penalty(self, crowd, n_pairs):
-        rm, seed = crowd
-        rng = np.random.default_rng(seed)
-        if rm.n_items == 0:
-            n_pairs = 0
-        src = rng.integers(0, max(rm.n_items, 1), size=n_pairs)
-        dst = rng.integers(0, max(rm.n_items, 1), size=n_pairs)
-        wts = rng.choice([-1.0, 1.0], size=n_pairs)
-        q = random_posterior(rng, rm.n_items, rm.n_classes)
-        np.testing.assert_array_equal(_constraint_penalty(src, dst, wts, q),
-                                      add_at_penalty(src, dst, wts, q))
 
 
 def fit_ds(rm, opts):
@@ -206,3 +194,131 @@ class TestDigammaProperties:
             digamma_vec(x)
         with pytest.raises(ValueError):
             digamma(bad)
+
+
+def pair_lists(n_items):
+    """Lists of (a, b, is_must_link) with distinct a, b below n_items."""
+    if n_items < 2:
+        return st.just([])
+    item = st.integers(0, n_items - 1)
+    return st.lists(st.tuples(item, item, st.booleans())
+                    .filter(lambda t: t[0] != t[1]), max_size=12)
+
+
+SIZED_PAIR_LISTS = st.integers(0, 10).flatmap(
+    lambda n: st.tuples(st.just(n), pair_lists(n)))
+
+
+def constraint_set(triples):
+    """The set of the pairs, skipping a pair already listed in either kind."""
+    ml, cl = set(), set()
+    for a, b, is_ml in triples:
+        pair = (min(a, b), max(a, b))
+        if pair not in ml and pair not in cl:
+            (ml if is_ml else cl).add(pair)
+    return ConstraintSet(must_link=frozenset(ml), cannot_link=frozenset(cl))
+
+
+@st.composite
+def closed_sets(draw, n_items):
+    """`close` of random pairs, adding one pair at a time and skipping any
+    pair whose closure conflicts."""
+    binary_cl_rule = draw(st.booleans())
+    closed = ConstraintSet(closed=True)
+    ml, cl = frozenset(), frozenset()
+    for a, b, is_ml in draw(pair_lists(n_items)):
+        pair = frozenset({(a, b)})
+        trial = (ml | pair, cl) if is_ml else (ml, cl | pair)
+        try:
+            closed = close(ConstraintSet(*trial), binary_cl_rule)
+        except ConstraintConflictError:
+            continue
+        ml, cl = trial
+    return closed
+
+
+class TestConstraintPenalty:
+    @SETTINGS
+    @given(crowds(), st.data())
+    def test_components_equal_pair_sum(self, crowd, data):
+        # The component form sums in another order, so it matches the pair
+        # sum to rounding, not bit for bit.
+        rm, seed = crowd
+        cs = data.draw(closed_sets(rm.n_items))
+        q = random_posterior(np.random.default_rng(seed), rm.n_items,
+                             rm.n_classes)
+        penalty = _component_penalty(cs, rm.n_items, rm.n_classes)(q)
+        np.testing.assert_allclose(
+            penalty, reference_pair_penalty(cs.must_link, cs.cannot_link, q),
+            rtol=0, atol=1e-12)
+        free = [n for n in range(rm.n_items) if n not in cs.items]
+        assert np.all(penalty[free] == 0.0)
+
+    @SETTINGS
+    @given(SIZED_PAIR_LISTS)
+    @example((6, [(0, 1, True), (1, 2, True), (1, 3, True), (1, 4, True),
+                  (1, 5, True), (2, 3, True), (4, 5, True)]))
+    def test_components_accept_exactly_closed_sets(self, drawn):
+        n_items, triples = drawn
+        cs = constraint_set(triples)
+        try:
+            is_closed = (close(cs) == ConstraintSet(cs.must_link,
+                                                    cs.cannot_link, True))
+        except ConstraintConflictError:
+            is_closed = False
+        if is_closed:
+            cs.components(n_items)
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                cs.components(n_items)
+
+
+class TestConstraintSetProperties:
+    @SETTINGS
+    @given(SIZED_PAIR_LISTS, pair_lists(10), st.booleans())
+    def test_close_idempotent_and_monotone(self, drawn, extra,
+                                           binary_cl_rule):
+        _, triples = drawn
+        try:
+            closed = close(constraint_set(triples), binary_cl_rule)
+        except ConstraintConflictError:
+            return
+        assert close(closed, binary_cl_rule) == closed
+        try:
+            larger = close(constraint_set(triples + extra), binary_cl_rule)
+        except ConstraintConflictError:
+            return
+        assert closed.must_link <= larger.must_link
+        assert closed.cannot_link <= larger.cannot_link
+
+    @SETTINGS
+    @given(SIZED_PAIR_LISTS, st.data())
+    def test_array_queries_equal_pair_loops(self, drawn, data):
+        n_items, triples = drawn
+        cs = constraint_set(triples)
+        labels = data.draw(arrays(np.int64, n_items,
+                                  elements=st.integers(1, 3)))
+        violations = (sum(labels[a] != labels[b] for a, b in cs.must_link)
+                      + sum(labels[a] == labels[b] for a, b in cs.cannot_link))
+        assert count_violations(cs, labels) == violations
+        items = cs.items
+        assert items == {x for pair in cs.must_link | cs.cannot_link
+                         for x in pair}
+        assert all(type(x) is int for x in items)
+        ml, cl = cs.per_item_counts(n_items)
+        for degree, pairs in ((ml, cs.must_link), (cl, cs.cannot_link)):
+            expected = np.zeros(n_items, dtype=np.intp)
+            for a, b in pairs:
+                expected[a] += 1
+                expected[b] += 1
+            np.testing.assert_array_equal(degree, expected)
+
+    def test_empty_set(self):
+        cs = ConstraintSet()
+        assert count_violations(cs, np.array([1, 2])) == 0
+        assert cs.items == set()
+        for degree in cs.per_item_counts(3):
+            np.testing.assert_array_equal(degree, [0, 0, 0])
+        comp, cl_src, cl_dst = cs.components(3)
+        np.testing.assert_array_equal(comp, [0, 1, 2])
+        assert cl_src.size == cl_dst.size == 0
