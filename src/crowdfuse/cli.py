@@ -44,14 +44,21 @@ def _json_document(path):
     code that reads that document, so that no other KeyError is taken for
     bad input."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise InputFormatError(f"{path}: expected a JSON object, found "
-                               f"{type(data).__name__}")
+        data = _json_object(json.load(handle), path)
     try:
         yield data
     except KeyError as exc:
         raise InputFormatError(f"{path}: missing key {exc}") from None
+
+
+def _json_object(value, path, key=None):
+    """`value` if it is a JSON object; otherwise an input-format error
+    naming the file and, for a nested value, its key."""
+    if not isinstance(value, dict):
+        where = "" if key is None else f" at {key!r}"
+        raise InputFormatError(f"{path}: expected a JSON object{where}, "
+                               f"found {type(value).__name__}")
+    return value
 
 
 def _load_spec(path) -> CrowdSpec:
@@ -70,11 +77,11 @@ def _load_priors(args, n_annotators: int, n_classes: int) -> PriorConfig:
     return paper_default_priors(n_annotators, n_classes)
 
 
-def _fit_options(args, init="majority_vote", init_posterior=None,
-                 eta=0.0) -> aggregators.FitOptions:
+def _fit_options(args, init="majority_vote",
+                 init_posterior=None) -> aggregators.FitOptions:
     return aggregators.FitOptions(
-        max_iters=args.max_iters, tol=args.tol, eta=eta, seed=args.seed,
-        init=init, init_posterior=init_posterior)
+        max_iters=args.max_iters, tol=args.tol, seed=args.seed, init=init,
+        init_posterior=init_posterior)
 
 
 def _params_doc(fit) -> dict | None:
@@ -126,17 +133,13 @@ def cmd_aggregate(args) -> int:
                     must_link=cs.must_link | derived.must_link,
                     cannot_link=cs.cannot_link | derived.cannot_link)
             cs_fit = constraints.close(cs_all)
+            # A fixed --eta is a one-candidate search, which makes one fit.
+            grid = _parse_eta_grid(args.eta_grid) if args.eta_grid else \
+                (args.eta,)
+            eta, table, fit = constraints.eta_search(rm, priors, cs_fit, grid,
+                                                     chain)
             if args.eta_grid:
-                grid = _parse_eta_grid(args.eta_grid)
-                eta, table, fit = constraints._eta_search(rm, priors, cs_fit,
-                                                          grid, chain)
                 eta_table = [list(row) for row in table]
-            else:
-                eta = args.eta
-                ilc_opts = _fit_options(args, init="given_posterior",
-                                        init_posterior=vb_fit.posterior,
-                                        eta=eta)
-                fit = aggregators.vb_ilc_fit(rm, priors, cs_fit, ilc_opts)
             counted = cs_all if args.violations_on == "given" else cs_fit
             n_v = constraints.count_violations(counted, fit.hard_labels)
 
@@ -213,11 +216,18 @@ def cmd_bounds(args) -> int:
             raise InputFormatError("result posterior does not match the spec "
                                    "dimensions")
         params = None
-        if result.get("params") and "alpha" in result["params"]:
+        params_doc = _json_object(result.get("params") or {}, args.result,
+                                  "params")
+        if "alpha" in params_doc:
             params = PosteriorParams(
-                alpha=np.asarray(result["params"]["alpha"], dtype=float),
-                beta=np.asarray(result["params"]["beta"], dtype=float))
-        rm_ids = result["index_maps"]["items"]
+                alpha=np.asarray(params_doc["alpha"], dtype=float),
+                beta=np.asarray(params_doc["beta"], dtype=float))
+        rm_ids = _json_object(result["index_maps"], args.result,
+                              "index_maps")["items"]
+        if not (isinstance(rm_ids, list)
+                and all(isinstance(i, str) for i in rm_ids)):
+            raise InputFormatError(f"{args.result}: expected a JSON array of "
+                                   "strings at 'items'")
     fit = aggregators.FitResult(
         posterior=posterior,
         hard_labels=aggregators.hard_labels_from(posterior),

@@ -189,22 +189,19 @@ def close(cs: ConstraintSet, binary_cl_rule: bool = False) -> ConstraintSet:
     members = {}
     for x in uf.parent:
         members.setdefault(uf.find(x), []).append(x)
-    for group in members.values():
-        group.sort()
+    return _expand(members.values(),
+                   [(members[uf.find(ra)], members[uf.find(rb)])
+                    for ra, rb in comp_cl])
 
-    ml = set()
-    for group in members.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                ml.add((group[i], group[j]))
-    cl = set()
-    for ra, rb in comp_cl:
-        ra, rb = uf.find(ra), uf.find(rb)
-        for a in members[ra]:
-            for b in members[rb]:
-                cl.add((a, b) if a < b else (b, a))
-    return ConstraintSet(must_link=frozenset(ml), cannot_link=frozenset(cl),
-                         closed=True)
+
+def _expand(groups, group_pairs) -> ConstraintSet:
+    """The closed set whose must-link components are `groups` and whose
+    cannot-links join every item of one group in each of `group_pairs` to
+    every item of the other."""
+    ml = (pair for group in groups
+          for pair in itertools.combinations(group, 2))
+    cl = (pair for g, h in group_pairs for pair in itertools.product(g, h))
+    return ConstraintSet(must_link=ml, cannot_link=cl, closed=True)
 
 
 def _witness_pair(cs: ConstraintSet, uf: _UnionFind, root):
@@ -232,22 +229,10 @@ def derive_from_labels(label_constraints) -> ConstraintSet:
             raise ConstraintConflictError((item, item))
         by_item[item] = cls
     by_class = {}
-    for item, cls in sorted(by_item.items()):
+    for item, cls in by_item.items():
         by_class.setdefault(cls, []).append(item)
-    ml = set()
-    cl = set()
-    groups = sorted(by_class.items())
-    for _, items in groups:
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                ml.add((items[i], items[j]))
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            for a in groups[gi][1]:
-                for b in groups[gj][1]:
-                    cl.add((a, b) if a < b else (b, a))
-    return ConstraintSet(must_link=frozenset(ml), cannot_link=frozenset(cl),
-                         closed=True)
+    return _expand(by_class.values(),
+                   itertools.combinations(by_class.values(), 2))
 
 
 DEFAULT_ETA_GRID = (0.01, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 100, 500)
@@ -256,18 +241,12 @@ DEFAULT_ETA_GRID = (0.01, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 100, 500)
 def eta_search(rm, priors, cs: ConstraintSet, candidate_etas, opts):
     """Fit once per candidate weight and pick the one with the fewest
     violated constraints on the fitted hard labels; ties go to the smallest
-    candidate. Returns (best_eta, [(eta, n_violations), ...]).
+    candidate. Returns (best_eta, [(eta, n_violations), ...], best_fit),
+    where best_fit is the fit at best_eta, so callers need not refit it.
 
     All candidates share the same initialization posterior so runs are
     comparable.
     """
-    best_eta, table, _ = _eta_search(rm, priors, cs, candidate_etas, opts)
-    return best_eta, table
-
-
-def _eta_search(rm, priors, cs: ConstraintSet, candidate_etas, opts):
-    """`eta_search` that also returns the fit at the chosen weight, so
-    callers need not refit it: (best_eta, table, best_fit)."""
     from . import aggregators  # local import to avoid a cycle
 
     candidates = list(candidate_etas)

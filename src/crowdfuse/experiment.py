@@ -1,23 +1,18 @@
 """Monte-Carlo experiment driver: constraint protocols, sweeps, repeats.
 
-The driver owns repetition and parallelism; library calls stay single-run.
-Worker parallelism is capped by the CROWDFUSE_THREADS environment variable
-(absent means one worker), and result rows are ordered deterministically
-before writing, so output never depends on the thread count.
+The driver owns repetition; library calls stay single-run. Result rows are
+ordered deterministically before writing.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import aggregators, constraints, metrics, selection
 from .constraints import DEFAULT_ETA_GRID, ConstraintSet
-from .fileio import InputFormatError
 from .model import GroundTruth, PriorConfig, ResponseMatrix
 
 PROTOCOLS = ("random-constraints", "bvsb-constraints", "label-derived")
@@ -43,17 +38,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown protocol {p!r}")
         if self.violations_on not in ("given", "closed"):
             raise ValueError("violations_on must be 'given' or 'closed'")
-
-
-def worker_count() -> int:
-    raw = os.environ.get("CROWDFUSE_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputFormatError(
-            f"CROWDFUSE_THREADS must be an integer, got {raw!r}") from None
 
 
 def _cell_seed(base: int, protocol: str, n_c: int, repeat: int) -> int:
@@ -127,9 +111,10 @@ def build_constraints(protocol: str, n_c: int, truth: GroundTruth,
 
 
 def _run_cell(rm: ResponseMatrix, truth: GroundTruth, priors: PriorConfig,
-              config: ExperimentConfig, baselines: dict,
-              vb_fit, protocol: str, n_c: int, repeat: int) -> list:
+              config: ExperimentConfig, baselines: dict, protocol: str,
+              n_c: int, repeat: int) -> list:
     seed = _cell_seed(config.seed, protocol, n_c, repeat)
+    vb_fit = baselines["vb"]
     rows = []
     for method in ("mv", "ds", "vb"):
         fit = baselines[method]
@@ -152,7 +137,7 @@ def _run_cell(rm: ResponseMatrix, truth: GroundTruth, priors: PriorConfig,
         ilc_fit = aggregators.vbem_fit(rm, priors, chain_opts)
         best_eta = 0.0
     else:
-        best_eta, _, ilc_fit = constraints._eta_search(
+        best_eta, _, ilc_fit = constraints.eta_search(
             rm, priors, cs_fit, config.eta_grid, chain_opts)
 
     counted = cs_given if config.violations_on == "given" else cs_fit
@@ -166,31 +151,17 @@ def run_experiment(rm: ResponseMatrix, truth: GroundTruth,
                    priors: PriorConfig, config: ExperimentConfig) -> list:
     """Run every (protocol, N_C, repeat) cell and return result rows ordered
     by (protocol, N_C, repeat, method)."""
-    workers = worker_count()
     base_opts = aggregators.FitOptions(max_iters=config.max_iters,
                                        tol=config.tol, seed=config.seed)
-    mv_fit = aggregators.majority_vote(rm)
-    ds_fit = aggregators.ds_em_fit(rm, base_opts)
-    vb_fit = aggregators.vbem_fit(rm, priors, base_opts)
-    baselines = {"mv": mv_fit, "ds": ds_fit, "vb": vb_fit}
-
-    cells = [(protocol, n_c, repeat)
-             for protocol in config.protocols
-             for n_c in config.nc_list
-             for repeat in range(config.repeats)]
-
-    def work(cell):
-        protocol, n_c, repeat = cell
-        return _run_cell(rm, truth, priors, config, baselines, vb_fit,
-                         protocol, n_c, repeat)
-
-    if workers == 1:
-        results = [work(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, cells))
-
-    rows = [row for cell_rows in results for row in cell_rows]
+    baselines = {"mv": aggregators.majority_vote(rm),
+                 "ds": aggregators.ds_em_fit(rm, base_opts),
+                 "vb": aggregators.vbem_fit(rm, priors, base_opts)}
+    rows = [row
+            for protocol in config.protocols
+            for n_c in config.nc_list
+            for repeat in range(config.repeats)
+            for row in _run_cell(rm, truth, priors, config, baselines,
+                                 protocol, n_c, repeat)]
     method_order = {m: i for i, m in enumerate(("mv", "ds", "vb", "vb-lc",
                                                 "vb-ilc"))}
     rows.sort(key=lambda r: (PROTOCOLS.index(r["protocol"]), r["n_c"],

@@ -9,7 +9,7 @@ from importlib import resources
 import numpy as np
 
 from .constraints import ConstraintSet
-from .model import GroundTruth, ResponseMatrix
+from .model import GroundTruth, ResponseMatrix, pair_order
 
 
 class InputFormatError(ValueError):
@@ -38,7 +38,7 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     error. Identifiers are arbitrary strings mapped to dense indices in
     first-seen order."""
     item_index, ann_index = {}, {}
-    entries = {}
+    anns, items, labels, linenos = [], [], [], []
     handle, reader = _open_reader(path)
     with handle:
         header = next(reader, None)
@@ -59,30 +59,35 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
             if label < 1 or (n_classes is not None and label > n_classes):
                 raise InputFormatError(
                     f"{path}:{lineno}: label {label} out of range")
-            n = item_index.setdefault(item_id, len(item_index))
-            m = ann_index.setdefault(ann_id, len(ann_index))
-            if (m, n) in entries:
-                raise InputFormatError(
-                    f"{path}:{lineno}: duplicate response for item "
-                    f"{item_id!r} by annotator {ann_id!r}")
-            entries[(m, n)] = label
-    return ResponseMatrix(
-        n_items=len(item_index),
-        n_annotators=len(ann_index),
-        entries=entries,
-        n_classes=n_classes,
-        item_ids=list(item_index),
-        annotator_ids=list(ann_index),
-    )
+            items.append(item_index.setdefault(item_id, len(item_index)))
+            anns.append(ann_index.setdefault(ann_id, len(ann_index)))
+            labels.append(label)
+            linenos.append(lineno)
+    anns, items = np.array(anns, dtype=np.intp), np.array(items, dtype=np.intp)
+    _, repeat = pair_order(anns, items, len(item_index))
+    if repeat is not None:
+        item_ids, ann_ids = list(item_index), list(ann_index)
+        raise InputFormatError(
+            f"{path}:{linenos[repeat]}: duplicate response for item "
+            f"{item_ids[items[repeat]]!r} by annotator "
+            f"{ann_ids[anns[repeat]]!r}")
+    return ResponseMatrix(len(item_index), len(ann_index), anns, items,
+                          labels, n_classes, list(item_index), list(ann_index))
 
 
 def write_responses(path, rm: ResponseMatrix) -> None:
+    """Write the responses CSV, one row per response in (item, annotator)
+    order."""
+    ann, item, label0 = rm.coords
+    order = np.lexsort((ann, item))
+    item_ids, ann_ids = rm.item_ids, rm.annotator_ids
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(RESPONSES_HEADER)
-        for (m, n), label in sorted(rm.entries.items(),
-                                    key=lambda kv: (kv[0][1], kv[0][0])):
-            writer.writerow([rm.item_ids[n], rm.annotator_ids[m], label])
+        writer.writerows(
+            [item_ids[n], ann_ids[m], label + 1]
+            for m, n, label in zip(ann[order].tolist(), item[order].tolist(),
+                                   label0[order].tolist()))
 
 
 def read_truth(path, item_ids: list) -> GroundTruth:

@@ -15,17 +15,26 @@ UNKNOWN_LABEL = 0
 class ResponseMatrix:
     """Sparse annotator responses over a dataset.
 
-    Entries map (annotator, item) -> label in 1..K; an absent entry means
-    the annotator gave no response. Immutable after construction.
+    Each response is an (annotator, item, label) triple with its label in
+    1..K; a pair with no triple means the annotator gave no response. The
+    triples are stored only as coordinate arrays sorted by (annotator,
+    item), so that every reduction over responses is deterministic.
+    Immutable after construction.
     """
 
-    def __init__(self, n_items: int, n_annotators: int, entries: dict,
-                 n_classes: int | None = None,
+    def __init__(self, n_items: int, n_annotators: int, annotators, items,
+                 labels, n_classes: int | None = None,
                  item_ids: list | None = None,
                  annotator_ids: list | None = None):
         if n_items < 0 or n_annotators < 0:
             raise ValueError("negative dimensions")
-        max_label = max(entries.values(), default=0)
+        ann, item, label = (np.asarray(a, dtype=np.intp)
+                            for a in (annotators, items, labels))
+        if not ann.ndim == item.ndim == label.ndim == 1 or \
+                not ann.size == item.size == label.size:
+            raise ValueError("annotators, items and labels must be 1-D "
+                             "arrays of one length")
+        max_label = int(label.max(initial=0))
         if n_classes is None:
             n_classes = max(max_label, 2)
         else:
@@ -36,27 +45,25 @@ class ResponseMatrix:
                 warnings.warn(
                     f"configured {n_classes} classes but max observed label is "
                     f"{max_label}", stacklevel=2)
-        for (m, n), lab in entries.items():
-            if not (0 <= m < n_annotators):
-                raise ValueError(f"annotator index {m} out of range")
-            if not (0 <= n < n_items):
-                raise ValueError(f"item index {n} out of range")
-            if not (1 <= lab <= n_classes):
-                raise ValueError(f"label {lab} outside 1..{n_classes}")
+        _check_range(ann, 0, n_annotators, "annotator index {} out of range")
+        _check_range(item, 0, n_items, "item index {} out of range")
+        _check_range(label, 1, n_classes + 1,
+                     f"label {{}} outside 1..{n_classes}")
+        order, repeat = pair_order(ann, item, n_items)
+        if repeat is not None:
+            raise ValueError(f"duplicate response by annotator {ann[repeat]} "
+                             f"for item {item[repeat]}")
         self.n_items = n_items
         self.n_annotators = n_annotators
         self.n_classes = n_classes
-        self.entries = dict(entries)
         self.item_ids = list(item_ids) if item_ids is not None else \
             [str(i) for i in range(n_items)]
         self.annotator_ids = list(annotator_ids) if annotator_ids is not None else \
             [str(i) for i in range(n_annotators)]
-        # Dense coordinate arrays in a fixed (annotator, item) order, so that
-        # every reduction over responses is deterministic.
-        keys = sorted(entries)
-        self._ann = np.array([k[0] for k in keys], dtype=np.intp)
-        self._item = np.array([k[1] for k in keys], dtype=np.intp)
-        self._label0 = np.array([entries[k] - 1 for k in keys], dtype=np.intp)
+        self._ann, self._item = ann[order], item[order]
+        self._label0 = label[order] - 1
+        for arr in self.coords:
+            arr.flags.writeable = False
 
     @property
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,10 +72,29 @@ class ResponseMatrix:
 
     @property
     def n_responses(self) -> int:
-        return len(self.entries)
+        return self._ann.size
 
     def responses_per_item(self) -> np.ndarray:
         return np.bincount(self._item, minlength=self.n_items)
+
+
+def _check_range(values: np.ndarray, low: int, high: int,
+                 message: str) -> None:
+    """Raise ValueError naming the first value outside low..high-1."""
+    bad = np.flatnonzero((values < low) | (values >= high))
+    if bad.size:
+        raise ValueError(message.format(values[bad[0]]))
+
+
+def pair_order(annotators: np.ndarray, items: np.ndarray, n_items: int):
+    """(order, repeat): the stable order of responses by (annotator, item),
+    and the index of the first response whose pair an earlier response
+    already has, or None. Indices must be in range."""
+    key = annotators * n_items + items
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]
+    return order, (int(repeats.min()) if repeats.size else None)
 
 
 @dataclass(frozen=True)

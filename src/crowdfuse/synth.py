@@ -62,25 +62,30 @@ class CrowdSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CrowdSpec":
         return cls(
-            n_items=_int_field(data, "n_items"),
-            n_annotators=_int_field(data, "n_annotators"),
-            n_classes=_int_field(data, "n_classes"),
-            pi_star=np.asarray(data["pi_star"], dtype=float),
-            gamma_star=np.asarray(data["gamma_star"], dtype=float),
-            mu=np.asarray(data["mu"], dtype=float),
-            seed=_int_field(data, "seed", default=0),
+            n_items=_field(data, "n_items", _INTEGER),
+            n_annotators=_field(data, "n_annotators", _INTEGER),
+            n_classes=_field(data, "n_classes", _INTEGER),
+            pi_star=_field(data, "pi_star", _NUMBERS),
+            gamma_star=_field(data, "gamma_star", _NUMBERS),
+            mu=_field(data, "mu", _NUMBERS),
+            seed=_field(data, "seed", _INTEGER, default=0),
         )
 
 
-def _int_field(data: dict, key: str, default: int | None = None) -> int:
-    """`data[key]` as an int; a value int() rejects is an input-format
-    error naming the key. A missing key raises KeyError unless a default
-    is given."""
+_INTEGER = (int, "an integer")
+_NUMBERS = (lambda value: np.asarray(value, dtype=float), "an array of numbers")
+
+
+def _field(data: dict, key: str, kind, default=None):
+    """`data[key]` converted by `kind`, a (converter, description) pair. A
+    value the converter rejects is an input-format error naming the key. A
+    missing key raises KeyError unless a default is given."""
+    convert, description = kind
     value = data[key] if default is None else data.get(key, default)
     try:
-        return int(value)
+        return convert(value)
     except (TypeError, ValueError):
-        raise InputFormatError(f"spec field {key!r} must be an integer, "
+        raise InputFormatError(f"spec field {key!r} must be {description}, "
                                f"got {value!r}") from None
 
 
@@ -135,8 +140,7 @@ def generate(spec: CrowdSpec) -> tuple[ResponseMatrix, GroundTruth]:
     rows = cdf[ann_idx, y0[item_idx]]
     emitted0 = np.argmax(u[ann_idx, item_idx][:, None] < rows, axis=1)
 
-    entries = {(int(m), int(n)): int(lab) + 1
-               for m, n, lab in zip(ann_idx, item_idx, emitted0)}
     rm = ResponseMatrix(n_items=spec.n_items, n_annotators=spec.n_annotators,
-                        entries=entries, n_classes=spec.n_classes)
+                        annotators=ann_idx, items=item_idx,
+                        labels=emitted0 + 1, n_classes=spec.n_classes)
     return rm, GroundTruth(labels=y0 + 1)

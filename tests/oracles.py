@@ -138,3 +138,36 @@ def reference_pair_penalty(must_link, cannot_link, q):
             penalty[a] += sign * q[b]
             penalty[b] += sign * q[a]
     return penalty
+
+
+def reference_response_matrix(n_items, n_annotators, entries, n_classes=None):
+    """The dict form of response construction: validate each
+    (annotator, item) -> label entry in turn, then sort the keys. Returns
+    ((ann, item, label0), n_classes, responses_per_item)."""
+    if n_items < 0 or n_annotators < 0:
+        raise ValueError("negative dimensions")
+    max_label = max(entries.values(), default=0)
+    if n_classes is None:
+        n_classes = max(max_label, 2)
+    elif max_label > n_classes:
+        raise ValueError(f"label {max_label} exceeds class count {n_classes}")
+    for (m, n), label in entries.items():
+        if not (0 <= m < n_annotators and 0 <= n < n_items
+                and 1 <= label <= n_classes):
+            raise ValueError(f"bad entry {(m, n)}: {label}")
+    keys = sorted(entries)
+    coords = (np.array([k[0] for k in keys], dtype=np.intp),
+              np.array([k[1] for k in keys], dtype=np.intp),
+              np.array([entries[k] - 1 for k in keys], dtype=np.intp))
+    per_item = [0] * n_items
+    for _, n in keys:
+        per_item[n] += 1
+    return coords, n_classes, np.array(per_item)
+
+
+def response_triples(rm):
+    """The set of (item id, annotator id, label) responses of `rm`, so that
+    matrices whose indices number the same ids differently compare equal."""
+    ann, item, label0 = rm.coords
+    return {(rm.item_ids[n], rm.annotator_ids[m], lab + 1)
+            for m, n, lab in zip(ann.tolist(), item.tolist(), label0.tolist())}

@@ -14,11 +14,10 @@ from crowdfuse.synth import diag_dominant_spec, generate
 def matrix_from_labels(labels_by_annotator, n_classes=None):
     """Dense ResponseMatrix from a (M, N) array; 0 means no response."""
     arr = np.asarray(labels_by_annotator)
-    entries = {(m, n): int(arr[m, n])
-               for m in range(arr.shape[0]) for n in range(arr.shape[1])
-               if arr[m, n] > 0}
+    ann, item = np.nonzero(arr)
     return ResponseMatrix(n_items=arr.shape[1], n_annotators=arr.shape[0],
-                          entries=entries, n_classes=n_classes)
+                          annotators=ann, items=item, labels=arr[ann, item],
+                          n_classes=n_classes)
 
 
 from oracles import reference_ds_em, reference_vbem
@@ -118,7 +117,7 @@ class TestVbem:
         np.testing.assert_array_equal(fit.hard_labels, labels)
 
     def test_zero_response_rows_follow_prior(self):
-        rm = ResponseMatrix(3, 1, {}, n_classes=2)
+        rm = ResponseMatrix(3, 1, [], [], [], n_classes=2)
         priors = paper_default_priors(1, 2)
         fit = vbem_fit(rm, priors, FitOptions(max_iters=1))
         # With no evidence every row is the softmax of the expected log prior.
@@ -186,7 +185,7 @@ class TestVbIlc:
     def test_must_link_pulls_unlabeled_item(self):
         # Item 1 has no responses at all; a strong must-link to item 0 must
         # copy item 0's label onto it.
-        rm = ResponseMatrix(2, 2, {(0, 0): 2, (1, 0): 2}, n_classes=2)
+        rm = ResponseMatrix(2, 2, [0, 1], [0, 0], [2, 2], n_classes=2)
         priors = paper_default_priors(2, 2)
         cs = close(ConstraintSet(must_link=frozenset({(0, 1)})))
         fit = vb_ilc_fit(rm, priors, cs, FitOptions(eta=100.0))
@@ -239,7 +238,7 @@ class TestVbIlc:
             calls.append(cs)
             return items(cs)
         monkeypatch.setattr(ConstraintSet, "items", property(counted))
-        rm = ResponseMatrix(3, 1, {(0, 0): 1, (0, 2): 2}, n_classes=2)
+        rm = ResponseMatrix(3, 1, [0, 0], [0, 2], [1, 2], n_classes=2)
         cs = close(ConstraintSet(must_link=frozenset({(0, 1)})))
         fit = vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
                          FitOptions(eta=1.0))

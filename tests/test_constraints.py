@@ -159,21 +159,22 @@ class TestEtaSearch:
 
     def test_singleton_candidate(self):
         rm, priors, cs = self._setup()
-        eta, table = eta_search(rm, priors, cs, [1.0], FitOptions())
+        eta, table, _ = eta_search(rm, priors, cs, [1.0], FitOptions())
         assert eta == 1.0
         assert len(table) == 1
 
     def test_tie_breaks_to_smallest(self):
         rm, priors, cs = self._setup()
-        eta, table = eta_search(rm, priors, cs, [500.0, 100.0], FitOptions())
+        eta, table, _ = eta_search(rm, priors, cs, [500.0, 100.0],
+                                   FitOptions())
         n_by_eta = dict(table)
         if n_by_eta[100.0] == n_by_eta[500.0]:
             assert eta == 100.0
 
     def test_picks_minimum_violations(self):
         rm, priors, cs = self._setup(seed=3)
-        eta, table = eta_search(rm, priors, cs, DEFAULT_ETA_GRID,
-                                FitOptions())
+        eta, table, _ = eta_search(rm, priors, cs, DEFAULT_ETA_GRID,
+                                   FitOptions())
         best_nv = min(nv for _, nv in table)
         assert dict(table)[eta] == best_nv
         # Re-fit at the winner and confirm the tabulated count.

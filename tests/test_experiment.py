@@ -31,7 +31,6 @@ class TestEtaSearchFitIsReused:
         priors = paper_default_priors(5, 3)
         config = experiment.ExperimentConfig(nc_list=(20,), seed=4,
                                              eta_grid=ETA_GRID, max_iters=30)
-        monkeypatch.delenv("CROWDFUSE_THREADS", raising=False)
         calls = counting_vb_ilc_fit(monkeypatch)
         rows = experiment.run_experiment(rm, truth, priors, config)
         monkeypatch.undo()
@@ -48,7 +47,7 @@ class TestEtaSearchFitIsReused:
             chain = FitOptions(max_iters=30, seed=seed,
                                init="given_posterior",
                                init_posterior=vb_fit.posterior)
-            eta, _ = eta_search(rm, priors, cs_fit, ETA_GRID, chain)
+            eta, _, _ = eta_search(rm, priors, cs_fit, ETA_GRID, chain)
             refit = vb_ilc_fit(rm, priors, cs_fit, FitOptions(
                 max_iters=30, eta=eta, seed=seed, init="given_posterior",
                 init_posterior=vb_fit.posterior))

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -15,13 +14,12 @@ from crowdfuse.fileio import (InputFormatError, read_constraints,
 from crowdfuse.model import GroundTruth
 from crowdfuse.synth import diag_dominant_spec, generate
 
+from oracles import response_triples
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "crowdfuse.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -42,7 +40,7 @@ def dataset(tmp_path):
 class TestResponsesRoundTrip:
     def test_roundtrip(self, dataset):
         back = read_responses(dataset["responses"], n_classes=3)
-        assert back.entries == dataset["rm"].entries
+        assert response_triples(back) == response_triples(dataset["rm"])
         assert back.item_ids == dataset["rm"].item_ids
 
     def test_missing_header(self, tmp_path):
@@ -62,6 +60,15 @@ class TestResponsesRoundTrip:
         path = tmp_path / "r.csv"
         path.write_text("item,annotator,label\nx,a,1\nx,a,2\n")
         with pytest.raises(InputFormatError, match="duplicate"):
+            read_responses(path)
+
+    def test_duplicate_names_repeated_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("item,annotator,label\nx,a,1\ny,b,2\ny,a,\n"
+                        "y,a,1\nx,b,2\ny,b,1\nx,a,2\n")
+        with pytest.raises(InputFormatError,
+                           match=r"r\.csv:7: duplicate response for item "
+                                 r"'y' by annotator 'b'"):
             read_responses(path)
 
     def test_bad_label(self, tmp_path):
@@ -271,6 +278,58 @@ class TestCliAggregate:
         assert code == 2
         assert "'n_items' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["pi_star", "gamma_star", "mu"])
+    def test_spec_non_numeric_array_field(self, dataset, tmp_path, capsys,
+                                          key):
+        spec = json.loads(dataset["spec_path"].read_text())
+        spec[key] = "abc"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = cli.main(["synth", "--spec-json", str(spec_path),
+                         "--out-responses", str(tmp_path / "r.csv"),
+                         "--out-truth", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"{key!r} must be an array of numbers" in \
+            capsys.readouterr().err
+
+    @staticmethod
+    def bounds_on_edited_result(dataset, tmp_path, edit):
+        """Exit code of `bounds` on a vb result changed by `edit`, and the
+        edited result's path."""
+        vb_out = tmp_path / "vb.json"
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--output", str(vb_out)]) == 0
+        doc = json.loads(vb_out.read_text())
+        edit(doc)
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(doc))
+        code = cli.main(["bounds", "--spec-json", str(dataset["spec_path"]),
+                         "--result", str(result),
+                         "--truth", str(dataset["truth_path"]),
+                         "--output", str(tmp_path / "b.json")])
+        return code, result
+
+    @pytest.mark.parametrize("key", ["index_maps", "params"])
+    def test_result_nested_field_not_an_object(self, dataset, tmp_path,
+                                               capsys, key):
+        code, result = self.bounds_on_edited_result(
+            dataset, tmp_path, lambda doc: doc.update({key: [1, 2]}))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(result) in err
+        assert f"expected a JSON object at {key!r}, found list" in err
+
+    @pytest.mark.parametrize("items", [5, [1, 2], [["a"]]])
+    def test_result_item_ids_not_strings(self, dataset, tmp_path, capsys,
+                                         items):
+        code, _ = self.bounds_on_edited_result(
+            dataset, tmp_path,
+            lambda doc: doc["index_maps"].update({"items": items}))
+        assert code == 2
+        assert "expected a JSON array of strings at 'items'" in \
+            capsys.readouterr().err
+
     def test_internal_key_error_propagates(self, dataset, tmp_path,
                                            monkeypatch):
         def broken(rm):
@@ -309,15 +368,6 @@ class TestCliSynthExperimentBounds:
         # 2 protocols x 2 sizes x 5 methods.
         assert len(lines) == 1 + 2 * 2 * 5
 
-    def test_bad_thread_count_exit_code(self, dataset):
-        proc = run_cli(["experiment", "--spec-json",
-                        str(dataset["spec_path"]), "--nc", "0",
-                        "--eta-grid", "1",
-                        "--output", str(dataset["dir"] / "exp.csv")],
-                       env_extra={"CROWDFUSE_THREADS": "abc"})
-        assert proc.returncode == 2
-        assert "CROWDFUSE_THREADS" in proc.stderr
-
     def test_bounds_report(self, dataset):
         vb_out = dataset["dir"] / "vb.json"
         proc = run_cli(["aggregate", "--responses",
@@ -341,19 +391,6 @@ class TestCliDeterminism:
         doc = json.loads(text)
         doc.pop("timestamp", None)
         return doc
-
-    def test_thread_count_does_not_change_output(self, dataset):
-        outputs = []
-        for threads in ("1", "4"):
-            out = dataset["dir"] / f"det-{threads}.csv"
-            proc = run_cli(["experiment", "--spec-json",
-                            str(dataset["spec_path"]), "--nc", "0,9",
-                            "--repeats", "2", "--eta-grid", "1",
-                            "--seed", "3", "--output", str(out)],
-                           env_extra={"CROWDFUSE_THREADS": threads})
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_repeat_invocations_identical(self, dataset):
         docs = []

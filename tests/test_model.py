@@ -10,10 +10,10 @@ from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
 
 
 def small_matrix():
-    # 3 items, 2 annotators, labels in 1..2; item 2 has no responses.
-    entries = {(0, 0): 1, (0, 1): 2, (1, 0): 1}
-    return ResponseMatrix(n_items=3, n_annotators=2, entries=entries,
-                          n_classes=2)
+    # 3 items, 2 annotators, labels in 1..2; item 2 has no responses. The
+    # responses are given out of (annotator, item) order.
+    return ResponseMatrix(n_items=3, n_annotators=2, annotators=[1, 0, 0],
+                          items=[0, 1, 0], labels=[1, 2, 1], n_classes=2)
 
 
 class TestResponseMatrix:
@@ -31,20 +31,56 @@ class TestResponseMatrix:
         assert rm.annotator_ids == ["0", "1"]
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            ResponseMatrix(2, 1, {(0, 0): 3}, n_classes=2)
+        with pytest.raises(ValueError, match="exceeds configured class count"):
+            ResponseMatrix(2, 1, [0], [0], [3], n_classes=2)
+        with pytest.raises(ValueError, match=r"label 0 outside 1\.\.2"):
+            ResponseMatrix(2, 1, [0, 0], [0, 1], [2, 0], n_classes=2)
+        with pytest.raises(ValueError, match=r"label -1 outside 1\.\.2"):
+            ResponseMatrix(2, 1, [0], [0], [-1])
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            ResponseMatrix(2, 1, {(1, 0): 1})
+        with pytest.raises(ValueError, match="annotator index 1 out of range"):
+            ResponseMatrix(2, 1, [1], [0], [1])
+        with pytest.raises(ValueError, match="annotator index -1 out of range"):
+            ResponseMatrix(2, 1, [-1], [0], [1])
+        with pytest.raises(ValueError, match="item index 2 out of range"):
+            ResponseMatrix(2, 1, [0, 0], [0, 2], [1, 1])
+        with pytest.raises(ValueError, match="item index -1 out of range"):
+            ResponseMatrix(2, 1, [0], [-1], [1])
+
+    def test_duplicate_pair_rejected(self):
+        with pytest.raises(ValueError, match="duplicate response by "
+                                             "annotator 1 for item 0"):
+            ResponseMatrix(3, 2, [1, 0, 1], [0, 2, 0], [1, 2, 2])
+
+    def test_ragged_arrays_rejected(self):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            ResponseMatrix(2, 1, [0, 0], [0], [1, 1])
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            ResponseMatrix(2, 1, [[0]], [[0]], [[1]])
+
+    def test_negative_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="negative dimensions"):
+            ResponseMatrix(-1, 1, [], [], [])
+
+    def test_no_responses(self):
+        rm = ResponseMatrix(2, 3, [], [], [])
+        assert rm.n_responses == 0 and rm.n_classes == 2
+        np.testing.assert_array_equal(rm.responses_per_item(), [0, 0])
+
+    def test_coords_read_only(self):
+        rm = small_matrix()
+        for arr in rm.coords:
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_class_count_inferred(self):
-        rm = ResponseMatrix(2, 1, {(0, 0): 3})
+        rm = ResponseMatrix(2, 1, [0], [0], [3])
         assert rm.n_classes == 3
 
     def test_warns_on_unobserved_top_class(self):
         with pytest.warns(UserWarning):
-            ResponseMatrix(2, 1, {(0, 0): 2}, n_classes=4)
+            ResponseMatrix(2, 1, [0], [0], [2], n_classes=4)
 
 
 class TestGroundTruth:

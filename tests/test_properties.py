@@ -1,5 +1,8 @@
-"""Property-based checks of the fit kernels, the fit loop and constraint
-sets.
+"""Property-based checks of response matrices, the fit kernels, the fit
+loop and constraint sets.
+
+The array constructor of ResponseMatrix must give what the dict form gave,
+and the responses CSV must round-trip.
 
 The scatter kernels must equal the np.add.at formulation exactly (same
 terms, added in the same order), and the array digamma must agree with
@@ -11,6 +14,8 @@ of the constraint-set queries must equal loops over the pairs.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,28 +29,143 @@ from crowdfuse.aggregators import (FitOptions, _component_penalty,
                                    ds_em_fit, majority_vote, vbem_fit)
 from crowdfuse.constraints import (ConstraintConflictError, ConstraintSet,
                                    close, count_violations)
+from crowdfuse.fileio import read_responses, write_responses
 from crowdfuse.model import ResponseMatrix, paper_default_priors
 from crowdfuse.numerics import digamma, digamma_vec
 
-from oracles import reference_pair_penalty
+from oracles import (reference_pair_penalty, reference_response_matrix,
+                     response_triples)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def crowds(draw):
-    """A ResponseMatrix from a dense (M, N) grid where 0 means no response,
-    plus a seed for the float inputs. Empty grids, all-zero grids, silent
-    annotators and unanswered items all occur."""
+def grids(draw):
+    """(n_classes, grid): a dense (M, N) label grid where 0 means no
+    response. Empty grids, all-zero grids, silent annotators and unanswered
+    items all occur."""
     n_classes = draw(st.integers(2, 4))
     n_annotators = draw(st.integers(0, 5))
     n_items = draw(st.integers(0, 12))
-    grid = draw(arrays(np.int64, (n_annotators, n_items),
-                       elements=st.integers(0, n_classes)))
-    entries = {(m, n): int(grid[m, n])
-               for m, n in zip(*np.nonzero(grid))}
-    rm = ResponseMatrix(n_items, n_annotators, entries, n_classes=n_classes)
-    return rm, draw(st.integers(0, 2**32 - 1))
+    return n_classes, draw(arrays(np.int64, (n_annotators, n_items),
+                                  elements=st.integers(0, n_classes)))
+
+
+def matrix_from_grid(grid, n_classes, **ids):
+    ann, item = np.nonzero(grid)
+    return ResponseMatrix(grid.shape[1], grid.shape[0], ann, item,
+                          grid[ann, item], n_classes=n_classes, **ids)
+
+
+@st.composite
+def crowds(draw):
+    """A ResponseMatrix from `grids`, plus a seed for the float inputs."""
+    n_classes, grid = draw(grids())
+    return matrix_from_grid(grid, n_classes), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def triple_inputs(draw):
+    """(n_items, n_annotators, n_classes, triples): up to six (annotator,
+    item, label) triples, in range except that one field of one triple may
+    be pushed just outside its range. Repeated pairs occur often."""
+    n_items, n_annotators = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_classes = draw(st.integers(2, 3))
+    triples = draw(st.lists(st.tuples(st.integers(0, n_annotators - 1),
+                                      st.integers(0, n_items - 1),
+                                      st.integers(1, n_classes)), max_size=6))
+    if triples and draw(st.booleans()):
+        row = draw(st.integers(0, len(triples) - 1))
+        field = draw(st.integers(0, 2))
+        bad = draw(st.sampled_from([(-1, n_annotators), (-1, n_items),
+                                    (0, n_classes + 1)][field]))
+        triple = list(triples[row])
+        triple[field] = bad
+        triples[row] = tuple(triple)
+    return n_items, n_annotators, n_classes, triples
+
+
+class TestResponseMatrix:
+    @SETTINGS
+    @given(grids(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_equals_dict_oracle(self, drawn, seed, infer_classes):
+        # Responses given in a random order must come out sorted by
+        # (annotator, item), exactly as sorting the dict keys did.
+        n_classes, grid = drawn
+        ann, item = np.nonzero(grid)
+        labels = grid[ann, item]
+        entries = {(int(m), int(n)): int(lab)
+                   for m, n, lab in zip(ann, item, labels)}
+        order = np.random.default_rng(seed).permutation(ann.size)
+        k = None if infer_classes else n_classes
+        rm = ResponseMatrix(grid.shape[1], grid.shape[0], ann[order],
+                            item[order], labels[order], n_classes=k)
+        coords, n_classes_ref, per_item = reference_response_matrix(
+            grid.shape[1], grid.shape[0], entries, n_classes=k)
+        for got, expected in zip(rm.coords, coords):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        assert rm.n_classes == n_classes_ref
+        assert rm.n_responses == len(entries)
+        np.testing.assert_array_equal(rm.responses_per_item(), per_item)
+
+    @SETTINGS
+    @given(triple_inputs())
+    @example((2, 2, 2, [(0, 1, 1), (1, 0, 2), (0, 1, 2)]))
+    def test_rejects_what_the_oracle_rejects(self, drawn):
+        # Arrays can repeat an (annotator, item) pair, which a dict cannot:
+        # any repeat is an error; otherwise both forms accept the same input.
+        n_items, n_annotators, n_classes, triples = drawn
+        ann, item, labels = (np.array([t[i] for t in triples], dtype=np.intp)
+                             for i in range(3))
+        entries = {(m, n): lab for m, n, lab in triples}
+        try:
+            reference_response_matrix(n_items, n_annotators, entries,
+                                      n_classes=n_classes)
+            valid = len(entries) == len(triples)
+        except ValueError:
+            valid = False
+        if valid:
+            rm = ResponseMatrix(n_items, n_annotators, ann, item, labels,
+                                n_classes=n_classes)
+            assert rm.n_responses == len(triples)
+        else:
+            with pytest.raises(ValueError):
+                ResponseMatrix(n_items, n_annotators, ann, item, labels,
+                               n_classes=n_classes)
+
+
+IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs")),
+              max_size=6).filter(lambda s: s == s.strip())
+
+
+class TestResponsesCsv:
+    @SETTINGS
+    @given(grids(), st.data())
+    def test_write_read_round_trip(self, drawn, data):
+        # Every item is answered, so every item id reaches the file; silent
+        # annotators do not, and the reader numbers annotators in first-seen
+        # order, so responses are compared by id. A file the writer made from
+        # a read matrix reads and writes back to the same bytes.
+        n_classes, grid = drawn
+        grid = grid[:, grid.any(axis=0)]
+        n_annotators, n_items = grid.shape
+        item_ids = data.draw(st.lists(IDS, min_size=n_items,
+                                      max_size=n_items, unique=True))
+        ann_ids = data.draw(st.lists(IDS, min_size=n_annotators,
+                                     max_size=n_annotators, unique=True))
+        rm = matrix_from_grid(grid, n_classes, item_ids=item_ids,
+                              annotator_ids=ann_ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second, third = (Path(tmp, f"{i}.csv") for i in range(3))
+            write_responses(first, rm)
+            back = read_responses(first, n_classes=n_classes)
+            write_responses(second, back)
+            write_responses(third, read_responses(second, n_classes=n_classes))
+            assert third.read_bytes() == second.read_bytes()
+        assert back.item_ids == item_ids
+        assert back.n_classes == n_classes
+        assert response_triples(back) == response_triples(rm)
 
 
 def add_at_likelihood_logits(rm, log_gamma):
