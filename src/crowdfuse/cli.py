@@ -61,6 +61,17 @@ def _json_object(value, path, key=None):
     return value
 
 
+def _float_array(data, key, path, name=None) -> np.ndarray:
+    """`data[key]` as a float array. A value that numpy cannot read as
+    numbers is an input-format error naming the file and `name` (by
+    default `key`)."""
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (ValueError, TypeError):
+        raise InputFormatError(f"{path}: {name or key!r} must be an array "
+                               "of numbers") from None
+
+
 def _load_spec(path) -> CrowdSpec:
     with _json_document(path) as data:
         return CrowdSpec.from_dict(data)
@@ -69,9 +80,9 @@ def _load_spec(path) -> CrowdSpec:
 def _load_priors(args, n_annotators: int, n_classes: int) -> PriorConfig:
     if args.priors_file:
         with _json_document(args.priors_file) as data:
-            alpha0, beta0 = data["alpha0"], data["beta0"]
-        return PriorConfig(alpha0=np.asarray(alpha0, dtype=float),
-                           beta0=np.asarray(beta0, dtype=float))
+            alpha0 = _float_array(data, "alpha0", args.priors_file)
+            beta0 = _float_array(data, "beta0", args.priors_file)
+        return PriorConfig(alpha0=alpha0, beta0=beta0)
     if args.priors == "uniform":
         return uniform_priors(n_annotators, n_classes)
     return paper_default_priors(n_annotators, n_classes)
@@ -150,7 +161,7 @@ def cmd_aggregate(args) -> int:
 
     document = {
         "method": args.method,
-        "labels": [int(x) for x in fit.hard_labels],
+        "labels": fit.hard_labels.tolist(),
         "posterior": fit.posterior.tolist(),
         "params": _params_doc(fit),
         "n_v": n_v,
@@ -211,7 +222,7 @@ def cmd_synth(args) -> int:
 def cmd_bounds(args) -> int:
     spec = _load_spec(args.spec_json)
     with _json_document(args.result) as result:
-        posterior = np.asarray(result["posterior"], dtype=float)
+        posterior = _float_array(result, "posterior", args.result)
         if posterior.shape != (spec.n_items, spec.n_classes):
             raise InputFormatError("result posterior does not match the spec "
                                    "dimensions")
@@ -220,8 +231,10 @@ def cmd_bounds(args) -> int:
                                   "params")
         if "alpha" in params_doc:
             params = PosteriorParams(
-                alpha=np.asarray(params_doc["alpha"], dtype=float),
-                beta=np.asarray(params_doc["beta"], dtype=float))
+                alpha=_float_array(params_doc, "alpha", args.result,
+                                   "params.alpha"),
+                beta=_float_array(params_doc, "beta", args.result,
+                                  "params.beta"))
         rm_ids = _json_object(result["index_maps"], args.result,
                               "index_maps")["items"]
         if not (isinstance(rm_ids, list)

@@ -34,35 +34,37 @@ def _check_header(row, expected, path):
 
 def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     """Read the `item,annotator,label` CSV. Blank or 0 labels mean "no
-    response" and are skipped; duplicate (item, annotator) pairs are an
-    error. Identifiers are arbitrary strings mapped to dense indices in
-    first-seen order."""
+    response": such a row registers its item, which then gets the prior
+    posterior if nothing else answers it, but not its annotator.
+    Duplicate (item, annotator) pairs are an error. Identifiers are
+    arbitrary strings mapped to dense indices in first-seen order."""
     item_index, ann_index = {}, {}
-    anns, items, labels, linenos = [], [], [], []
+    anns, items, label_strs, linenos = [], [], [], []
     handle, reader = _open_reader(path)
     with handle:
         header = next(reader, None)
         _check_header(header, RESPONSES_HEADER, path)
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
             if len(row) != 3:
-                raise InputFormatError(f"{path}:{lineno}: expected 3 fields")
-            item_id, ann_id, label_str = (c.strip() for c in row)
-            if label_str in ("", "0"):
+                if row:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: expected 3 fields")
                 continue
-            try:
-                label = int(label_str)
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"{path}:{lineno}: non-integer label {label_str!r}") from exc
-            if label < 1 or (n_classes is not None and label > n_classes):
-                raise InputFormatError(
-                    f"{path}:{lineno}: label {label} out of range")
-            items.append(item_index.setdefault(item_id, len(item_index)))
-            anns.append(ann_index.setdefault(ann_id, len(ann_index)))
-            labels.append(label)
+            item = item_index.setdefault(row[0].strip(), len(item_index))
+            label_str = row[2].strip()
+            if label_str == "" or label_str == "0":
+                continue
+            items.append(item)
+            anns.append(ann_index.setdefault(row[1].strip(), len(ann_index)))
+            label_strs.append(label_str)
             linenos.append(lineno)
+    try:
+        labels = np.array(list(map(int, label_strs)), dtype=np.intp)
+    except (ValueError, OverflowError):
+        raise _label_fault(path, label_strs, linenos, n_classes) from None
+    if labels.size and (labels.min() < 1 or (
+            n_classes is not None and labels.max() > n_classes)):
+        raise _label_fault(path, label_strs, linenos, n_classes)
     anns, items = np.array(anns, dtype=np.intp), np.array(items, dtype=np.intp)
     _, repeat = pair_order(anns, items, len(item_index))
     if repeat is not None:
@@ -73,6 +75,22 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
             f"{ann_ids[anns[repeat]]!r}")
     return ResponseMatrix(len(item_index), len(ann_index), anns, items,
                           labels, n_classes, list(item_index), list(ann_index))
+
+
+def _label_fault(path, label_strs, linenos, n_classes) -> InputFormatError:
+    """The error for the first label, in file order, that is not an integer
+    in 1..n_classes (or, without a class count, a positive index)."""
+    top = np.iinfo(np.intp).max if n_classes is None else n_classes
+    for label_str, lineno in zip(label_strs, linenos):
+        try:
+            label = int(label_str)
+        except ValueError:
+            return InputFormatError(
+                f"{path}:{lineno}: non-integer label {label_str!r}")
+        if not 1 <= label <= top:
+            return InputFormatError(
+                f"{path}:{lineno}: label {label} out of range")
+    raise AssertionError("no faulty label")
 
 
 def write_responses(path, rm: ResponseMatrix) -> None:
@@ -181,7 +199,27 @@ def result_schema() -> dict:
     return json.loads(text)
 
 
+# Rows per call of the C encoder in write_result_json.
+_BLOCK = 1024
+
+
 def write_result_json(path, document: dict) -> None:
+    """Write `json.dumps(document, sort_keys=True)` and a newline: one line,
+    default separators, made by the C encoder. That encoder keeps every
+    fragment of a value until it joins them, so each top-level list (the
+    labels, the posterior rows) goes through it a block of rows at a time."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write("{")
+        for i, key in enumerate(sorted(document)):
+            if i:
+                handle.write(", ")
+            handle.write(encode(key) + ": ")
+            value = document[key]
+            if isinstance(value, list):
+                handle.write("[" + ", ".join(
+                    encode(value[start:start + _BLOCK])[1:-1]
+                    for start in range(0, len(value), _BLOCK)) + "]")
+            else:
+                handle.write(encode(value))
+        handle.write("}\n")

@@ -4,12 +4,14 @@ Everything here is written with plain Python loops and third-party special
 functions so it shares no code paths with the package under test.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy import special
 
 from crowdfuse.constraints import ConstraintConflictError
+from crowdfuse.fileio import InputFormatError
 
 
 def reference_mv_posterior(arr, n_classes):
@@ -171,3 +173,52 @@ def response_triples(rm):
     ann, item, label0 = rm.coords
     return {(rm.item_ids[n], rm.annotator_ids[m], lab + 1)
             for m, n, lab in zip(ann.tolist(), item.tolist(), label0.tolist())}
+
+
+def reference_read_responses(path, n_classes=None):
+    """The row-at-a-time responses reader: each field stripped, each label
+    converted and range-checked as its row is read, so that the first faulty
+    row in the file is the one reported. A blank or `0` label registers its
+    item but not its annotator. A repeated (item, annotator) pair is
+    reported at its second row. Returns (item_ids, annotator_ids, (ann,
+    item, label0)) with the triples sorted by (annotator, item)."""
+    item_index, ann_index, seen, triples = {}, {}, {}, []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != \
+                ["item", "annotator", "label"]:
+            raise InputFormatError(
+                f"{path}: expected header item,annotator,label")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise InputFormatError(f"{path}:{lineno}: expected 3 fields")
+            item_id, ann_id, label_str = (c.strip() for c in row)
+            item = item_index.setdefault(item_id, len(item_index))
+            if label_str in ("", "0"):
+                continue
+            try:
+                label = int(label_str)
+            except ValueError as exc:
+                raise InputFormatError(
+                    f"{path}:{lineno}: non-integer label {label_str!r}") from exc
+            if label < 1 or (n_classes is not None and label > n_classes):
+                raise InputFormatError(
+                    f"{path}:{lineno}: label {label} out of range")
+            ann = ann_index.setdefault(ann_id, len(ann_index))
+            seen.setdefault((ann, item), []).append(lineno)
+            triples.append((ann, item, label - 1))
+    repeats = [(lines[1], pair) for pair, lines in seen.items()
+               if len(lines) > 1]
+    if repeats:
+        lineno, (ann, item) = min(repeats)
+        raise InputFormatError(
+            f"{path}:{lineno}: duplicate response for item "
+            f"{list(item_index)[item]!r} by annotator "
+            f"{list(ann_index)[ann]!r}")
+    triples.sort()
+    coords = tuple(np.array([t[i] for t in triples], dtype=np.intp)
+                   for i in range(3))
+    return list(item_index), list(ann_index), coords

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from crowdfuse import aggregators, cli
+from crowdfuse import aggregators, cli, fileio
 from crowdfuse.fileio import (InputFormatError, read_constraints,
                               read_responses, read_truth, result_schema,
                               write_constraints, write_responses,
@@ -55,6 +56,29 @@ class TestResponsesRoundTrip:
         rm = read_responses(path)
         assert rm.n_responses == 2
         assert rm.item_ids == ["x", "y"]
+
+    def test_blank_label_registers_item(self, tmp_path):
+        # The item of a blank or 0 row is registered, in first-seen order;
+        # the annotator of such a row is not.
+        path = tmp_path / "r.csv"
+        path.write_text("item,annotator,label\nx,a,1\nz,a,\ny,b,2\n"
+                        "w,c,0\n")
+        rm = read_responses(path)
+        assert rm.item_ids == ["x", "z", "y", "w"]
+        assert rm.annotator_ids == ["a", "b"]
+        np.testing.assert_array_equal(rm.responses_per_item(), [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("label, message", [
+        ("zebra", "non-integer label 'zebra'"),
+        ("7", "label 7 out of range")])
+    def test_bad_label_line_counts_skipped_rows(self, tmp_path, label,
+                                                message):
+        path = tmp_path / "r.csv"
+        path.write_text("item,annotator,label\nx,a,1\n\ny,a,0\nz,b,\n"
+                        f"w,a, {label} \nv,a,2\n")
+        with pytest.raises(InputFormatError,
+                           match=rf"r\.csv:6: {re.escape(message)}$"):
+            read_responses(path, n_classes=3)
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -132,6 +156,29 @@ class TestResultSchema:
         schema = result_schema()
         assert schema["type"] == "object"
         assert "labels" in schema["required"]
+
+    def test_aggregate_result_layout(self, dataset, tmp_path, monkeypatch):
+        # One line with the default separators: the benchmark blanks the
+        # timestamp by matching `"timestamp": "...`.
+        written, write = [], fileio.write_result_json
+
+        def capture(path, document):
+            written.append(document)
+            write(path, document)
+
+        monkeypatch.setattr(fileio, "write_result_json", capture)
+        out = tmp_path / "vb.json"
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--truth", str(dataset["truth_path"]),
+                         "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert re.search(r'"timestamp": "[^"]+"', text)
+        assert text.endswith("}\n") and text.count("\n") == 1
+        doc = json.loads(text)
+        assert doc == written[0]
+        assert text == json.dumps(doc, sort_keys=True) + "\n"
+        jsonschema.validate(doc, result_schema())
 
 
 class TestCliAggregate:
@@ -291,6 +338,34 @@ class TestCliAggregate:
         assert code == 2
         assert f"{key!r} must be an array of numbers" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["alpha0", "beta0"])
+    def test_priors_non_numeric_array(self, dataset, tmp_path, capsys, key):
+        doc = {"alpha0": [1.0, 1.0, 1.0], "beta0": np.ones((4, 3, 3)).tolist()}
+        doc[key] = "abc"
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps(doc))
+        code = cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--priors-file", str(priors),
+                         "--output", str(tmp_path / "o.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(priors) in err
+        assert f"{key!r} must be an array of numbers" in err
+
+    @pytest.mark.parametrize("name, edit", [
+        ("posterior", lambda doc: doc.update(posterior="abc")),
+        ("posterior", lambda doc: doc["posterior"][0].append([1.0])),
+        ("params.alpha", lambda doc: doc["params"].update(alpha=["x"])),
+        ("params.beta", lambda doc: doc["params"].update(beta={"a": 1}))])
+    def test_result_non_numeric_array(self, dataset, tmp_path, capsys, name,
+                                      edit):
+        code, result = self.bounds_on_edited_result(dataset, tmp_path, edit)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(result) in err
+        assert f"{name!r} must be an array of numbers" in err
 
     @staticmethod
     def bounds_on_edited_result(dataset, tmp_path, edit):

@@ -2,7 +2,8 @@
 loop and constraint sets.
 
 The array constructor of ResponseMatrix must give what the dict form gave,
-and the responses CSV must round-trip.
+the responses CSV must round-trip, and the responses reader must read what
+the row-at-a-time reader read, or report the same fault.
 
 The scatter kernels must equal the np.add.at formulation exactly (same
 terms, added in the same order), and the array digamma must agree with
@@ -29,12 +30,12 @@ from crowdfuse.aggregators import (FitOptions, _component_penalty,
                                    ds_em_fit, majority_vote, vbem_fit)
 from crowdfuse.constraints import (ConstraintConflictError, ConstraintSet,
                                    close, count_violations)
-from crowdfuse.fileio import read_responses, write_responses
+from crowdfuse.fileio import InputFormatError, read_responses, write_responses
 from crowdfuse.model import ResponseMatrix, paper_default_priors
 from crowdfuse.numerics import digamma, digamma_vec
 
-from oracles import (reference_pair_penalty, reference_response_matrix,
-                     response_triples)
+from oracles import (reference_pair_penalty, reference_read_responses,
+                     reference_response_matrix, response_triples)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -166,6 +167,88 @@ class TestResponsesCsv:
         assert back.item_ids == item_ids
         assert back.n_classes == n_classes
         assert response_triples(back) == response_triples(rm)
+
+
+# Ids that need no CSV quoting: no comma, quote or line break.
+CSV_IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs"),
+                                blacklist_characters=',"'),
+                  min_size=1, max_size=4).filter(lambda s: s == s.strip())
+PADDING = st.sampled_from(["", " ", "  ", "\t"])
+FAULTS = ("short", "non-integer", "out-of-range", "duplicate")
+
+
+@st.composite
+def responses_csv(draw):
+    """(text, n_classes, n_faults): a responses CSV with padded ids and
+    labels, blank lines and blank or `0` labels, into which up to two
+    faults are put at random lines: a row without three fields, a
+    non-integer label, a label out of range (below 1, or above
+    `n_classes` when it is not None) and a repeated answered pair."""
+    n_classes = draw(st.sampled_from([None, 2, 3]))
+    items = draw(st.lists(CSV_IDS, min_size=1, max_size=5, unique=True))
+    anns = draw(st.lists(CSV_IDS, min_size=1, max_size=4, unique=True))
+    top = n_classes or 4
+    pairs = draw(st.lists(st.tuples(st.sampled_from(items),
+                                    st.sampled_from(anns)),
+                          max_size=10, unique=True))
+    labels = st.one_of(st.sampled_from(["", "0"]),
+                       st.integers(1, top).map(str))
+    rows = [[item, ann, draw(labels)] for item, ann in pairs]
+    answered = [row for row in rows if row[2] not in ("", "0")]
+    n_faults = 0
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        item, ann = draw(st.sampled_from(items)), draw(st.sampled_from(anns))
+        if fault == "short":
+            row = draw(st.sampled_from([[item], [item, ann],
+                                        [item, ann, "1", "1"]]))
+        elif fault == "non-integer":
+            row = [item, ann, draw(st.sampled_from(["x", "1.5", "1e3"]))]
+        elif fault == "out-of-range":
+            bad = ["-1", "00"] + ([str(n_classes + 1)] if n_classes else [])
+            row = [item, ann, draw(st.sampled_from(bad))]
+        elif answered:
+            row = list(draw(st.sampled_from(answered)))
+        else:
+            continue
+        rows.insert(draw(st.integers(0, len(rows))), row)
+        n_faults += 1
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    lines = ["item,annotator,label"] + [
+        ",".join(draw(PADDING) + field + draw(PADDING) for field in row)
+        for row in rows]
+    return "\n".join(lines) + "\n", n_classes, n_faults
+
+
+class TestResponsesReader:
+    @SETTINGS
+    @given(responses_csv())
+    @example(("item,annotator,label\nx,a,zebra\ny,b\n", 3, 2))
+    def test_equals_row_reader(self, drawn):
+        # A duplicate shows only once the file is read, in both readers; the
+        # reader here finds label faults only after the loop, so a later row
+        # without three fields wins over an earlier bad label. With one fault
+        # both must report the same message; with two, only that they fail.
+        text, n_classes, n_faults = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "r.csv")
+            path.write_text(text, encoding="utf-8")
+            try:
+                expected = reference_read_responses(path, n_classes)
+            except InputFormatError as exc:
+                with pytest.raises(InputFormatError) as got:
+                    read_responses(path, n_classes)
+                assert n_faults
+                if n_faults == 1:
+                    assert str(got.value) == str(exc)
+                return
+            rm = read_responses(path, n_classes)
+        assert n_faults == 0
+        item_ids, ann_ids, coords = expected
+        assert rm.item_ids == item_ids
+        assert rm.annotator_ids == ann_ids
+        for got, want in zip(rm.coords, coords):
+            np.testing.assert_array_equal(got, want)
 
 
 def add_at_likelihood_logits(rm, log_gamma):
