@@ -18,7 +18,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, count_violations
 from .model import (PosteriorParams, PriorConfig, ResponseMatrix,
-                    expected_log_gamma_all, expected_log_pi)
+                    expected_logs)
 from .numerics import softmax_rows
 
 # Added to every count in the point-estimate M-step so a class an annotator
@@ -197,8 +197,7 @@ def _vb_m_step(rm: ResponseMatrix, q: np.ndarray, priors: PriorConfig):
     """Dirichlet posteriors, and the logits' terms as their expectations."""
     params = PosteriorParams(alpha=q.sum(axis=0) + priors.alpha0,
                              beta=_response_counts(rm, q) + priors.beta0)
-    return ({"params": params}, expected_log_pi(params),
-            expected_log_gamma_all(params))
+    return ({"params": params}, *expected_logs(params))
 
 
 def _em_m_step(rm: ResponseMatrix, q: np.ndarray):

@@ -32,6 +32,12 @@ class ConstraintSet:
 
     Pairs are stored in (i, j) form with i < j. `closed` records whether the
     set is a logical-closure fixpoint.
+
+    The set is frozen, so what is derived from its pairs is computed once
+    and kept on the instance: `pair_arrays`, `items`, and `components` per
+    `n_items`. Every fit of an eta search reuses them. The cached arrays are
+    read-only and `items` is a frozenset, so no caller can change what later
+    queries of the set see.
     """
 
     must_link: frozenset = frozenset()
@@ -58,11 +64,21 @@ class ConstraintSet:
             flat = np.fromiter(itertools.chain.from_iterable(pairs),
                                dtype=np.intp, count=2 * len(pairs))
             return flat[0::2], flat[1::2]
-        return (*endpoints(self.must_link), *endpoints(self.cannot_link))
+        return _read_only(*endpoints(self.must_link),
+                          *endpoints(self.cannot_link))
 
     @property
-    def items(self) -> set:
-        return set(np.unique(np.concatenate(self.pair_arrays)).tolist())
+    def items(self) -> frozenset:
+        """The items that appear in some pair. Computed once per set."""
+        return self._items
+
+    @functools.cached_property
+    def _items(self) -> frozenset:
+        return frozenset(np.unique(np.concatenate(self.pair_arrays)).tolist())
+
+    @functools.cached_property
+    def _components_by_size(self) -> dict:
+        return {}
 
     def per_item_counts(self, n_items: int) -> tuple[np.ndarray, np.ndarray]:
         """(must-link degree, cannot-link degree) per item index."""
@@ -82,8 +98,15 @@ class ConstraintSet:
         its own component. On a closed set every component is a must-link
         clique and every cannot-link edge joins two whole components, so
         these arrays determine every pair. Raises ValueError when the set is
-        not closed.
+        not closed. Computed once per set and `n_items`; the arrays are
+        read-only.
         """
+        cache = self._components_by_size
+        if n_items not in cache:
+            cache[n_items] = _read_only(*self._compute_components(n_items))
+        return cache[n_items]
+
+    def _compute_components(self, n_items: int):
         ml_a, ml_b, cl_a, cl_b = self.pair_arrays
         # Each item's smallest must-link neighbour: pairs keep a < b, so it
         # is the smallest `a` among the item's pairs as `b`.
@@ -110,6 +133,12 @@ class ConstraintSet:
             raise ValueError("constraint set is not closed: its cannot-links "
                              "do not join whole must-link components")
         return comp, np.concatenate([lo, hi]), np.concatenate([hi, lo])
+
+
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 class _UnionFind:

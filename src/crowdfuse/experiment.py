@@ -83,6 +83,10 @@ def build_constraints(protocol: str, n_c: int, truth: GroundTruth,
         raise ValueError(f"not enough ground truth for N_C = {n_c}")
 
     if protocol == "random-constraints":
+        n_pairs = len(known) * (len(known) - 1) // 2
+        if n_c > n_pairs:
+            raise ValueError(f"N_C = {n_c} exceeds the {n_pairs} distinct "
+                             "pairs of items with known truth")
         pairs = _random_pairs(rng, known, n_c)
         ml = frozenset(p for p in pairs
                        if truth.labels[p[0]] == truth.labels[p[1]])

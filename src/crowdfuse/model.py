@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import digamma, digamma_vec
+# `digamma` is not used here, but perfbench/tracing.py patches
+# `model.digamma` by name, so the name stays bound.
+from .numerics import digamma, digamma_vec  # noqa: F401
 
 UNKNOWN_LABEL = 0
 
@@ -189,14 +191,34 @@ class PosteriorParams:
         return self.beta / self.beta.sum(axis=2, keepdims=True)
 
 
+def expected_logs(params: PosteriorParams) -> tuple[np.ndarray, np.ndarray]:
+    """(E[ln pi] (K,), E[ln gamma] (M, K, K)) under the Dirichlet posteriors:
+    psi(alpha_k) - psi(sum alpha) and psi(beta_mkl) - psi(sum_l beta_mkl).
+
+    Every digamma argument (alpha, its sum, beta and beta's row sums) goes
+    through one `digamma_vec` call on their concatenation. digamma_vec works
+    element by element, so each value is the one a separate call would give,
+    and the fit pays the kernel's fixed cost once per M-step, not four times.
+    """
+    alpha, beta = params.alpha, params.beta
+    row_sums = beta.sum(axis=2)
+    k, n_beta = alpha.size, beta.size
+    psi = digamma_vec(np.concatenate([alpha, [alpha.sum()], beta.ravel(),
+                                      row_sums.ravel()]))
+    log_pi = psi[:k] - psi[k]
+    log_gamma = (psi[k + 1:k + 1 + n_beta].reshape(beta.shape)
+                 - psi[k + 1 + n_beta:].reshape(row_sums.shape)[:, :, None])
+    return log_pi, log_gamma
+
+
+# The fits call `expected_logs`. These two views of it stay only because
+# perfbench/tracing.py wraps them by name; they go when the benchmark traces
+# `expected_logs` instead.
 def expected_log_pi(params: PosteriorParams) -> np.ndarray:
-    """E[ln pi_k] = psi(alpha_k) - psi(sum alpha)."""
-    total = digamma(float(params.alpha.sum()))
-    return digamma_vec(params.alpha) - total
+    """E[ln pi], the first part of `expected_logs`."""
+    return expected_logs(params)[0]
 
 
 def expected_log_gamma_all(params: PosteriorParams) -> np.ndarray:
-    """(M, K, K) array of E[ln gamma] for every annotator and row."""
-    row_sums = params.beta.sum(axis=2)
-    return digamma_vec(params.beta) - digamma_vec(row_sums)[:, :, None]
-
+    """E[ln gamma] (M, K, K), the second part of `expected_logs`."""
+    return expected_logs(params)[1]

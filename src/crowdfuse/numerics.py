@@ -67,9 +67,20 @@ def _digamma_kernel(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D array, renormalized after exponentiation."""
+    """Row-wise softmax of a 2-D array, renormalized after exponentiation.
+
+    The row max is taken column by column with np.maximum: a max is exact in
+    any order, so it equals logits.max(axis=1) bit for bit, and it avoids
+    numpy's slow reduction along a short contiguous axis (about 21 against
+    344 us on a (5000, 4) array). The row sum stays a reduction along the
+    row: a column-by-column sum adds in another order than numpy's pairwise
+    summation, and differs from it in the last bit at K = 12.
+    """
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    row_max = logits[:, 0].copy()
+    for column in logits.T[1:]:
+        np.maximum(row_max, column, out=row_max)
+    shifted = logits - row_max[:, None]
     out = np.exp(shifted)
     out /= out.sum(axis=1, keepdims=True)
     return out

@@ -69,12 +69,18 @@ def plan_queries(posterior: np.ndarray, n_constraints: int,
     if n_items < n_uncertain + n_classes:
         raise ValueError("not enough items for the requested plan")
 
-    margins = np.array([bvsb(row) for row in posterior])
+    if n_classes < 2:
+        raise ValueError("need at least two classes for a best-versus-second-"
+                         "best margin")
+    # Each row's bvsb margin: the same subtraction of the same two entries.
+    top2 = np.partition(posterior, -2, axis=1)[:, -2:]
+    margins = top2[:, 1] - top2[:, 0]
     rng = np.random.default_rng(seed)
     uncertain, fb_u = _sequential_draw(rng, 1.0 - margins, n_uncertain)
 
-    pool = np.array([i for i in range(n_items) if i not in set(uncertain)],
-                    dtype=np.intp)
+    in_pool = np.ones(n_items, dtype=bool)
+    in_pool[uncertain] = False
+    pool = np.flatnonzero(in_pool)
     pool_w = margins[pool]
     partners = {}
     fb_c = False

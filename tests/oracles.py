@@ -222,3 +222,47 @@ def reference_read_responses(path, n_classes=None):
     coords = tuple(np.array([t[i] for t in triples], dtype=np.intp)
                    for i in range(3))
     return list(item_index), list(ann_index), coords
+
+
+def reference_plan_queries(posterior, n_constraints, seed=0):
+    """The row-loop set-up of the query plan: each item's margin from a
+    partition of its own row, and the partner pool rebuilt item by item,
+    with the same sequential draws. Returns (uncertain, partners, queries,
+    uniform_fallback_uncertain, uniform_fallback_partners)."""
+    def draw(rng, weights, count):
+        w = np.asarray(weights, dtype=float).copy()
+        fallback = False
+        if w.sum() <= 0:
+            w = np.ones_like(w)
+            fallback = True
+        chosen = []
+        for _ in range(count):
+            total = w.sum()
+            if total <= 0:
+                w = np.where([i not in chosen for i in range(w.size)],
+                             1.0, 0.0)
+                total = w.sum()
+                fallback = True
+            idx = int(rng.choice(w.size, p=w / total))
+            chosen.append(idx)
+            w[idx] = 0.0
+        return chosen, fallback
+
+    n_items, n_classes = posterior.shape
+    margins = []
+    for row in posterior:
+        top2 = np.partition(row, -2)[-2:]
+        margins.append(float(top2[1] - top2[0]))
+    margins = np.array(margins)
+    rng = np.random.default_rng(seed)
+    uncertain, fb_u = draw(rng, 1.0 - margins, n_constraints // n_classes)
+    pool = np.array([i for i in range(n_items) if i not in set(uncertain)],
+                    dtype=np.intp)
+    partners = {}
+    fb_c = False
+    for n in uncertain:
+        picks, fb = draw(rng, margins[pool], n_classes)
+        fb_c = fb_c or fb
+        partners[n] = [int(pool[i]) for i in picks]
+    queries = tuple((n, p) for n in uncertain for p in partners[n])
+    return tuple(uncertain), partners, queries, fb_u, fb_c

@@ -34,6 +34,18 @@ class TestConstraintSet:
         np.testing.assert_array_equal(ml, [1, 1, 0, 0])
         np.testing.assert_array_equal(cl, [0, 1, 1, 0])
 
+    @pytest.mark.parametrize("cannot_link", [frozenset({(1, 2)}),
+                                             frozenset()])
+    def test_cached_arrays_are_read_only(self, cannot_link):
+        cs = close(ConstraintSet(must_link=frozenset({(0, 1)}),
+                                 cannot_link=cannot_link))
+        for arr in (*cs.pair_arrays, *cs.components(4)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert cs.components(4) is cs.components(4)
+        assert count_violations(cs, np.array([1, 1, 2, 2])) == 0
+
     def test_counts_reject_item_out_of_range(self):
         cs = ConstraintSet(cannot_link=frozenset({(0, 2)}))
         with pytest.raises(ValueError, match="outside"):

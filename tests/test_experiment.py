@@ -1,4 +1,9 @@
 import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
 
 from crowdfuse import aggregators, cli, experiment
 from crowdfuse.aggregators import FitOptions, vb_ilc_fit, vbem_fit
@@ -6,7 +11,7 @@ from crowdfuse.constraints import (close, count_violations, derive_from_labels,
                                   eta_search)
 from crowdfuse.fileio import (read_constraints, read_responses,
                               write_constraints, write_responses)
-from crowdfuse.model import paper_default_priors
+from crowdfuse.model import GroundTruth, paper_default_priors
 from crowdfuse.synth import diag_dominant_spec, generate
 
 ETA_GRID = (0.1, 1.0, 10.0)
@@ -88,3 +93,35 @@ class TestEtaSearchFitIsReused:
                            FitOptions(eta=doc["eta"], init="given_posterior",
                                       init_posterior=vb_fit.posterior))
         assert doc["posterior"] == refit.posterior.tolist()
+
+
+class TestRandomPairsNeedEnoughDistinctPairs:
+    def test_build_constraints_rejects_more_pairs_than_exist(self):
+        # Two known items have one distinct pair, so N_C = 2 cannot be met;
+        # the pair draw used to loop forever here.
+        truth = GroundTruth(np.array([1, 2]))
+        posterior = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="N_C = 2 exceeds the 1 distinct"):
+            experiment.build_constraints("random-constraints", 2, truth,
+                                         posterior, seed=0)
+
+    def test_build_constraints_accepts_every_distinct_pair(self):
+        truth = GroundTruth(np.array([1, 2, 1]))
+        cs_given, _, _ = experiment.build_constraints(
+            "random-constraints", 3, truth, np.full((3, 2), 0.5), seed=0)
+        assert cs_given.must_link | cs_given.cannot_link == \
+            {(0, 1), (0, 2), (1, 2)}
+
+    def test_cli_exits_4(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            diag_dominant_spec(n_items=2, n_annotators=3, n_classes=2,
+                               diag=0.8, seed=1).to_dict()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "crowdfuse.cli", "experiment",
+             "--spec-json", str(spec_path), "--protocols",
+             "random-constraints", "--nc", "2", "--output",
+             str(tmp_path / "exp.csv")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert "distinct pairs" in proc.stderr

@@ -4,9 +4,8 @@ import pytest
 from scipy import special
 
 from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
-                             ResponseMatrix, expected_log_gamma_all,
-                             expected_log_pi, paper_default_priors,
-                             uniform_priors)
+                             ResponseMatrix, expected_logs,
+                             paper_default_priors, uniform_priors)
 
 
 def small_matrix():
@@ -126,19 +125,19 @@ class TestExpectedLogs:
     def test_symmetric_alpha(self):
         params = PosteriorParams(alpha=np.array([1.0, 1.0]),
                                  beta=np.ones((1, 2, 2)))
-        np.testing.assert_allclose(expected_log_pi(params), [-1.0, -1.0],
+        np.testing.assert_allclose(expected_logs(params)[0], [-1.0, -1.0],
                                    atol=1e-12)
 
     def test_alpha_two_one(self):
         params = PosteriorParams(alpha=np.array([2.0, 1.0]),
                                  beta=np.ones((1, 2, 2)))
-        np.testing.assert_allclose(expected_log_pi(params), [-0.5, -1.5],
+        np.testing.assert_allclose(expected_logs(params)[0], [-0.5, -1.5],
                                    atol=1e-12)
 
     def test_gamma_row_two_one(self):
         params = PosteriorParams(alpha=np.ones(2),
                                  beta=np.array([[[2.0, 1.0], [1.0, 2.0]]]))
-        np.testing.assert_allclose(expected_log_gamma_all(params),
+        np.testing.assert_allclose(expected_logs(params)[1],
                                    [[[-0.5, -1.5], [-1.5, -0.5]]],
                                    atol=1e-12)
 
@@ -146,7 +145,7 @@ class TestExpectedLogs:
         rng = np.random.default_rng(0)
         beta = rng.uniform(0.5, 5.0, size=(3, 4, 4))
         params = PosteriorParams(alpha=np.ones(4), beta=beta)
-        full = expected_log_gamma_all(params)
+        full = expected_logs(params)[1]
         for m in range(3):
             for k in range(4):
                 row = beta[m, k]

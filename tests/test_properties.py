@@ -12,11 +12,18 @@ loop must keep its trace, convergence flag and prior-only items consistent.
 The component form of the constraint penalty must equal the sum over the
 closed pairs, closure must be idempotent and monotone, and the array forms
 of the constraint-set queries must equal loops over the pairs.
+
+The fit loop's shared work must not change any result: the one digamma
+call of `expected_logs` equals the separate calls, the column-wise row max
+of `softmax_rows` equals the row reduction, the fits of an eta search, which
+share one set's cached components, equal independent fits, and the array
+set-up of `plan_queries` gives the row loop's plan.
 """
 
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,17 +32,24 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
 
+from crowdfuse import aggregators
 from crowdfuse.aggregators import (FitOptions, _component_penalty,
                                    _likelihood_logits, _response_counts,
-                                   ds_em_fit, majority_vote, vbem_fit)
-from crowdfuse.constraints import (ConstraintConflictError, ConstraintSet,
-                                   close, count_violations)
+                                   ds_em_fit, majority_vote, vb_ilc_fit,
+                                   vbem_fit)
+from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
+                                   ConstraintSet, close, count_violations,
+                                   derive_from_labels, eta_search)
 from crowdfuse.fileio import InputFormatError, read_responses, write_responses
-from crowdfuse.model import ResponseMatrix, paper_default_priors
-from crowdfuse.numerics import digamma, digamma_vec
+from crowdfuse.model import (PosteriorParams, ResponseMatrix, expected_logs,
+                             paper_default_priors)
+from crowdfuse.numerics import digamma, digamma_vec, softmax_rows
+from crowdfuse.selection import plan_queries
+from crowdfuse.synth import diag_dominant_spec, generate
 
-from oracles import (reference_pair_penalty, reference_read_responses,
-                     reference_response_matrix, response_triples)
+from oracles import (reference_pair_penalty, reference_plan_queries,
+                     reference_read_responses, reference_response_matrix,
+                     response_triples)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -399,6 +413,64 @@ class TestDigammaProperties:
             digamma(bad)
 
 
+class TestExpectedLogs:
+    @SETTINGS
+    @given(st.integers(1, 5), st.integers(0, 4), st.data())
+    def test_one_call_equals_separate_calls(self, k, m, data):
+        alpha = data.draw(arrays(float, k, elements=POSITIVE))
+        beta = data.draw(arrays(float, (m, k, k), elements=POSITIVE))
+        log_pi, log_gamma = expected_logs(PosteriorParams(alpha, beta))
+        row_sums = beta.sum(axis=2)
+        np.testing.assert_array_equal(
+            log_pi, digamma_vec(alpha) - digamma(float(alpha.sum())))
+        np.testing.assert_array_equal(
+            log_gamma, digamma_vec(beta) - digamma_vec(row_sums)[:, :, None])
+        np.testing.assert_allclose(
+            log_pi, special.digamma(alpha) - special.digamma(alpha.sum()),
+            rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(
+            log_gamma,
+            special.digamma(beta) - special.digamma(row_sums)[:, :, None],
+            rtol=1e-10, atol=1e-10)
+
+
+class TestSoftmaxRows:
+    @SETTINGS
+    @given(st.integers(2, 12).flatmap(lambda k: arrays(
+        float, st.tuples(st.integers(0, 30), st.just(k)),
+        elements=st.floats(-1e3, 1e3))))
+    def test_equals_row_max_form(self, logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expected = np.exp(shifted)
+        expected /= expected.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(softmax_rows(logits), expected)
+
+
+@st.composite
+def plan_inputs(draw):
+    """(posterior, n_constraints, seed) that plan_queries accepts. Rows
+    with ties and zero rows occur, so both uniform fallbacks are reached."""
+    n_classes = draw(st.integers(2, 4))
+    n_items = draw(st.integers(n_classes + 1, 16))
+    entry = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                      st.floats(0.0, 1.0))
+    posterior = draw(arrays(float, (n_items, n_classes), elements=entry))
+    n_constraints = draw(st.integers(
+        n_classes, (n_items - n_classes + 1) * n_classes - 1))
+    return posterior, n_constraints, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPlanQueries:
+    @SETTINGS
+    @given(plan_inputs())
+    def test_equals_row_loop(self, drawn):
+        plan = plan_queries(*drawn)
+        assert (plan.uncertain, plan.partners, plan.queries,
+                plan.uniform_fallback_uncertain,
+                plan.uniform_fallback_partners) == \
+            reference_plan_queries(*drawn)
+
+
 def pair_lists(n_items):
     """Lists of (a, b, is_must_link) with distinct a, b below n_items."""
     if n_items < 2:
@@ -525,3 +597,57 @@ class TestConstraintSetProperties:
         comp, cl_src, cl_dst = cs.components(3)
         np.testing.assert_array_equal(comp, [0, 1, 2])
         assert cl_src.size == cl_dst.size == 0
+
+
+def recorded_eta_search(rm, priors, cs, opts):
+    """eta_search's fits, each with the options it was run with."""
+    fits = []
+    real = aggregators.vb_ilc_fit
+
+    def recording(*args):
+        fits.append((args[3], real(*args)))
+        return fits[-1][1]
+    with mock.patch.object(aggregators, "vb_ilc_fit", recording):
+        eta_search(rm, priors, cs, DEFAULT_ETA_GRID, opts)
+    return fits
+
+
+class TestEtaSearchSharedWork:
+    @settings(max_examples=25, deadline=None)
+    @given(crowds(), st.data())
+    def test_fits_equal_independent_fits(self, crowd, data):
+        # The search's fits share one set's cached components; each must
+        # equal a fit on an equal set that computes its own.
+        rm, _ = crowd
+        cs = data.draw(closed_sets(rm.n_items))
+        priors = paper_default_priors(rm.n_annotators, rm.n_classes)
+        fits = recorded_eta_search(rm, priors, cs,
+                                   FitOptions(max_iters=4, tol=0.0))
+        assert len(fits) == len(DEFAULT_ETA_GRID)
+        for opts, fit in fits:
+            alone = vb_ilc_fit(rm, priors, ConstraintSet(
+                cs.must_link, cs.cannot_link, closed=True), opts)
+            np.testing.assert_array_equal(fit.posterior, alone.posterior)
+            assert fit.trace == alone.trace
+            np.testing.assert_array_equal(fit.params.alpha,
+                                          alone.params.alpha)
+            np.testing.assert_array_equal(fit.params.beta, alone.params.beta)
+            assert fit.n_violations == alone.n_violations
+
+    def test_components_computed_once_per_set(self):
+        rm, truth = generate(diag_dominant_spec(40, 4, 3, 0.7, seed=3))
+        cs = derive_from_labels([(n, int(truth.labels[n]))
+                                 for n in range(0, 40, 3)])
+        calls = []
+        real = ConstraintSet._compute_components
+
+        def counting(self, n_items):
+            calls.append(n_items)
+            return real(self, n_items)
+        with mock.patch.object(ConstraintSet, "_compute_components",
+                               counting):
+            fits = recorded_eta_search(
+                rm, paper_default_priors(4, 3), cs,
+                FitOptions(max_iters=3, tol=0.0))
+        assert len(fits) == len(DEFAULT_ETA_GRID)
+        assert calls == [rm.n_items]
