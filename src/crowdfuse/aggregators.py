@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSet, count_violations
+from .constraints import (ConstraintSet, check_label_constraints,
+                          count_violations)
 from .model import (PosteriorParams, PriorConfig, ResponseMatrix,
                     expected_logs)
 from .numerics import softmax_rows
@@ -167,20 +168,6 @@ def _component_penalty(cs: ConstraintSet, n_items: int, n_classes: int):
     return penalty
 
 
-def _check_label_constraints(label_constraints, n_items, n_classes):
-    pinned = {}
-    for item, cls in label_constraints:
-        if not (0 <= item < n_items):
-            raise ValueError(f"constrained item {item} out of range")
-        if not (1 <= cls <= n_classes):
-            raise ValueError(f"constraint class {cls} outside 1..{n_classes}")
-        if item in pinned and pinned[item] != cls:
-            raise ValueError(f"conflicting label constraints on item {item}: "
-                             f"{pinned[item]} vs {cls}")
-        pinned[item] = cls
-    return pinned
-
-
 def _check_prior_dimensions(rm: ResponseMatrix, priors: PriorConfig) -> None:
     if priors.n_classes != rm.n_classes or priors.n_annotators != rm.n_annotators:
         raise ValueError("prior dimensions do not match the response matrix")
@@ -270,8 +257,8 @@ def vb_lc_fit(rm: ResponseMatrix, priors: PriorConfig, label_constraints,
               opts: FitOptions | None = None) -> FitResult:
     """Variational inference with known labels pinned for selected items."""
     _check_prior_dimensions(rm, priors)
-    pinned = _check_label_constraints(label_constraints, rm.n_items,
-                                      rm.n_classes)
+    pinned = check_label_constraints(label_constraints, rm.n_items,
+                                     rm.n_classes)
     return _fit_loop(rm, opts or FitOptions(),
                      functools.partial(_vb_m_step, priors=priors),
                      pinned=pinned)

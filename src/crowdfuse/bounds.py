@@ -349,21 +349,32 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
     return report
 
 
-def empirical_vs_bound(fit: FitResult, truth: GroundTruth, spec: CrowdSpec,
-                       report: BoundReport) -> BoundReport:
-    """Fill in the empirical errors of a fit and mark each bound as held,
-    held-vacuously, or violated."""
+def empirical_errors(fit: FitResult, truth: GroundTruth, spec: CrowdSpec):
+    """(label error, pi error, gamma error) of a fit: the largest absolute
+    difference between the posterior and the one-hot truth over items of
+    known truth, and between the expected class priors and confusion rows
+    and the spec's. The last two are None when the fit has no Dirichlet
+    parameters."""
     mask = truth.known_mask
     onehot = np.zeros_like(fit.posterior)
     known = np.flatnonzero(mask)
     onehot[known, truth.labels[known] - 1] = 1.0
     label_err = float(np.max(np.abs(fit.posterior[mask] - onehot[mask])))
-    report.empirical_label_error = label_err
+    if fit.params is None:
+        return label_err, None, None
+    pi_err = float(np.max(np.abs(fit.params.expected_pi() - spec.pi_star)))
+    gamma_err = float(np.max(np.abs(fit.params.expected_gamma()
+                                    - spec.gamma_star)))
+    return label_err, pi_err, gamma_err
 
-    if fit.params is not None:
-        pi_err = float(np.max(np.abs(fit.params.expected_pi() - spec.pi_star)))
-        gamma_err = float(np.max(np.abs(fit.params.expected_gamma()
-                                        - spec.gamma_star)))
+
+def empirical_vs_bound(fit: FitResult, truth: GroundTruth, spec: CrowdSpec,
+                       report: BoundReport) -> BoundReport:
+    """Fill in the empirical errors of a fit and mark each bound as held,
+    held-vacuously, or violated."""
+    label_err, pi_err, gamma_err = empirical_errors(fit, truth, spec)
+    report.empirical_label_error = label_err
+    if pi_err is not None:
         report.empirical_pi_error = pi_err
         report.empirical_gamma_error = gamma_err
 

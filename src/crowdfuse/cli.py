@@ -139,6 +139,8 @@ def cmd_aggregate(args) -> int:
                 raise InputFormatError("vb-ilc needs a constraints file")
             cs_all = cs
             if label_constraints:
+                constraints.check_label_constraints(
+                    label_constraints, rm.n_items, rm.n_classes)
                 derived = constraints.derive_from_labels(label_constraints)
                 cs_all = constraints.ConstraintSet(
                     must_link=cs.must_link | derived.must_link,
@@ -255,16 +257,7 @@ def cmd_bounds(args) -> int:
 
     # Default error levels: the empirical errors of the supplied run, so the
     # bound hypotheses hold exactly for it.
-    mask = truth.known_mask
-    onehot = np.zeros_like(posterior)
-    known = np.flatnonzero(mask)
-    onehot[known, truth.labels[known] - 1] = 1.0
-    emp_q = float(np.max(np.abs(posterior[mask] - onehot[mask])))
-    emp_pi = emp_gamma = 0.0
-    if params is not None:
-        emp_pi = float(np.max(np.abs(params.expected_pi() - spec.pi_star)))
-        emp_gamma = float(np.max(np.abs(params.expected_gamma()
-                                        - spec.gamma_star)))
+    emp_q, emp_pi, emp_gamma = bounds.empirical_errors(fit, truth, spec)
 
     n_ml = n_cl = by_class = None
     if args.constraints:
@@ -273,8 +266,9 @@ def cmd_bounds(args) -> int:
                                                         spec.n_items)
     inputs = bounds.BoundInputs(
         spec=spec, priors=priors,
-        eps_pi=args.eps_pi if args.eps_pi is not None else emp_pi,
-        eps_gamma=args.eps_gamma if args.eps_gamma is not None else emp_gamma,
+        eps_pi=args.eps_pi if args.eps_pi is not None else emp_pi or 0.0,
+        eps_gamma=(args.eps_gamma if args.eps_gamma is not None
+                   else emp_gamma or 0.0),
         eps_q=args.eps_q if args.eps_q is not None else emp_q,
         eta=args.eta,
         n_ml_per_item=n_ml, n_cl_per_item=n_cl, n_cl_by_class=by_class,

@@ -10,11 +10,13 @@ import numpy as np
 
 
 class ConstraintConflictError(ValueError):
-    """A pair is required to both share and not share a class."""
+    """A pair is required to both share and not share a class, or an item
+    (the pair (item, item)) is given two classes."""
 
-    def __init__(self, pair):
+    def __init__(self, pair, message=None):
         self.pair = tuple(sorted(pair))
-        super().__init__(f"conflicting constraints on pair {self.pair}")
+        super().__init__(message
+                         or f"conflicting constraints on pair {self.pair}")
 
 
 def _canonical(pairs) -> frozenset:
@@ -108,20 +110,11 @@ class ConstraintSet:
 
     def _compute_components(self, n_items: int):
         ml_a, ml_b, cl_a, cl_b = self.pair_arrays
-        # Each item's smallest must-link neighbour: pairs keep a < b, so it
-        # is the smallest `a` among the item's pairs as `b`.
-        order = np.lexsort((ml_a, ml_b))
-        b, a = ml_b[order], ml_a[order]
-        first = np.ones(b.size, dtype=bool)
-        first[1:] = b[1:] != b[:-1]
-        comp = np.arange(n_items)
-        comp[b[first]] = a[first]
-        # Where every must-link stays inside one id, each id's items are a
-        # star around it, hence a connected component; its pair count then
-        # tells whether it is a clique.
+        comp = _component_ids(n_items, ml_a, ml_b)
+        # A connected component of s items holds at most s(s-1)/2 must-links,
+        # so the total reaches the pair count only if each is a clique.
         sizes = np.bincount(comp, minlength=n_items)
-        if (np.any(comp[ml_a] != comp[ml_b])
-                or (sizes * (sizes - 1) // 2).sum() != ml_a.size):
+        if (sizes * (sizes - 1) // 2).sum() != ml_a.size:
             raise ValueError("constraint set is not closed: its must-links "
                              "do not form cliques")
         # No cannot-link lies inside a component: the component is a clique,
@@ -141,30 +134,30 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def _component_ids(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each index 0..n-1, the smallest index joined to it by a path of
+    edges (a[i], b[i]).
 
-    def find(self, x):
-        parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # Deterministic: smaller label becomes the root.
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+    Min-label propagation with pointer jumping: every component root links
+    to the smallest root it shares an edge with, then every index follows
+    links to its root. Links only go to smaller indices, so the rounds end,
+    and the one root left per component is its smallest index.
+    """
+    comp = np.arange(n)
+    while True:
+        ra, rb = comp[a], comp[b]
+        low = np.minimum(ra, rb)
+        linked = comp.copy()
+        np.minimum.at(linked, ra, low)
+        np.minimum.at(linked, rb, low)
+        if np.array_equal(linked, comp):
+            return comp
+        while True:
+            jumped = linked[linked]
+            if np.array_equal(jumped, linked):
+                break
+            linked = jumped
+        comp = linked
 
 
 def close(cs: ConstraintSet, binary_cl_rule: bool = False) -> ConstraintSet:
@@ -174,53 +167,52 @@ def close(cs: ConstraintSet, binary_cl_rule: bool = False) -> ConstraintSet:
     With `binary_cl_rule`, two cannot-links sharing an endpoint imply a
     must-link between the other endpoints (valid only for two classes; off
     by default).
+
+    A cannot-link inside a must-link component raises
+    ConstraintConflictError naming the first such pair of `cs.cannot_link`.
     """
-    uf = _UnionFind()
-    for a, b in cs.must_link:
-        uf.union(a, b)
-    for a, b in cs.cannot_link:
-        uf.find(a)
-        uf.find(b)
+    ml_a, ml_b, cl_a, cl_b = cs.pair_arrays
+    # Work on positions in the sorted item list, so the smallest position
+    # in a component is its smallest item.
+    items, index = np.unique(np.concatenate(cs.pair_arrays),
+                             return_inverse=True)
+    edge_a, edge_b, cl_pos_a, cl_pos_b = np.split(
+        index, np.cumsum([ml_a.size, ml_a.size, cl_a.size]))
 
-    # Cannot-link edges between must-link components.
-    comp_cl = set()
-    for a, b in cs.cannot_link:
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
-            raise ConstraintConflictError((a, b))
-        comp_cl.add((ra, rb) if ra < rb else (rb, ra))
+    def cannot_link_components(comp):
+        ca, cb = comp[cl_pos_a], comp[cl_pos_b]
+        inside = np.flatnonzero(ca == cb)
+        if inside.size:
+            first = inside[0]
+            raise ConstraintConflictError((int(cl_a[first]),
+                                           int(cl_b[first])))
+        return ca, cb
 
+    comp = _component_ids(items.size, edge_a, edge_b)
+    ca, cb = cannot_link_components(comp)
     if binary_cl_rule:
-        changed = True
-        while changed:
-            changed = False
-            by_comp = {}
-            for ra, rb in comp_cl:
-                by_comp.setdefault(ra, set()).add(rb)
-                by_comp.setdefault(rb, set()).add(ra)
-            for mid, neighbors in by_comp.items():
-                ns = sorted(neighbors)
-                for i in range(len(ns)):
-                    for j in range(i + 1, len(ns)):
-                        if uf.find(ns[i]) != uf.find(ns[j]):
-                            uf.union(ns[i], ns[j])
-                            changed = True
-            if changed:
-                new_cl = set()
-                for ra, rb in comp_cl:
-                    ra, rb = uf.find(ra), uf.find(rb)
-                    if ra == rb:
-                        raise ConstraintConflictError(
-                            _witness_pair(cs, uf, ra))
-                    new_cl.add((ra, rb) if ra < rb else (rb, ra))
-                comp_cl = new_cl
+        # With two classes, the cannot-link neighbours of a component share
+        # a class: join each to the component's smallest neighbour. One
+        # round reaches the fixpoint. Two neighbours u, w of a joined group
+        # touch components x0, xk of it, and the group is a chain x0..xk in
+        # which x_i and x_(i+1) share a neighbour y_i; u ~ y0 (both touch
+        # x0), y_i ~ y_(i+1) (both touch x_(i+1)) and y_(k-1) ~ w were all
+        # joined in this round.
+        src, dst = np.concatenate([ca, cb]), np.concatenate([cb, ca])
+        smallest = np.full(items.size, items.size)
+        np.minimum.at(smallest, src, dst)
+        comp = _component_ids(items.size,
+                              np.concatenate([edge_a, smallest[src]]),
+                              np.concatenate([edge_b, dst]))
+        ca, cb = cannot_link_components(comp)
 
     members = {}
-    for x in uf.parent:
-        members.setdefault(uf.find(x), []).append(x)
+    for item, c in zip(items.tolist(), comp.tolist()):
+        members.setdefault(c, []).append(item)
+    joined = {(a, b) if a < b else (b, a)
+              for a, b in zip(ca.tolist(), cb.tolist())}
     return _expand(members.values(),
-                   [(members[uf.find(ra)], members[uf.find(rb)])
-                    for ra, rb in comp_cl])
+                   [(members[a], members[b]) for a, b in joined])
 
 
 def _expand(groups, group_pairs) -> ConstraintSet:
@@ -233,13 +225,6 @@ def _expand(groups, group_pairs) -> ConstraintSet:
     return ConstraintSet(must_link=ml, cannot_link=cl, closed=True)
 
 
-def _witness_pair(cs: ConstraintSet, uf: _UnionFind, root):
-    for a, b in cs.cannot_link:
-        if uf.find(a) == uf.find(b):
-            return (a, b)
-    return (root, root)
-
-
 def count_violations(cs: ConstraintSet, labels) -> int:
     """Violated constraints under a hard labeling: must-links with differing
     labels plus cannot-links with equal labels."""
@@ -249,16 +234,36 @@ def count_violations(cs: ConstraintSet, labels) -> int:
                + np.count_nonzero(labels[cl_a] == labels[cl_b]))
 
 
-def derive_from_labels(label_constraints) -> ConstraintSet:
-    """Expand (item, class) constraints into all implied pairwise links:
-    must-link within a class, cannot-link across classes. Output is closed."""
+def check_label_constraints(label_constraints, n_items: int,
+                            n_classes: int) -> dict:
+    """The (item, class) constraints as {item: class}. An item outside
+    0..n_items-1 or a class outside 1..n_classes raises ValueError; an item
+    given two classes raises ConstraintConflictError."""
+    label_constraints = list(label_constraints)
+    for item, cls in label_constraints:
+        if not (0 <= item < n_items):
+            raise ValueError(f"constrained item {item} out of range")
+        if not (1 <= cls <= n_classes):
+            raise ValueError(f"constraint class {cls} outside 1..{n_classes}")
+    return _class_by_item(label_constraints)
+
+
+def _class_by_item(label_constraints) -> dict:
     by_item = {}
     for item, cls in label_constraints:
-        if item in by_item and by_item[item] != cls:
-            raise ConstraintConflictError((item, item))
-        by_item[item] = cls
+        if by_item.setdefault(item, cls) != cls:
+            raise ConstraintConflictError(
+                (item, item), f"conflicting label constraints on item "
+                              f"{item}: classes {by_item[item]} and {cls}")
+    return by_item
+
+
+def derive_from_labels(label_constraints) -> ConstraintSet:
+    """Expand (item, class) constraints into all implied pairwise links:
+    must-link within a class, cannot-link across classes. Output is closed.
+    An item given two classes raises ConstraintConflictError."""
     by_class = {}
-    for item, cls in by_item.items():
+    for item, cls in _class_by_item(label_constraints).items():
         by_class.setdefault(cls, []).append(item)
     return _expand(by_class.values(),
                    itertools.combinations(by_class.values(), 2))

@@ -66,6 +66,12 @@ def _random_pairs(rng, candidates, n_c):
     return pairs
 
 
+def _label_sample(rng, known, truth, n_c):
+    """(item, class) constraints for n_c distinct items drawn from `known`."""
+    picks = rng.choice(len(known), size=n_c, replace=False)
+    return [(known[int(i)], int(truth.labels[known[int(i)]])) for i in picks]
+
+
 def build_constraints(protocol: str, n_c: int, truth: GroundTruth,
                       vb_posterior: np.ndarray, seed: int):
     """Construct the constraint inputs for one experiment cell.
@@ -82,34 +88,25 @@ def build_constraints(protocol: str, n_c: int, truth: GroundTruth,
     if n_c > len(known) and protocol != "bvsb-constraints":
         raise ValueError(f"not enough ground truth for N_C = {n_c}")
 
+    if protocol == "bvsb-constraints":
+        # Only items of known truth can be queried.
+        plan = selection.plan_queries(vb_posterior[known], n_c, seed=seed)
+        cs_given = selection.answer_pairs(
+            ((known[a], known[b]) for a, b in plan.queries), truth)
+        return cs_given, constraints.close(cs_given), None
+
     if protocol == "random-constraints":
         n_pairs = len(known) * (len(known) - 1) // 2
         if n_c > n_pairs:
             raise ValueError(f"N_C = {n_c} exceeds the {n_pairs} distinct "
                              "pairs of items with known truth")
-        pairs = _random_pairs(rng, known, n_c)
-        ml = frozenset(p for p in pairs
-                       if truth.labels[p[0]] == truth.labels[p[1]])
-        cl = frozenset(pairs) - ml
-        cs_given = ConstraintSet(must_link=ml, cannot_link=cl)
-        label_items = rng.choice(len(known), size=n_c, replace=False)
-        label_constraints = [(known[int(i)], int(truth.labels[known[int(i)]]))
-                             for i in label_items]
-        return cs_given, constraints.close(cs_given), label_constraints
-
-    if protocol == "bvsb-constraints":
-        plan = selection.plan_queries(vb_posterior, n_c, seed=seed)
-        pairs = {(a, b) if a < b else (b, a) for a, b in plan.queries}
-        ml = frozenset(p for p in pairs
-                       if truth.labels[p[0]] == truth.labels[p[1]])
-        cl = frozenset(pairs) - ml
-        cs_given = ConstraintSet(must_link=ml, cannot_link=cl)
-        return cs_given, constraints.close(cs_given), None
+        cs_given = selection.answer_pairs(_random_pairs(rng, known, n_c),
+                                          truth)
+        return (cs_given, constraints.close(cs_given),
+                _label_sample(rng, known, truth, n_c))
 
     # label-derived
-    label_items = rng.choice(len(known), size=n_c, replace=False)
-    label_constraints = [(known[int(i)], int(truth.labels[known[int(i)]]))
-                         for i in label_items]
+    label_constraints = _label_sample(rng, known, truth, n_c)
     cs_fit = constraints.derive_from_labels(label_constraints)
     return cs_fit, cs_fit, label_constraints
 

@@ -164,6 +164,9 @@ def read_constraints(path, item_ids: list):
                     raise InputFormatError(
                         f"{path}:{lineno}: unknown item in pair ({a!r}, {b!r})")
                 pair = (index[a], index[b])
+                if pair[0] == pair[1]:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: self-pair ({a!r}, {b!r})")
                 if kind == "ML":
                     ml.add(pair)
                 elif kind == "CL":

@@ -98,25 +98,23 @@ def plan_queries(posterior: np.ndarray, n_constraints: int,
     )
 
 
-def answer_queries(plan: QueryPlan,
-                   truth: GroundTruth) -> constraints_mod.ConstraintSet:
-    """Resolve queried pairs against known truth: equal labels become
-    must-links, differing labels cannot-links; the result is closed."""
+def answer_pairs(pairs, truth: GroundTruth) -> constraints_mod.ConstraintSet:
+    """Resolve item pairs against known truth: equal labels become
+    must-links, differing labels cannot-links. The set is not closed. An
+    item of unknown truth raises ValueError."""
     labels = truth.labels
-    unknown = sorted({n for pair in plan.queries for n in pair
-                      if labels[n] == 0})
+    pairs = frozenset((a, b) if a < b else (b, a) for a, b in pairs)
+    unknown = sorted({n for pair in pairs for n in pair if labels[n] == 0})
     if unknown:
         raise ValueError(f"queried items with unknown truth: {unknown}")
-    ml, cl = set(), set()
-    for a, b in plan.queries:
-        pair = (a, b) if a < b else (b, a)
-        if labels[a] == labels[b]:
-            ml.add(pair)
-        else:
-            cl.add(pair)
-    cs = constraints_mod.ConstraintSet(must_link=frozenset(ml),
-                                       cannot_link=frozenset(cl))
-    return constraints_mod.close(cs)
+    ml = frozenset(p for p in pairs if labels[p[0]] == labels[p[1]])
+    return constraints_mod.ConstraintSet(must_link=ml, cannot_link=pairs - ml)
+
+
+def answer_queries(plan: QueryPlan,
+                   truth: GroundTruth) -> constraints_mod.ConstraintSet:
+    """The closure of `answer_pairs` of the queried pairs."""
+    return constraints_mod.close(answer_pairs(plan.queries, truth))
 
 
 def plan_to_rows(plan: QueryPlan, item_ids=None) -> list:

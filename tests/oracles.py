@@ -5,12 +5,13 @@ functions so it shares no code paths with the package under test.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
 from scipy import special
 
-from crowdfuse.constraints import ConstraintConflictError
+from crowdfuse.constraints import ConstraintConflictError, ConstraintSet
 from crowdfuse.fileio import InputFormatError
 
 
@@ -129,6 +130,98 @@ def brute_force_closure(ml, cl, binary_cl_rule=False):
         if ml & cl:
             raise ConstraintConflictError(next(iter(ml & cl)))
     return ml, cl
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        if x not in parent:
+            parent[x] = x
+            return x
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        # Deterministic: smaller label becomes the root.
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+
+
+def reference_close(cs, binary_cl_rule=False):
+    """`close` as a dict union-find with a Python fixpoint loop for the
+    binary cannot-link rule. A conflict names the first cannot-link of
+    `cs.cannot_link` that lies inside a must-link component."""
+    uf = _UnionFind()
+    for a, b in cs.must_link:
+        uf.union(a, b)
+    for a, b in cs.cannot_link:
+        uf.find(a)
+        uf.find(b)
+
+    # Cannot-link edges between must-link components.
+    comp_cl = set()
+    for a, b in cs.cannot_link:
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb:
+            raise ConstraintConflictError((a, b))
+        comp_cl.add((ra, rb) if ra < rb else (rb, ra))
+
+    if binary_cl_rule:
+        changed = True
+        while changed:
+            changed = False
+            by_comp = {}
+            for ra, rb in comp_cl:
+                by_comp.setdefault(ra, set()).add(rb)
+                by_comp.setdefault(rb, set()).add(ra)
+            for mid, neighbors in by_comp.items():
+                ns = sorted(neighbors)
+                for i in range(len(ns)):
+                    for j in range(i + 1, len(ns)):
+                        if uf.find(ns[i]) != uf.find(ns[j]):
+                            uf.union(ns[i], ns[j])
+                            changed = True
+            if changed:
+                new_cl = set()
+                for ra, rb in comp_cl:
+                    ra, rb = uf.find(ra), uf.find(rb)
+                    if ra == rb:
+                        raise ConstraintConflictError(
+                            _witness_pair(cs, uf, ra))
+                    new_cl.add((ra, rb) if ra < rb else (rb, ra))
+                comp_cl = new_cl
+
+    members = {}
+    for x in uf.parent:
+        members.setdefault(uf.find(x), []).append(x)
+    return _expand(members.values(),
+                   [(members[uf.find(ra)], members[uf.find(rb)])
+                    for ra, rb in comp_cl])
+
+
+def _expand(groups, group_pairs):
+    ml = (pair for group in groups
+          for pair in itertools.combinations(group, 2))
+    cl = (pair for g, h in group_pairs for pair in itertools.product(g, h))
+    return ConstraintSet(must_link=ml, cannot_link=cl, closed=True)
+
+
+def _witness_pair(cs, uf, root):
+    for a, b in cs.cannot_link:
+        if uf.find(a) == uf.find(b):
+            return (a, b)
+    return (root, root)
 
 
 def reference_pair_penalty(must_link, cannot_link, q):

@@ -3,7 +3,8 @@ import pytest
 
 from crowdfuse.aggregators import FitOptions, vb_ilc_fit, vbem_fit
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
-                                   ConstraintSet, close, count_violations,
+                                   ConstraintSet, check_label_constraints,
+                                   close, count_violations,
                                    derive_from_labels, eta_search)
 from crowdfuse.model import paper_default_priors
 from crowdfuse.synth import diag_dominant_spec, generate
@@ -149,8 +150,32 @@ class TestDeriveFromLabels:
         assert len(cs) == 0
 
     def test_conflicting_labels(self):
-        with pytest.raises(ConstraintConflictError):
+        with pytest.raises(ConstraintConflictError,
+                           match="item 0: classes 1 and 2"):
             derive_from_labels([(0, 1), (0, 2)])
+
+
+class TestCheckLabelConstraints:
+    def test_map(self):
+        assert check_label_constraints([(2, 1), (0, 3), (2, 1)], 3, 3) == \
+            {2: 1, 0: 3}
+
+    @pytest.mark.parametrize("labels, message", [
+        ([(3, 1)], "item 3 out of range"),
+        ([(-1, 1)], "item -1 out of range"),
+        ([(0, 4)], "class 4 outside 1..3"),
+        ([(0, 0)], "class 0 outside 1..3"),
+    ])
+    def test_out_of_range(self, labels, message):
+        with pytest.raises(ValueError, match=message) as raised:
+            check_label_constraints(labels, 3, 3)
+        assert not isinstance(raised.value, ConstraintConflictError)
+
+    def test_conflict(self):
+        with pytest.raises(ConstraintConflictError,
+                           match="item 1: classes 2 and 3") as raised:
+            check_label_constraints([(1, 2), (0, 1), (1, 3)], 3, 3)
+        assert raised.value.pair == (1, 1)
 
 
 class TestEtaSearch:

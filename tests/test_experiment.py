@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from crowdfuse import aggregators, cli, experiment
+from crowdfuse import aggregators, cli, experiment, selection
 from crowdfuse.aggregators import FitOptions, vb_ilc_fit, vbem_fit
 from crowdfuse.constraints import (close, count_violations, derive_from_labels,
                                   eta_search)
@@ -125,3 +125,31 @@ class TestRandomPairsNeedEnoughDistinctPairs:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 4
         assert "distinct pairs" in proc.stderr
+
+
+class TestBvsbQueriesItemsOfKnownTruth:
+    @staticmethod
+    def crowd():
+        rm, truth = generate(diag_dominant_spec(200, 4, 3, 0.6, seed=0))
+        posterior = vbem_fit(rm, paper_default_priors(4, 3)).posterior
+        return truth, posterior
+
+    def test_partial_truth(self):
+        # Only the first 100 items have known truth; the plan used to pick
+        # items from all 200 and read label 0 == 0 as "same class".
+        truth, posterior = self.crowd()
+        labels = truth.labels.copy()
+        labels[100:] = 0
+        cs_given, cs_fit, _ = experiment.build_constraints(
+            "bvsb-constraints", 60, GroundTruth(labels), posterior, seed=3)
+        assert max(cs_given.items) < 100
+        assert cs_fit.items == cs_given.items
+        assert count_violations(cs_given, truth.labels) == 0
+
+    def test_full_truth_plan_unchanged(self):
+        truth, posterior = self.crowd()
+        cs_given, _, _ = experiment.build_constraints(
+            "bvsb-constraints", 60, truth, posterior, seed=3)
+        plan = selection.plan_queries(posterior, 60, seed=3)
+        assert cs_given == selection.answer_pairs(plan.queries, truth)
+        assert close(cs_given) == selection.answer_queries(plan, truth)

@@ -150,6 +150,13 @@ class TestConstraintsFile:
         with pytest.raises(InputFormatError, match="unknown item"):
             read_constraints(path, ["a", "b"])
 
+    @pytest.mark.parametrize("kind", ["ML", "CL", "QUERY"])
+    def test_self_pair_names_line(self, tmp_path, kind):
+        path = tmp_path / "c.csv"
+        path.write_text(f"kind,a,b\nML,a,b\n{kind},b,b\n")
+        with pytest.raises(InputFormatError, match=r"c\.csv:3: self-pair"):
+            read_constraints(path, ["a", "b"])
+
 
 class TestResultSchema:
     def test_schema_loads(self):
@@ -238,6 +245,36 @@ class TestCliAggregate:
                         "--constraints", str(cons), "--k", "3",
                         "--output", str(dataset["dir"] / "o.json")])
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("method", ["vb-lc", "vb-ilc"])
+    def test_self_pair_exit_code(self, dataset, capsys, method):
+        cons = dataset["dir"] / "self.csv"
+        ids = dataset["rm"].item_ids
+        write_constraints(cons, [("LABEL", ids[0], 1), ("ML", ids[1], ids[1])])
+        code = cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", method,
+                         "--constraints", str(cons), "--k", "3",
+                         "--output", str(dataset["dir"] / "o.json")])
+        assert code == 2
+        assert "self.csv:3: self-pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["vb-lc", "vb-ilc"])
+    @pytest.mark.parametrize("labels, code, message", [
+        ([(0, 1), (0, 2)], 3, "item 0: classes 1 and 2"),
+        ([(0, 1), (1, 7)], 4, "class 7 outside 1..3"),
+        ([(0, 0)], 4, "class 0 outside 1..3"),
+    ])
+    def test_label_constraints_checked_alike(self, dataset, capsys, method,
+                                             labels, code, message):
+        cons = dataset["dir"] / "labels.csv"
+        ids = dataset["rm"].item_ids
+        write_constraints(cons, [("LABEL", ids[i], c) for i, c in labels])
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", method,
+                         "--constraints", str(cons), "--k", "3",
+                         "--eta", "2",
+                         "--output", str(dataset["dir"] / "o.json")]) == code
+        assert message in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, dataset, tmp_path):
         priors = tmp_path / "priors.json"

@@ -10,7 +10,8 @@ terms, added in the same order), and the array digamma must agree with
 scipy and with its own scalar form on every positive input. The shared fit
 loop must keep its trace, convergence flag and prior-only items consistent.
 The component form of the constraint penalty must equal the sum over the
-closed pairs, closure must be idempotent and monotone, and the array forms
+closed pairs, closure must be idempotent and monotone and must equal the
+union-find closure of `oracles.reference_close`, and the array forms
 of the constraint-set queries must equal loops over the pairs.
 
 The fit loop's shared work must not change any result: the one digamma
@@ -47,7 +48,8 @@ from crowdfuse.numerics import digamma, digamma_vec, softmax_rows
 from crowdfuse.selection import plan_queries
 from crowdfuse.synth import diag_dominant_spec, generate
 
-from oracles import (reference_pair_penalty, reference_plan_queries,
+from oracles import (reference_close, reference_pair_penalty,
+                     reference_plan_queries,
                      reference_read_responses, reference_response_matrix,
                      response_triples)
 
@@ -471,13 +473,13 @@ class TestPlanQueries:
             reference_plan_queries(*drawn)
 
 
-def pair_lists(n_items):
+def pair_lists(n_items, max_size=12):
     """Lists of (a, b, is_must_link) with distinct a, b below n_items."""
     if n_items < 2:
         return st.just([])
     item = st.integers(0, n_items - 1)
     return st.lists(st.tuples(item, item, st.booleans())
-                    .filter(lambda t: t[0] != t[1]), max_size=12)
+                    .filter(lambda t: t[0] != t[1]), max_size=max_size)
 
 
 SIZED_PAIR_LISTS = st.integers(0, 10).flatmap(
@@ -565,6 +567,23 @@ class TestConstraintSetProperties:
             return
         assert closed.must_link <= larger.must_link
         assert closed.cannot_link <= larger.cannot_link
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 16).flatmap(lambda n: pair_lists(n, 40)),
+           st.integers(1, 3), st.integers(-5, 5), st.booleans())
+    def test_close_equals_union_find_oracle(self, triples, stride, offset,
+                                            binary_cl_rule):
+        # Sparse and negative item ids as well as 0..n-1.
+        cs = constraint_set([(a * stride + offset, b * stride + offset, ml)
+                             for a, b, ml in triples])
+        try:
+            expected = reference_close(cs, binary_cl_rule)
+        except ConstraintConflictError as conflict:
+            with pytest.raises(ConstraintConflictError) as raised:
+                close(cs, binary_cl_rule)
+            assert raised.value.pair == conflict.pair
+            return
+        assert close(cs, binary_cl_rule) == expected
 
     @SETTINGS
     @given(SIZED_PAIR_LISTS, st.data())
