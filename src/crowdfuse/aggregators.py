@@ -7,11 +7,16 @@ posterior; convergence is declared when the largest per-entry posterior
 change drops below the tolerance. Only the M-step differs: DS-EM uses the
 logs of point estimates, with every count smoothed by 1e-10; VB uses the
 expected logs under Dirichlet posteriors, through digamma.
+
+The loop advances a stack of fits that differ only in the constraint
+weight eta: the eta search runs its whole grid as one stack, and every
+other fit is a stack of one.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +32,15 @@ from .numerics import softmax_rows
 _EM_SMOOTHING = 1e-10
 
 INIT_MODES = ("majority_vote", "given_posterior", "uniform")
+
+
+def _check_eta(eta) -> float:
+    """eta as a float; a NaN, infinite or negative weight raises
+    ValueError."""
+    eta = float(eta)
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
+    return eta
 
 
 @dataclass(frozen=True)
@@ -48,10 +62,9 @@ class FitOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        _check_eta(self.eta)
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
         if self.init == "given_posterior" and self.init_posterior is None:
@@ -111,60 +124,96 @@ def initial_posterior(rm: ResponseMatrix, opts: FitOptions) -> np.ndarray:
 
 def _scatter_columns(index: np.ndarray, columns, n_rows: int) -> np.ndarray:
     """Sum each column of per-response values into n_rows slots by index;
-    returns shape (n_rows, len(columns)).
+    returns shape (n_rows, number of columns).
 
     np.bincount adds each slot's terms in input order starting from zero, so
-    every sum is bit-identical to a loop over the responses.
+    every sum is bit-identical to a loop over the responses. `columns` is
+    iterated once, so a generator holds one column at a time.
     """
     return np.stack([np.bincount(index, weights=col, minlength=n_rows)
                      for col in columns], axis=1)
 
 
-def _likelihood_logits(rm: ResponseMatrix, log_gamma: np.ndarray) -> np.ndarray:
-    """Per-item sums of expected response log-probabilities, shape (N, K)."""
-    ann, item, label0 = rm.coords
-    k = rm.n_classes
-    # Flat offsets of log_gamma[m, 0, l]; true class c sits c * K further on.
-    offsets = ann * (k * k) + label0
-    flat = log_gamma.ravel()
-    return _scatter_columns(item, [flat[c * k:].take(offsets)
-                                   for c in range(k)], rm.n_items)
+class _StackedScatter:
+    """The E-step and M-step scatters of a stack of up to `n_fits` fits.
+
+    Fit g's slots follow fit g-1's in every flat array here, so the first G
+    blocks of each serve a stack of any G <= n_fits fits: dropping fits
+    from the end of the stack needs no new arrays. Each slot receives the
+    terms a fit on its own would give it, in the same order, so every sum
+    is bit-identical to that fit's.
+    """
+
+    def __init__(self, rm: ResponseMatrix, n_fits: int):
+        ann, item, label0 = rm.coords
+        n, m, k = rm.n_items, rm.n_annotators, rm.n_classes
+        self.shape = n, m, k
+        self.n_responses = rm.n_responses
+        fit = np.arange(n_fits)[:, None]
+        # Likelihood rows g*N + item, and flat offsets of q[g, item, 0].
+        self.item_slots = (fit * n + item).ravel()
+        self.q_offsets = self.item_slots * k
+        # Count rows (g, annotator, response), and flat offsets of
+        # log_gamma[g, annotator, 0, response]: true class c sits c*K on.
+        self.count_slots = (fit * (m * k) + ann * k + label0).ravel()
+        self.gamma_offsets = (fit * (m * k * k) + ann * (k * k)
+                              + label0).ravel()
+
+    def likelihood_logits(self, log_gamma: np.ndarray) -> np.ndarray:
+        """Per-item sums of expected response log-probabilities, (G, N, K),
+        from the log confusion arrays (G, M, K, K)."""
+        n, _, k = self.shape
+        g = log_gamma.shape[0]
+        used = g * self.n_responses
+        offsets = self.gamma_offsets[:used]
+        flat = log_gamma.ravel()
+        return _scatter_columns(
+            self.item_slots[:used],
+            (flat[c * k:].take(offsets) for c in range(k)),
+            g * n).reshape(g, n, k)
+
+    def response_counts(self, q: np.ndarray) -> np.ndarray:
+        """Posterior-weighted response counts in the (annotator, true class,
+        response) layout, (G, M, K, K), from the posteriors (G, N, K)."""
+        _, m, k = self.shape
+        g = q.shape[0]
+        used = g * self.n_responses
+        offsets = self.q_offsets[:used]
+        flat = q.ravel()
+        # Rows are (fit, annotator, response); columns are true classes.
+        by_response = _scatter_columns(
+            self.count_slots[:used],
+            (flat[c:].take(offsets) for c in range(k)), g * m * k)
+        return by_response.reshape(g, m, k, k).transpose(0, 1, 3, 2)
 
 
-def _response_counts(rm: ResponseMatrix, q: np.ndarray) -> np.ndarray:
-    """Posterior-weighted response counts in the (annotator, true class,
-    response) layout, shape (M, K, K)."""
-    ann, item, label0 = rm.coords
-    k = rm.n_classes
-    # Rows are (annotator, response) pairs; columns are true classes.
-    by_response = _scatter_columns(ann * k + label0,
-                                   [col.take(item) for col in q.T],
-                                   rm.n_annotators * k)
-    return by_response.reshape(rm.n_annotators, k, k).transpose(0, 2, 1)
-
-
-def _component_penalty(cs: ConstraintSet, n_items: int, n_classes: int):
+def _component_penalty(cs: ConstraintSet, n_items: int, n_classes: int,
+                       n_fits: int):
     """The per-item sums of signed neighbour posteriors of a closed set, as a
-    function of the posterior q (N, K).
+    function of a stack of up to `n_fits` posteriors q (G, N, K).
 
     They are computed from `cs.components`: an item's must-link neighbours
     are the rest of its component, and its cannot-link neighbours are every
     component joined to its own. Each scatter is one np.bincount over the
-    flat slots item * K + class, which costs less per call than one
-    bincount per column at these sizes.
+    flat slots g * N * K + item * K + class, which costs less per call than
+    one bincount per column at these sizes. As in `_StackedScatter`, a stack
+    of G fits uses the first G blocks of the slot arrays.
     """
     comp, cl_src, cl_dst = cs.components(n_items)
-    classes = np.arange(n_classes)
-    comp_slots = (comp[:, None] * n_classes + classes).ravel()
-    src_slots = (cl_src[:, None] * n_classes + classes).ravel()
     size = n_items * n_classes
+    fit = np.arange(n_fits)[:, None, None] * size
+    classes = np.arange(n_classes)
+    comp_slots = (fit + comp[:, None] * n_classes + classes).ravel()
+    src_slots = (fit + cl_src[:, None] * n_classes + classes).ravel()
 
     def penalty(q: np.ndarray) -> np.ndarray:
-        sums = np.bincount(comp_slots, weights=q.ravel(),
-                           minlength=size).reshape(q.shape)
-        across = np.bincount(src_slots, weights=sums[cl_dst].ravel(),
-                             minlength=size).reshape(q.shape)
-        return (sums - across)[comp] - q
+        g = q.shape[0]
+        sums = np.bincount(comp_slots[:g * size], weights=q.ravel(),
+                           minlength=g * size).reshape(q.shape)
+        across = np.bincount(src_slots[:g * cl_src.size * n_classes],
+                             weights=sums[:, cl_dst].ravel(),
+                             minlength=g * size).reshape(q.shape)
+        return (sums - across)[:, comp] - q
     return penalty
 
 
@@ -173,75 +222,113 @@ def _check_prior_dimensions(rm: ResponseMatrix, priors: PriorConfig) -> None:
         raise ValueError("prior dimensions do not match the response matrix")
 
 
-def _pin(q: np.ndarray, pinned: dict) -> None:
-    """Set each pinned item's posterior row to its known class, in place."""
-    for item, cls in pinned.items():
-        q[item] = 0.0
-        q[item, cls - 1] = 1.0
+def _pin(q: np.ndarray, items: np.ndarray, classes0: np.ndarray) -> None:
+    """Set each pinned item's posterior row, in every fit of the stack q, to
+    its known class (zero-based), in place."""
+    if not items.size:
+        return
+    q[:, items] = 0.0
+    q[:, items, classes0] = 1.0
 
 
-def _vb_m_step(rm: ResponseMatrix, q: np.ndarray, priors: PriorConfig):
-    """Dirichlet posteriors, and the logits' terms as their expectations."""
-    params = PosteriorParams(alpha=q.sum(axis=0) + priors.alpha0,
-                             beta=_response_counts(rm, q) + priors.beta0)
-    return ({"params": params}, *expected_logs(params))
+def _vb_m_step(scatter: _StackedScatter, q: np.ndarray, priors: PriorConfig):
+    """Dirichlet posteriors, and the logits' terms as their expectations.
+    Building the stacked PosteriorParams checks every fit's positivity."""
+    params = PosteriorParams(
+        alpha=q.sum(axis=1) + priors.alpha0,
+        beta=scatter.response_counts(q) + priors.beta0)
+
+    def fields(g):
+        return {"params": PosteriorParams(alpha=params.alpha[g].copy(),
+                                          beta=params.beta[g].copy())}
+    return (fields, *expected_logs(params))
 
 
-def _em_m_step(rm: ResponseMatrix, q: np.ndarray):
+def _em_m_step(scatter: _StackedScatter, q: np.ndarray):
     """Smoothed point estimates, and the logits' terms as their logs."""
-    nk = q.sum(axis=0) + _EM_SMOOTHING
-    pi_hat = nk / nk.sum()
-    counts = _response_counts(rm, q) + _EM_SMOOTHING
-    gamma_hat = counts / counts.sum(axis=2, keepdims=True)
-    return ({"pi_hat": pi_hat, "gamma_hat": gamma_hat}, np.log(pi_hat),
-            np.log(gamma_hat))
+    nk = q.sum(axis=1) + _EM_SMOOTHING
+    pi_hat = nk / nk.sum(axis=-1, keepdims=True)
+    counts = scatter.response_counts(q) + _EM_SMOOTHING
+    gamma_hat = counts / counts.sum(axis=-1, keepdims=True)
+
+    def fields(g):
+        return {"pi_hat": pi_hat[g].copy(), "gamma_hat": gamma_hat[g].copy()}
+    return fields, np.log(pi_hat), np.log(gamma_hat)
 
 
 def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
-              pinned: dict | None = None, cs: ConstraintSet | None = None,
-              cs_items=()) -> FitResult:
-    """Alternate `m_step(rm, q)`, which returns (FitResult fields, log class
-    prior (K,), log confusion array (M, K, K)), with the label update.
+              etas=(0.0,), pinned: dict | None = None,
+              cs: ConstraintSet | None = None, cs_items=()) -> list:
+    """Advance one fit per entry of `etas` as one stack of posteriors
+    (G, N, K), and return their FitResults in the order of `etas`.
 
-    `pinned` maps items to known classes. `cs`, whose items are `cs_items`,
-    adds eta times the signed neighbour posteriors to the logits, computed
-    from its must-link components.
+    Each iteration calls `m_step(scatter, q)`, which returns (a function of
+    a fit's index in the stack giving its FitResult fields, log class
+    priors (G, K), log confusion arrays (G, M, K, K)), then updates every
+    label posterior. The fits share the crowd, the initial posterior and
+    the constraints; only eta differs. `pinned` maps items to known
+    classes. `cs`, whose items are `cs_items`, adds each fit's eta times
+    the signed neighbour posteriors to its logits, computed from the
+    set's must-link components.
+
+    A fit whose largest posterior change drops below `opts.tol` stops
+    there, and its result is final; the fits still running are compacted
+    to the front of the stack, so the stack only shrinks.
     """
+    etas = np.asarray(etas, dtype=float)
     pinned = pinned or {}
-    q = initial_posterior(rm, opts)
-    _pin(q, pinned)
-    penalty = (_component_penalty(cs, rm.n_items, rm.n_classes)
+    pin_items = np.fromiter(pinned.keys(), dtype=np.intp, count=len(pinned))
+    pin_classes0 = np.fromiter(pinned.values(), dtype=np.intp,
+                               count=len(pinned)) - 1
+    scatter = _StackedScatter(rm, etas.size)
+    q = np.repeat(initial_posterior(rm, opts)[None], etas.size, axis=0)
+    _pin(q, pin_items, pin_classes0)
+    penalty = (_component_penalty(cs, rm.n_items, rm.n_classes, etas.size)
                if cs is not None and len(cs) else None)
-
-    trace = []
-    for _ in range(opts.max_iters):
-        fields, log_pi, log_gamma = m_step(rm, q)
-        logits = log_pi[None, :] + _likelihood_logits(rm, log_gamma)
-        if penalty is not None and opts.eta > 0:
-            logits = logits + opts.eta * penalty(q)
-        q_new = softmax_rows(logits)
-        _pin(q_new, pinned)
-        # initial=0.0 lets a crowd with no items converge at once.
-        trace.append(float(np.max(np.abs(q_new - q), initial=0.0)))
-        q = q_new
-        if trace[-1] < opts.tol:
-            break
 
     constrained = pinned.keys() | cs_items
     prior_only = [int(n) for n in np.flatnonzero(rm.responses_per_item() == 0)
                   if n not in constrained]
-    result = FitResult(
-        posterior=q,
-        hard_labels=hard_labels_from(q),
-        iterations_run=len(trace),
-        converged=bool(trace[-1] < opts.tol),
-        trace=trace,
-        prior_only_items=prior_only,
-        **fields,
-    )
-    if cs is not None:
-        result.n_violations = count_violations(cs, result.hard_labels)
-    return result
+    results = [None] * etas.size
+    traces = [[] for _ in range(etas.size)]
+    running = np.arange(etas.size)  # each stacked fit's index in etas
+    for step in range(opts.max_iters):
+        fields, log_pi, log_gamma = m_step(scatter, q)
+        logits = log_pi[:, None, :] + scatter.likelihood_logits(log_gamma)
+        if penalty is not None and etas[running].any():
+            logits = logits + etas[running, None, None] * penalty(q)
+        q_new = softmax_rows(logits.reshape(-1, rm.n_classes)).reshape(q.shape)
+        _pin(q_new, pin_items, pin_classes0)
+        # initial=0.0 lets a crowd with no items converge at once.
+        deltas = np.abs(q_new - q).reshape(running.size, -1).max(
+            axis=1, initial=0.0)
+        q = q_new
+        for g, delta in zip(running.tolist(), deltas.tolist()):
+            traces[g].append(delta)
+        stopped = deltas < opts.tol
+        if step == opts.max_iters - 1:
+            stopped[:] = True
+        if not stopped.any():
+            continue
+        for j in np.flatnonzero(stopped).tolist():
+            g = int(running[j])
+            posterior = q[j].copy()
+            results[g] = FitResult(
+                posterior=posterior,
+                hard_labels=hard_labels_from(posterior),
+                iterations_run=len(traces[g]),
+                converged=bool(traces[g][-1] < opts.tol),
+                trace=traces[g],
+                prior_only_items=list(prior_only),
+                **fields(j),
+            )
+            if cs is not None:
+                results[g].n_violations = count_violations(
+                    cs, results[g].hard_labels)
+        running, q = running[~stopped], q[~stopped]
+        if not running.size:
+            break
+    return results
 
 
 def vbem_fit(rm: ResponseMatrix, priors: PriorConfig,
@@ -249,8 +336,9 @@ def vbem_fit(rm: ResponseMatrix, priors: PriorConfig,
     """Mean-field variational inference over labels, class priors, and
     annotator confusion rows."""
     _check_prior_dimensions(rm, priors)
-    return _fit_loop(rm, opts or FitOptions(),
-                     functools.partial(_vb_m_step, priors=priors))
+    [fit] = _fit_loop(rm, opts or FitOptions(),
+                      functools.partial(_vb_m_step, priors=priors))
+    return fit
 
 
 def vb_lc_fit(rm: ResponseMatrix, priors: PriorConfig, label_constraints,
@@ -259,9 +347,10 @@ def vb_lc_fit(rm: ResponseMatrix, priors: PriorConfig, label_constraints,
     _check_prior_dimensions(rm, priors)
     pinned = check_label_constraints(label_constraints, rm.n_items,
                                      rm.n_classes)
-    return _fit_loop(rm, opts or FitOptions(),
-                     functools.partial(_vb_m_step, priors=priors),
-                     pinned=pinned)
+    [fit] = _fit_loop(rm, opts or FitOptions(),
+                      functools.partial(_vb_m_step, priors=priors),
+                      pinned=pinned)
+    return fit
 
 
 def vb_ilc_fit(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
@@ -275,19 +364,30 @@ def vb_ilc_fit(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     own row, and its cannot-link sum is the sum over the components joined
     to its own. A set flagged closed that is not closed raises ValueError.
     """
+    opts = opts or FitOptions()
+    [fit] = _vb_ilc_fits(rm, priors, cs, (opts.eta,), opts)
+    return fit
+
+
+def _vb_ilc_fits(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
+                 etas, opts: FitOptions) -> list:
+    """`vb_ilc_fit` at each weight in `etas`, as one stacked fit loop; the
+    weight in `opts` is not read. Every weight is checked before the loop
+    starts. Each fit equals `vb_ilc_fit` at its weight, bit for bit."""
+    etas = [_check_eta(eta) for eta in etas]
     _check_prior_dimensions(rm, priors)
     if len(cs) and not cs.closed:
         raise ValueError("constraint set must be closed before fitting")
-    items = cs.items
-    for item in items:
-        if not (0 <= item < rm.n_items):
-            raise ValueError(f"constrained item {item} out of range")
-    return _fit_loop(rm, opts or FitOptions(),
-                     functools.partial(_vb_m_step, priors=priors),
-                     cs=cs, cs_items=items)
+    endpoints = np.concatenate(cs.pair_arrays)
+    outside = endpoints[(endpoints < 0) | (endpoints >= rm.n_items)]
+    if outside.size:
+        raise ValueError(f"constrained item {outside.min()} out of range")
+    return _fit_loop(rm, opts, functools.partial(_vb_m_step, priors=priors),
+                     etas=etas, cs=cs, cs_items=cs.items)
 
 
 def ds_em_fit(rm: ResponseMatrix, opts: FitOptions | None = None) -> FitResult:
     """Maximum-likelihood alternation with point estimates of the class
     priors and confusion matrices."""
-    return _fit_loop(rm, opts or FitOptions(), _em_m_step)
+    [fit] = _fit_loop(rm, opts or FitOptions(), _em_m_step)
+    return fit

@@ -273,29 +273,26 @@ DEFAULT_ETA_GRID = (0.01, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 100, 500)
 
 
 def eta_search(rm, priors, cs: ConstraintSet, candidate_etas, opts):
-    """Fit once per candidate weight and pick the one with the fewest
+    """Fit at every candidate weight and pick the one with the fewest
     violated constraints on the fitted hard labels; ties go to the smallest
     candidate. Returns (best_eta, [(eta, n_violations), ...], best_fit),
     where best_fit is the fit at best_eta, so callers need not refit it.
 
-    All candidates share the same initialization posterior so runs are
-    comparable.
+    The candidates are fitted as one stack of posteriors, G = len(candidates)
+    of them, that advance together through one fit loop: each iteration
+    pays the loop's fixed costs once for the whole grid, and its largest
+    temporaries hold about G times the number of responses floats. Every
+    candidate is checked before the fit starts. All candidates share the
+    initialization posterior of `opts`, and each fit equals `vb_ilc_fit` at
+    its weight bit for bit; `opts.eta` is not read.
     """
     from . import aggregators  # local import to avoid a cycle
 
-    candidates = list(candidate_etas)
+    candidates = [float(eta) for eta in candidate_etas]
     if not candidates:
         raise ValueError("candidate eta list is empty")
-    init_q = aggregators.initial_posterior(rm, opts)
-    table = []
-    best_key = best_fit = None
-    for eta in candidates:
-        run_opts = aggregators.FitOptions(
-            max_iters=opts.max_iters, tol=opts.tol, eta=float(eta),
-            seed=opts.seed, init="given_posterior", init_posterior=init_q)
-        fit = aggregators.vb_ilc_fit(rm, priors, cs, run_opts)
-        table.append((float(eta), fit.n_violations))
-        key = (fit.n_violations, float(eta))
-        if best_key is None or key < best_key:
-            best_key, best_fit = key, fit
-    return best_key[1], table, best_fit
+    fits = aggregators._vb_ilc_fits(rm, priors, cs, candidates, opts)
+    table = [(eta, fit.n_violations) for eta, fit in zip(candidates, fits)]
+    best = min(range(len(candidates)),
+               key=lambda i: (fits[i].n_violations, candidates[i]))
+    return candidates[best], table, fits[best]

@@ -171,7 +171,11 @@ def uniform_priors(n_annotators: int, n_classes: int) -> PriorConfig:
 
 @dataclass(frozen=True)
 class PosteriorParams:
-    """Dirichlet posterior parameters: alpha (K,), beta (M, K, K)."""
+    """Dirichlet posterior parameters: alpha (..., K), beta (..., M, K, K).
+
+    Leading axes, when present, index a stack of fits; the fit loop checks
+    every fit of its stack with one construction per iteration.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -185,30 +189,32 @@ class PosteriorParams:
         object.__setattr__(self, "beta", beta)
 
     def expected_pi(self) -> np.ndarray:
-        return self.alpha / self.alpha.sum()
+        return self.alpha / self.alpha.sum(axis=-1, keepdims=True)
 
     def expected_gamma(self) -> np.ndarray:
-        return self.beta / self.beta.sum(axis=2, keepdims=True)
+        return self.beta / self.beta.sum(axis=-1, keepdims=True)
 
 
 def expected_logs(params: PosteriorParams) -> tuple[np.ndarray, np.ndarray]:
-    """(E[ln pi] (K,), E[ln gamma] (M, K, K)) under the Dirichlet posteriors:
-    psi(alpha_k) - psi(sum alpha) and psi(beta_mkl) - psi(sum_l beta_mkl).
+    """(E[ln pi] (..., K), E[ln gamma] (..., M, K, K)) under the Dirichlet
+    posteriors: psi(alpha_k) - psi(sum alpha) and psi(beta_mkl) -
+    psi(sum_l beta_mkl). Leading axes of the parameters are kept.
 
-    Every digamma argument (alpha, its sum, beta and beta's row sums) goes
+    Every digamma argument (alpha, its sums, beta and beta's row sums) goes
     through one `digamma_vec` call on their concatenation. digamma_vec works
     element by element, so each value is the one a separate call would give,
-    and the fit pays the kernel's fixed cost once per M-step, not four times.
+    and the fit pays the kernel's fixed cost once per M-step of its whole
+    stack, not four times per fit.
     """
-    alpha, beta = params.alpha, params.beta
-    row_sums = beta.sum(axis=2)
-    k, n_beta = alpha.size, beta.size
-    psi = digamma_vec(np.concatenate([alpha, [alpha.sum()], beta.ravel(),
-                                      row_sums.ravel()]))
-    log_pi = psi[:k] - psi[k]
-    log_gamma = (psi[k + 1:k + 1 + n_beta].reshape(beta.shape)
-                 - psi[k + 1 + n_beta:].reshape(row_sums.shape)[:, :, None])
-    return log_pi, log_gamma
+    parts = (params.alpha, params.alpha.sum(axis=-1), params.beta,
+             params.beta.sum(axis=-1))
+    psi = digamma_vec(np.concatenate([part.ravel() for part in parts]))
+    pieces, start = [], 0
+    for part in parts:
+        pieces.append(psi[start:start + part.size].reshape(part.shape))
+        start += part.size
+    psi_alpha, psi_total, psi_beta, psi_rows = pieces
+    return psi_alpha - psi_total[..., None], psi_beta - psi_rows[..., None]
 
 
 # The fits call `expected_logs`. These two views of it stay only because

@@ -1,7 +1,9 @@
 """Independent reference implementations used by the test-suite only.
 
 Everything here is written with plain Python loops and third-party special
-functions so it shares no code paths with the package under test.
+functions so it shares no code paths with the package under test, except
+`reference_eta_search`, which is the loop of standalone fits that the
+stacked eta search replaced.
 """
 
 import csv
@@ -233,6 +235,31 @@ def reference_pair_penalty(must_link, cannot_link, q):
             penalty[a] += sign * q[b]
             penalty[b] += sign * q[a]
     return penalty
+
+
+def reference_eta_search(rm, priors, cs, candidate_etas, opts):
+    """The sequential eta search: one standalone `vb_ilc_fit` per candidate,
+    in grid order, each from the shared initial posterior; the fewest
+    violations win, ties going to the smallest candidate. Returns
+    (best_eta, [(eta, n_violations), ...], best_fit)."""
+    from crowdfuse import aggregators
+
+    candidates = list(candidate_etas)
+    if not candidates:
+        raise ValueError("candidate eta list is empty")
+    init_q = aggregators.initial_posterior(rm, opts)
+    table = []
+    best_key = best_fit = None
+    for eta in candidates:
+        run_opts = aggregators.FitOptions(
+            max_iters=opts.max_iters, tol=opts.tol, eta=float(eta),
+            seed=opts.seed, init="given_posterior", init_posterior=init_q)
+        fit = aggregators.vb_ilc_fit(rm, priors, cs, run_opts)
+        table.append((float(eta), fit.n_violations))
+        key = (fit.n_violations, float(eta))
+        if best_key is None or key < best_key:
+            best_key, best_fit = key, fit
+    return best_key[1], table, best_fit
 
 
 def reference_response_matrix(n_items, n_annotators, entries, n_classes=None):

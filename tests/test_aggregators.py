@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -62,6 +64,15 @@ class TestFitOptions:
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
             FitOptions(eta=-1.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            FitOptions(eta=eta)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            FitOptions(tol=math.nan)
 
 
 class TestDsEm:
@@ -216,6 +227,15 @@ class TestVbIlc:
         with pytest.raises(ValueError, match="not closed"):
             vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
                        FitOptions(eta=eta))
+
+    def test_names_smallest_item_out_of_range(self):
+        rm = matrix_from_labels([[1, 2, 1, 2, 1]], n_classes=2)
+        cs = close(ConstraintSet(must_link=frozenset({(1, 9), (8, 9)}),
+                                 cannot_link=frozenset({(-3, 0)})))
+        with pytest.raises(ValueError,
+                           match="constrained item -3 out of range"):
+            vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
+                       FitOptions(eta=1.0))
 
     def test_reports_violations(self):
         spec = diag_dominant_spec(30, 4, 2, 0.8, seed=1)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from crowdfuse import aggregators
 from crowdfuse.aggregators import FitOptions, vb_ilc_fit, vbem_fit
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
                                    ConstraintSet, check_label_constraints,
@@ -217,6 +220,16 @@ class TestEtaSearch:
         # Re-fit at the winner and confirm the tabulated count.
         fit = vb_ilc_fit(rm, priors, cs, FitOptions(eta=eta))
         assert count_violations(cs, fit.hard_labels) == best_nv
+
+    def test_grid_checked_before_any_fit(self, monkeypatch):
+        rm, priors, cs = self._setup()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit loop started")
+        monkeypatch.setattr(aggregators, "_fit_loop", no_fit)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                eta_search(rm, priors, cs, [1.0, 2.0, bad], FitOptions())
 
     def test_empty_candidates_rejected(self):
         rm, priors, cs = self._setup()

@@ -17,16 +17,38 @@ from crowdfuse.synth import diag_dominant_spec, generate
 ETA_GRID = (0.1, 1.0, 10.0)
 
 
-def counting_vb_ilc_fit(monkeypatch):
+def recording_stacked_fits(monkeypatch):
+    """Record each stacked VB-ILC call as (rm, priors, cs, weights, opts,
+    fits). A call of the standalone `vb_ilc_fit`, which would be a refit,
+    fails."""
     calls = []
-    real = aggregators.vb_ilc_fit
+    real = aggregators._vb_ilc_fits
 
-    def wrapped(*args, **kwargs):
-        calls.append(args[3].eta)
-        return real(*args, **kwargs)
+    def wrapped(rm, priors, cs, etas, opts):
+        fits = real(rm, priors, cs, etas, opts)
+        calls.append((rm, priors, cs, list(etas), opts, fits))
+        return fits
 
-    monkeypatch.setattr(aggregators, "vb_ilc_fit", wrapped)
+    def refit(*args, **kwargs):
+        raise AssertionError("vb_ilc_fit called: the search refitted")
+
+    monkeypatch.setattr(aggregators, "_vb_ilc_fits", wrapped)
+    monkeypatch.setattr(aggregators, "vb_ilc_fit", refit)
     return calls
+
+
+def assert_fits_equal_standalone(call):
+    """Each fit of a stacked call equals a standalone vb_ilc_fit at its
+    weight from the same initial posterior, bit for bit."""
+    rm, priors, cs, etas, opts, fits = call
+    init_q = aggregators.initial_posterior(rm, opts)
+    for eta, fit in zip(etas, fits, strict=True):
+        alone = vb_ilc_fit(rm, priors, cs, FitOptions(
+            max_iters=opts.max_iters, tol=opts.tol, eta=eta,
+            init="given_posterior", init_posterior=init_q))
+        np.testing.assert_array_equal(fit.posterior, alone.posterior)
+        assert fit.trace == alone.trace
+        assert fit.n_violations == alone.n_violations
 
 
 class TestEtaSearchFitIsReused:
@@ -36,12 +58,15 @@ class TestEtaSearchFitIsReused:
         priors = paper_default_priors(5, 3)
         config = experiment.ExperimentConfig(nc_list=(20,), seed=4,
                                              eta_grid=ETA_GRID, max_iters=30)
-        calls = counting_vb_ilc_fit(monkeypatch)
+        calls = recording_stacked_fits(monkeypatch)
         rows = experiment.run_experiment(rm, truth, priors, config)
         monkeypatch.undo()
 
-        # One fit per candidate weight per cell, in grid order.
-        assert calls == list(ETA_GRID) * len(config.protocols)
+        # One stacked fit of the whole grid per cell, in grid order.
+        assert [call[3] for call in calls] == \
+            [list(ETA_GRID)] * len(config.protocols)
+        for call in calls:
+            assert_fits_equal_standalone(call)
 
         # The vb-ilc row is the one a refit at the chosen weight gives.
         vb_fit = vbem_fit(rm, priors, FitOptions(max_iters=30, seed=4))
@@ -74,14 +99,16 @@ class TestEtaSearchFitIsReused:
                                   int(truth.labels[i])) for i in range(8)])
 
         out = tmp_path / "o.json"
-        calls = counting_vb_ilc_fit(monkeypatch)
+        calls = recording_stacked_fits(monkeypatch)
         assert cli.main(["aggregate", "--responses", str(responses),
                          "--method", "vb-ilc", "--k", "3",
                          "--constraints", str(cons), "--eta-grid",
                          ",".join(str(e) for e in ETA_GRID),
                          "--output", str(out)]) == 0
         monkeypatch.undo()
-        assert calls == list(ETA_GRID)
+        [call] = calls
+        assert call[3] == list(ETA_GRID)
+        assert_fits_equal_standalone(call)
 
         # The written posterior is the one a refit at the chosen weight gives.
         doc = json.loads(out.read_text())

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -450,6 +451,39 @@ class TestCliAggregate:
         with pytest.raises(KeyError):
             cli.main(["aggregate", "--responses", str(dataset["responses"]),
                       "--method", "mv", "--output", str(tmp_path / "o.json")])
+
+
+class TestCliNonFiniteWeights:
+    # A NaN or infinite weight, or a NaN tolerance, exits 4 before any
+    # arithmetic runs on it (RuntimeWarnings are errors here) and writes
+    # no output.
+    @pytest.mark.parametrize("command, flags, message", [
+        ("aggregate", ["--eta", "nan"], "eta must be finite"),
+        ("aggregate", ["--eta", "inf"], "eta must be finite"),
+        ("aggregate", ["--eta-grid", "1,nan"], "eta must be finite"),
+        ("aggregate", ["--tol", "nan"], "tol must be >= 0"),
+        ("experiment", ["--eta-grid", "nan"], "eta must be finite"),
+        ("experiment", ["--tol", "nan"], "tol must be >= 0"),
+    ])
+    def test_exit_4(self, dataset, capsys, command, flags, message):
+        ids, labels = dataset["rm"].item_ids, dataset["truth"].labels
+        cons = dataset["dir"] / "labels.csv"
+        write_constraints(cons, [("LABEL", ids[i], int(labels[i]))
+                                 for i in range(6)])
+        out = dataset["dir"] / "out"
+        if command == "aggregate":
+            argv = ["aggregate", "--responses", str(dataset["responses"]),
+                    "--method", "vb-ilc", "--constraints", str(cons),
+                    "--k", "3"]
+        else:
+            argv = ["experiment", "--spec-json", str(dataset["spec_path"]),
+                    "--nc", "12", "--protocols", "label-derived"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv + flags + ["--output", str(out)])
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliSynthExperimentBounds:

@@ -5,20 +5,24 @@ The array constructor of ResponseMatrix must give what the dict form gave,
 the responses CSV must round-trip, and the responses reader must read what
 the row-at-a-time reader read, or report the same fault.
 
-The scatter kernels must equal the np.add.at formulation exactly (same
-terms, added in the same order), and the array digamma must agree with
-scipy and with its own scalar form on every positive input. The shared fit
-loop must keep its trace, convergence flag and prior-only items consistent.
-The component form of the constraint penalty must equal the sum over the
-closed pairs, closure must be idempotent and monotone and must equal the
-union-find closure of `oracles.reference_close`, and the array forms
-of the constraint-set queries must equal loops over the pairs.
+The scatter kernels must give each fit of a stack exactly the np.add.at
+sums of that fit alone (same terms, added in the same order), and the array
+digamma must agree with scipy and with its own scalar form on every
+positive input. The shared fit loop must keep its trace, convergence flag
+and prior-only items consistent. The component form of the constraint
+penalty must equal the sum over the closed pairs, closure must be
+idempotent and monotone and must equal the union-find closure of
+`oracles.reference_close`, and the array forms of the constraint-set
+queries must equal loops over the pairs.
 
 The fit loop's shared work must not change any result: the one digamma
-call of `expected_logs` equals the separate calls, the column-wise row max
-of `softmax_rows` equals the row reduction, the fits of an eta search, which
-share one set's cached components, equal independent fits, and the array
-set-up of `plan_queries` gives the row loop's plan.
+call of `expected_logs` equals the separate calls, also for a stack of
+fits; the column-wise row max of `softmax_rows` equals the row reduction;
+each fit of the stacked eta search, which shares one set's cached
+components, equals a standalone fit at its weight, and the search equals
+the sequential search of `oracles.reference_eta_search`; and the array
+set-up of `plan_queries` gives the row loop's plan. Permuting the items or
+the annotators permutes the posterior.
 """
 
 import math
@@ -33,11 +37,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
 
-from crowdfuse import aggregators
+from crowdfuse import aggregators, model
 from crowdfuse.aggregators import (FitOptions, _component_penalty,
-                                   _likelihood_logits, _response_counts,
-                                   ds_em_fit, majority_vote, vb_ilc_fit,
-                                   vbem_fit)
+                                   _StackedScatter, ds_em_fit,
+                                   initial_posterior, majority_vote,
+                                   vb_ilc_fit, vbem_fit)
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
                                    ConstraintSet, close, count_violations,
                                    derive_from_labels, eta_search)
@@ -48,8 +52,8 @@ from crowdfuse.numerics import digamma, digamma_vec, softmax_rows
 from crowdfuse.selection import plan_queries
 from crowdfuse.synth import diag_dominant_spec, generate
 
-from oracles import (reference_close, reference_pair_penalty,
-                     reference_plan_queries,
+from oracles import (reference_close, reference_eta_search,
+                     reference_pair_penalty, reference_plan_queries,
                      reference_read_responses, reference_response_matrix,
                      response_triples)
 
@@ -296,26 +300,36 @@ def random_posterior(rng, n_items, n_classes):
 
 
 class TestScatterKernels:
+    # Each fit of a stack gets exactly the np.add.at sums of a fit on its
+    # own, also when the scatter was built for a larger stack.
     @SETTINGS
-    @given(crowds())
-    def test_e_step_logits(self, crowd):
+    @given(crowds(), st.integers(1, 3), st.integers(0, 2))
+    def test_e_step_logits(self, crowd, n_fits, spare):
         rm, seed = crowd
         rng = np.random.default_rng(seed)
         k = rm.n_classes
         log_gamma = np.log(rng.dirichlet(np.ones(k),
-                                         size=(rm.n_annotators, k)))
-        np.testing.assert_array_equal(
-            _likelihood_logits(rm, log_gamma),
-            add_at_likelihood_logits(rm, log_gamma))
+                                         size=(n_fits, rm.n_annotators, k)))
+        logits = _StackedScatter(rm, n_fits + spare).likelihood_logits(
+            log_gamma)
+        assert logits.shape == (n_fits, rm.n_items, k)
+        for g in range(n_fits):
+            np.testing.assert_array_equal(
+                logits[g], add_at_likelihood_logits(rm, log_gamma[g]))
 
     @SETTINGS
-    @given(crowds())
-    def test_m_step_counts(self, crowd):
+    @given(crowds(), st.integers(1, 3), st.integers(0, 2))
+    def test_m_step_counts(self, crowd, n_fits, spare):
         rm, seed = crowd
-        q = random_posterior(np.random.default_rng(seed), rm.n_items,
-                             rm.n_classes)
-        np.testing.assert_array_equal(_response_counts(rm, q),
-                                      add_at_response_counts(rm, q))
+        rng = np.random.default_rng(seed)
+        q = np.stack([random_posterior(rng, rm.n_items, rm.n_classes)
+                      for _ in range(n_fits)])
+        counts = _StackedScatter(rm, n_fits + spare).response_counts(q)
+        assert counts.shape == (n_fits, rm.n_annotators, rm.n_classes,
+                                rm.n_classes)
+        for g in range(n_fits):
+            np.testing.assert_array_equal(counts[g],
+                                          add_at_response_counts(rm, q[g]))
 
     @SETTINGS
     @given(crowds())
@@ -436,6 +450,20 @@ class TestExpectedLogs:
             rtol=1e-10, atol=1e-10)
 
 
+    @SETTINGS
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 3),
+           st.data())
+    def test_stack_equals_fits_alone(self, k, m, n_fits, data):
+        # One call for a stack of fits gives each fit its own call's values.
+        alpha = data.draw(arrays(float, (n_fits, k), elements=POSITIVE))
+        beta = data.draw(arrays(float, (n_fits, m, k, k), elements=POSITIVE))
+        log_pi, log_gamma = expected_logs(PosteriorParams(alpha, beta))
+        for g in range(n_fits):
+            alone = expected_logs(PosteriorParams(alpha[g], beta[g]))
+            np.testing.assert_array_equal(log_pi[g], alone[0])
+            np.testing.assert_array_equal(log_gamma[g], alone[1])
+
+
 class TestSoftmaxRows:
     @SETTINGS
     @given(st.integers(2, 12).flatmap(lambda k: arrays(
@@ -519,17 +547,25 @@ class TestConstraintPenalty:
     @given(crowds(), st.data())
     def test_components_equal_pair_sum(self, crowd, data):
         # The component form sums in another order, so it matches the pair
-        # sum to rounding, not bit for bit.
+        # sum to rounding, not bit for bit. Each fit of a stack gets its own
+        # posterior's penalty, also when the penalty was built for a larger
+        # stack.
         rm, seed = crowd
         cs = data.draw(closed_sets(rm.n_items))
-        q = random_posterior(np.random.default_rng(seed), rm.n_items,
-                             rm.n_classes)
-        penalty = _component_penalty(cs, rm.n_items, rm.n_classes)(q)
-        np.testing.assert_allclose(
-            penalty, reference_pair_penalty(cs.must_link, cs.cannot_link, q),
-            rtol=0, atol=1e-12)
+        n_fits, spare = data.draw(st.integers(1, 3)), data.draw(
+            st.integers(0, 2))
+        rng = np.random.default_rng(seed)
+        q = np.stack([random_posterior(rng, rm.n_items, rm.n_classes)
+                      for _ in range(n_fits)])
+        penalty = _component_penalty(cs, rm.n_items, rm.n_classes,
+                                     n_fits + spare)(q)
         free = [n for n in range(rm.n_items) if n not in cs.items]
-        assert np.all(penalty[free] == 0.0)
+        for g in range(n_fits):
+            np.testing.assert_allclose(
+                penalty[g],
+                reference_pair_penalty(cs.must_link, cs.cannot_link, q[g]),
+                rtol=0, atol=1e-12)
+            assert np.all(penalty[g][free] == 0.0)
 
     @SETTINGS
     @given(SIZED_PAIR_LISTS)
@@ -618,40 +654,113 @@ class TestConstraintSetProperties:
         assert cl_src.size == cl_dst.size == 0
 
 
-def recorded_eta_search(rm, priors, cs, opts):
-    """eta_search's fits, each with the options it was run with."""
-    fits = []
-    real = aggregators.vb_ilc_fit
+def recorded_eta_search(rm, priors, cs, grid, opts):
+    """(eta_search's result, [(weights, fits) of each stacked fit call]).
+    A call of the standalone `vb_ilc_fit`, which would be a refit, fails."""
+    calls = []
+    real = aggregators._vb_ilc_fits
 
     def recording(*args):
-        fits.append((args[3], real(*args)))
-        return fits[-1][1]
-    with mock.patch.object(aggregators, "vb_ilc_fit", recording):
-        eta_search(rm, priors, cs, DEFAULT_ETA_GRID, opts)
-    return fits
+        fits = real(*args)
+        calls.append((list(args[3]), fits))
+        return fits
+    refit = mock.Mock(side_effect=AssertionError("eta_search refitted"))
+    with mock.patch.object(aggregators, "_vb_ilc_fits", recording), \
+            mock.patch.object(aggregators, "vb_ilc_fit", refit):
+        result = eta_search(rm, priors, cs, grid, opts)
+    return result, calls
+
+
+def assert_same_fit(fit, expected):
+    """Every FitResult field equal, bit for bit."""
+    np.testing.assert_array_equal(fit.posterior, expected.posterior)
+    np.testing.assert_array_equal(fit.hard_labels, expected.hard_labels)
+    assert fit.trace == expected.trace
+    assert fit.iterations_run == expected.iterations_run
+    assert fit.converged == expected.converged
+    np.testing.assert_array_equal(fit.params.alpha, expected.params.alpha)
+    np.testing.assert_array_equal(fit.params.beta, expected.params.beta)
+    assert fit.n_violations == expected.n_violations
+    assert fit.prior_only_items == expected.prior_only_items
+
+
+# Grids with a zero weight, with a repeated weight, and the default grid.
+ETA_GRIDS = st.one_of(
+    st.just(DEFAULT_ETA_GRID),
+    st.lists(st.sampled_from([0.0, 0.05, 1.0, 5.0, 100.0]), min_size=1,
+             max_size=6))
 
 
 class TestEtaSearchSharedWork:
-    @settings(max_examples=25, deadline=None)
-    @given(crowds(), st.data())
-    def test_fits_equal_independent_fits(self, crowd, data):
-        # The search's fits share one set's cached components; each must
-        # equal a fit on an equal set that computes its own.
+    @settings(max_examples=40, deadline=None)
+    @given(crowds(), st.data(), ETA_GRIDS,
+           st.sampled_from([0.0, 1e-6, 1e-2, 0.3]), st.integers(1, 8))
+    def test_fits_equal_independent_fits(self, crowd, data, grid, tol,
+                                         max_iters):
+        # With tol > 0 the fits of one stack stop at different iterations;
+        # each must still equal a standalone fit at its weight on an equal
+        # set that computes its own components, and the search must equal
+        # the sequential search.
         rm, _ = crowd
-        cs = data.draw(closed_sets(rm.n_items))
+        cs = data.draw(st.one_of(st.just(ConstraintSet(closed=True)),
+                                 closed_sets(rm.n_items)))
         priors = paper_default_priors(rm.n_annotators, rm.n_classes)
-        fits = recorded_eta_search(rm, priors, cs,
-                                   FitOptions(max_iters=4, tol=0.0))
-        assert len(fits) == len(DEFAULT_ETA_GRID)
-        for opts, fit in fits:
+        opts = FitOptions(max_iters=max_iters, tol=tol)
+        (best_eta, table, best_fit), calls = recorded_eta_search(
+            rm, priors, cs, grid, opts)
+        [(etas, fits)] = calls
+        assert etas == [float(eta) for eta in grid]
+        init_q = initial_posterior(rm, opts)
+        for eta, fit in zip(etas, fits):
             alone = vb_ilc_fit(rm, priors, ConstraintSet(
-                cs.must_link, cs.cannot_link, closed=True), opts)
-            np.testing.assert_array_equal(fit.posterior, alone.posterior)
-            assert fit.trace == alone.trace
-            np.testing.assert_array_equal(fit.params.alpha,
-                                          alone.params.alpha)
-            np.testing.assert_array_equal(fit.params.beta, alone.params.beta)
-            assert fit.n_violations == alone.n_violations
+                cs.must_link, cs.cannot_link, closed=True), FitOptions(
+                    max_iters=max_iters, tol=tol, eta=eta,
+                    init="given_posterior", init_posterior=init_q))
+            assert_same_fit(fit, alone)
+        ref_eta, ref_table, ref_fit = reference_eta_search(rm, priors, cs,
+                                                           grid, opts)
+        assert best_eta == ref_eta
+        assert table == ref_table
+        assert_same_fit(best_fit, ref_fit)
+
+    def test_fits_stop_at_different_iterations(self):
+        # At large weights this crowd's fits do not converge, so the stack
+        # shrinks while they run on.
+        rm, truth = generate(diag_dominant_spec(200, 5, 3, 0.65, seed=1))
+        priors = paper_default_priors(5, 3)
+        cs = close(selection_set(rm, truth, priors))
+        opts = FitOptions(max_iters=60, tol=1e-6)
+        (best_eta, table, best_fit), [(_, fits)] = recorded_eta_search(
+            rm, priors, cs, DEFAULT_ETA_GRID, opts)
+        assert len({fit.iterations_run for fit in fits}) > 2
+        assert any(fit.converged for fit in fits)
+        assert not all(fit.converged for fit in fits)
+        ref_eta, ref_table, ref_fit = reference_eta_search(
+            rm, priors, cs, DEFAULT_ETA_GRID, opts)
+        assert (best_eta, table) == (ref_eta, ref_table)
+        assert_same_fit(best_fit, ref_fit)
+
+    def test_one_softmax_and_digamma_call_per_iteration(self):
+        # The stack pays the fit loop's fixed costs once per iteration, not
+        # once per candidate.
+        rm, truth = generate(diag_dominant_spec(60, 4, 3, 0.7, seed=3))
+        cs = derive_from_labels([(n, int(truth.labels[n]))
+                                 for n in range(0, 60, 4)])
+        calls = {"softmax_rows": 0, "digamma_vec": 0}
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapped
+        max_iters = 7
+        with mock.patch.object(aggregators, "softmax_rows",
+                               counting("softmax_rows", softmax_rows)), \
+                mock.patch.object(model, "digamma_vec",
+                                  counting("digamma_vec", digamma_vec)):
+            eta_search(rm, paper_default_priors(4, 3), cs, DEFAULT_ETA_GRID,
+                       FitOptions(max_iters=max_iters, tol=0.0))
+        assert calls == {"softmax_rows": max_iters, "digamma_vec": max_iters}
 
     def test_components_computed_once_per_set(self):
         rm, truth = generate(diag_dominant_spec(40, 4, 3, 0.7, seed=3))
@@ -665,8 +774,69 @@ class TestEtaSearchSharedWork:
             return real(self, n_items)
         with mock.patch.object(ConstraintSet, "_compute_components",
                                counting):
-            fits = recorded_eta_search(
-                rm, paper_default_priors(4, 3), cs,
+            _, [(_, fits)] = recorded_eta_search(
+                rm, paper_default_priors(4, 3), cs, DEFAULT_ETA_GRID,
                 FitOptions(max_iters=3, tol=0.0))
         assert len(fits) == len(DEFAULT_ETA_GRID)
         assert calls == [rm.n_items]
+
+
+def selection_set(rm, truth, priors):
+    """Must-links and cannot-links from truth on the 60 most uncertain
+    pairs that `plan_queries` picks from the VB posterior."""
+    plan = plan_queries(vbem_fit(rm, priors).posterior, 60, seed=0)
+    ml = {pair for pair in plan.queries
+          if truth.labels[pair[0]] == truth.labels[pair[1]]}
+    return ConstraintSet(must_link=frozenset(ml),
+                         cannot_link=frozenset(set(plan.queries) - ml))
+
+
+def permuted_crowd(rm, item_order, annotator_order):
+    """The crowd with item i of the result being item item_order[i] of rm,
+    and likewise for annotators."""
+    ann, item, label0 = rm.coords
+    item_pos = np.argsort(item_order)
+    ann_pos = np.argsort(annotator_order)
+    return ResponseMatrix(rm.n_items, rm.n_annotators, ann_pos[ann],
+                          item_pos[item], label0 + 1,
+                          n_classes=rm.n_classes)
+
+
+class TestPermutationInvariance:
+    # Relabelling the items or the annotators relabels the posterior: the
+    # sums run in another order, so it matches to rounding. tol = 0 fixes
+    # the iteration count, which a tolerance test could shift by one.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(4, 40), st.integers(1, 6), st.integers(2, 4),
+           st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_posterior_permutes(self, n_items, n_annotators, n_classes,
+                                seed, permute_items, data):
+        rm, truth = generate(diag_dominant_spec(n_items, n_annotators,
+                                                n_classes, 0.7, seed=seed))
+        rng = np.random.default_rng(seed)
+        item_order = (rng.permutation(n_items) if permute_items
+                      else np.arange(n_items))
+        annotator_order = (np.arange(n_annotators) if permute_items
+                           else rng.permutation(n_annotators))
+        moved = permuted_crowd(rm, item_order, annotator_order)
+        priors = paper_default_priors(n_annotators, n_classes)
+        opts = FitOptions(max_iters=15, tol=0.0)
+        for fit in (lambda r: ds_em_fit(r, opts),
+                    lambda r: vbem_fit(r, priors, opts)):
+            np.testing.assert_allclose(
+                fit(moved).posterior, fit(rm).posterior[item_order],
+                rtol=0, atol=1e-10)
+
+        cs = data.draw(closed_sets(n_items))
+        item_pos = np.argsort(item_order)
+        moved_cs = ConstraintSet(
+            must_link=[(item_pos[a], item_pos[b]) for a, b in cs.must_link],
+            cannot_link=[(item_pos[a], item_pos[b])
+                         for a, b in cs.cannot_link], closed=True)
+        eta, _, best = eta_search(rm, priors, cs, DEFAULT_ETA_GRID, opts)
+        moved_eta, _, moved_best = eta_search(moved, priors, moved_cs,
+                                              DEFAULT_ETA_GRID, opts)
+        assert moved_eta == eta
+        np.testing.assert_allclose(moved_best.posterior,
+                                   best.posterior[item_order],
+                                   rtol=0, atol=1e-10)
