@@ -362,7 +362,8 @@ def vb_ilc_fit(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     The term is computed per must-link component of the closed set, not per
     pair: an item's must-link sum is its component's posterior sum less its
     own row, and its cannot-link sum is the sum over the components joined
-    to its own. A set flagged closed that is not closed raises ValueError.
+    to its own. A non-empty set that `close` did not build raises
+    ValueError.
     """
     opts = opts or FitOptions()
     [fit] = _vb_ilc_fits(rm, priors, cs, (opts.eta,), opts)
@@ -378,12 +379,12 @@ def _vb_ilc_fits(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     _check_prior_dimensions(rm, priors)
     if len(cs) and not cs.closed:
         raise ValueError("constraint set must be closed before fitting")
-    endpoints = np.concatenate(cs.pair_arrays)
-    outside = endpoints[(endpoints < 0) | (endpoints >= rm.n_items)]
-    if outside.size:
-        raise ValueError(f"constrained item {outside.min()} out of range")
+    cs_items = cs.items
+    outside = [item for item in cs_items if not 0 <= item < rm.n_items]
+    if outside:
+        raise ValueError(f"constrained item {min(outside)} out of range")
     return _fit_loop(rm, opts, functools.partial(_vb_m_step, priors=priors),
-                     etas=etas, cs=cs, cs_items=cs.items)
+                     etas=etas, cs=cs, cs_items=cs_items)
 
 
 def ds_em_fit(rm: ResponseMatrix, opts: FitOptions | None = None) -> FitResult:

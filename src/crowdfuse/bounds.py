@@ -272,8 +272,12 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         def clean(x):
+            # A non-finite number, alone or in an array, becomes its string
+            # ("inf", "nan"), which strict JSON can hold.
             if isinstance(x, np.ndarray):
-                return x.tolist()
+                x = x.tolist()
+            if isinstance(x, (list, tuple)):
+                return [clean(v) for v in x]
             if isinstance(x, float) and not math.isfinite(x):
                 return str(x)
             return x
@@ -290,8 +294,7 @@ class BoundReport:
             "eps_pi_bound": clean(self.eps_pi_bound),
             "eps_gamma_bound": clean(self.eps_gamma_bound),
             "nu": clean(self.nu),
-            "nu_terms": [clean(t) for t in self.nu_terms]
-            if self.nu_terms is not None else None,
+            "nu_terms": clean(self.nu_terms),
             "empirical": {
                 "max_label_error": clean(self.empirical_label_error),
                 "max_pi_error": clean(self.empirical_pi_error),

@@ -113,7 +113,7 @@ def cmd_aggregate(args) -> int:
     cs = None
     label_constraints = None
     if args.constraints:
-        cs, label_constraints, _ = fileio.read_constraints(
+        cs, label_constraints = fileio.read_constraints(
             args.constraints, rm.item_ids)
 
     eta = None
@@ -261,7 +261,7 @@ def cmd_bounds(args) -> int:
 
     n_ml = n_cl = by_class = None
     if args.constraints:
-        cs, _, _ = fileio.read_constraints(args.constraints, rm_ids)
+        cs, _ = fileio.read_constraints(args.constraints, rm_ids)
         n_ml, n_cl, by_class = bounds.constraint_counts(cs, truth,
                                                         spec.n_items)
     inputs = bounds.BoundInputs(
@@ -281,7 +281,8 @@ def cmd_bounds(args) -> int:
                                  nu_inputs=nu_inputs)
     report = bounds.empirical_vs_bound(fit, truth, spec, report)
     with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), handle, indent=2, sort_keys=True,
+                  allow_nan=False)
         handle.write("\n")
     return 0
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,40 +27,94 @@ def _canonical(pairs) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class ConstraintSet:
-    """Unordered must-link and cannot-link item pairs.
+    """Unordered must-link and cannot-link item pairs, each kept as (i, j)
+    with i < j.
 
-    Pairs are stored in (i, j) form with i < j. `closed` records whether the
-    set is a logical-closure fixpoint.
-
-    The set is frozen, so what is derived from its pairs is computed once
-    and kept on the instance: `pair_arrays`, `items`, and `components` per
-    `n_items`. Every fit of an eta search reuses them. The cached arrays are
-    read-only and `items` is a frozenset, so no caller can change what later
-    queries of the set see.
+    Queries read the set as groups: every pair inside a group is a
+    must-link, and every pair across the two groups of an edge is a
+    cannot-link. A set built from pairs has a group per must-link and a
+    one-item group at each end of a cannot-link. A set that `close` builds
+    keeps only its groups, its must-link components, as read-only arrays:
+    its sorted items, each item's component (numbered in the order of the
+    components' smallest items, their roots) and the edges between them.
+    Its pairs are views, expanded on first access.
     """
 
-    must_link: frozenset = frozenset()
-    cannot_link: frozenset = frozenset()
-    closed: bool = False
+    _closure = None  # (items, comp, edge_a, edge_b) of a closed set
 
-    def __post_init__(self):
-        ml = _canonical(self.must_link)
-        cl = _canonical(self.cannot_link)
+    def __init__(self, must_link=frozenset(), cannot_link=frozenset()):
+        ml = _canonical(must_link)
+        cl = _canonical(cannot_link)
         overlap = ml & cl
         if overlap:
             raise ConstraintConflictError(next(iter(overlap)))
-        object.__setattr__(self, "must_link", ml)
-        object.__setattr__(self, "cannot_link", cl)
+        self._pairs = (ml, cl)
+
+    @property
+    def closed(self) -> bool:
+        """Whether `close` built the set."""
+        return self._closure is not None
+
+    @property
+    def must_link(self) -> frozenset:
+        return self._pairs[0]
+
+    @property
+    def cannot_link(self) -> frozenset:
+        return self._pairs[1]
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[frozenset, frozenset]:
+        # Only a closed set reaches this: __init__ sets a given set's pairs.
+        items, comp, edge_a, edge_b = self._closure
+        groups = [group.tolist() for group in np.split(
+            items[np.argsort(comp, kind="stable")],
+            np.cumsum(self._sizes)[:-1])]
+        return (frozenset(pair for group in groups
+                          for pair in itertools.combinations(group, 2)),
+                _canonical(pair for a, b in zip(edge_a, edge_b)
+                           for pair in itertools.product(groups[a],
+                                                         groups[b])))
+
+    @functools.cached_property
+    def _groups(self) -> tuple[np.ndarray, ...]:
+        """(member item, member group, edge_a, edge_b); the edges follow the
+        order of `cannot_link`."""
+        if self.closed:
+            return self._closure
+        n_ml, n_cl = len(self.must_link), len(self.cannot_link)
+        ends = n_ml + np.arange(2 * n_cl)  # the cannot-links' one-item groups
+        return (np.concatenate(self.pair_arrays),
+                np.concatenate([np.tile(np.arange(n_ml), 2), ends]),
+                ends[:n_cl], ends[n_cl:])
+
+    @functools.cached_property
+    def _sizes(self) -> np.ndarray:
+        return np.bincount(self._groups[1])
+
+    def __eq__(self, other):
+        if not isinstance(other, ConstraintSet):
+            return NotImplemented
+        if self.closed and other.closed:
+            return all(map(np.array_equal, self._closure, other._closure))
+        return not (self.closed or other.closed) and self._pairs == other._pairs
+
+    def __hash__(self):
+        return hash((self.closed, len(self), self.items))
+
+    def __repr__(self):
+        return (f"{'closed ' * self.closed}ConstraintSet(must_link="
+                f"{set(self.must_link)}, cannot_link={set(self.cannot_link)})")
 
     def __len__(self) -> int:
-        return len(self.must_link) + len(self.cannot_link)
+        sizes, edge_a, edge_b = self._sizes, *self._groups[2:]
+        return _n_pairs(sizes) + int((sizes[edge_a] * sizes[edge_b]).sum())
 
     @functools.cached_property
     def pair_arrays(self) -> tuple[np.ndarray, ...]:
         """(ml_a, ml_b, cl_a, cl_b): the pairs' endpoints as intp arrays,
-        with a < b in every pair. Computed once per set."""
+        with a < b in every pair."""
         def endpoints(pairs):
             flat = np.fromiter(itertools.chain.from_iterable(pairs),
                                dtype=np.intp, count=2 * len(pairs))
@@ -71,61 +124,54 @@ class ConstraintSet:
 
     @property
     def items(self) -> frozenset:
-        """The items that appear in some pair. Computed once per set."""
+        """The items that appear in some pair."""
         return self._items
 
     @functools.cached_property
     def _items(self) -> frozenset:
-        return frozenset(np.unique(np.concatenate(self.pair_arrays)).tolist())
+        return frozenset(self._item_array.tolist())
 
     @functools.cached_property
-    def _components_by_size(self) -> dict:
-        return {}
+    def _item_array(self) -> np.ndarray:
+        return np.unique(self._groups[0])
+
+    def _check_range(self, n_items: int) -> None:
+        items = self._item_array
+        if items.size and (items[0] < 0 or items[-1] >= n_items):
+            raise ValueError(f"constrained item outside 0..{n_items - 1}")
 
     def per_item_counts(self, n_items: int) -> tuple[np.ndarray, np.ndarray]:
         """(must-link degree, cannot-link degree) per item index."""
-        ml_a, ml_b, cl_a, cl_b = self.pair_arrays
-        counts = (np.bincount(np.concatenate([ml_a, ml_b]), minlength=n_items),
-                  np.bincount(np.concatenate([cl_a, cl_b]), minlength=n_items))
-        if any(c.size > n_items for c in counts):
-            raise ValueError(f"constrained item outside 0..{n_items - 1}")
-        return counts
+        self._check_range(n_items)
+        member, group, edge_a, edge_b = self._groups
+        sizes = self._sizes
+        joined = np.bincount(np.concatenate([edge_a, edge_b]),
+                             np.concatenate([sizes[edge_b], sizes[edge_a]]),
+                             sizes.size)
+        return tuple(np.bincount(member, per_group[group], n_items).astype(
+            np.intp) for per_group in (sizes - 1, joined))
 
     def components(self, n_items: int):
-        """The set as must-link components: (component id per item, source
-        and target components of each cannot-link edge between components,
-        listed in both directions).
+        """The must-link components of the set's closure: (component id per
+        item, source and target components of each cannot-link edge between
+        components, listed in both directions), as read-only arrays. A
+        component's id is its smallest item; an item with no must-link is
+        its own component."""
+        if not self.closed:
+            return close(self).components(n_items)
+        self._check_range(n_items)
+        items, item_comp, edge_a, edge_b = self._closure
+        roots = items[np.unique(item_comp, return_index=True)[1]]
+        comp = np.arange(n_items)
+        comp[items] = roots[item_comp]
+        lo, hi = roots[edge_a], roots[edge_b]
+        return _read_only(comp, np.concatenate([lo, hi]),
+                          np.concatenate([hi, lo]))
 
-        A component's id is its smallest item; an item with no must-link is
-        its own component. On a closed set every component is a must-link
-        clique and every cannot-link edge joins two whole components, so
-        these arrays determine every pair. Raises ValueError when the set is
-        not closed. Computed once per set and `n_items`; the arrays are
-        read-only.
-        """
-        cache = self._components_by_size
-        if n_items not in cache:
-            cache[n_items] = _read_only(*self._compute_components(n_items))
-        return cache[n_items]
 
-    def _compute_components(self, n_items: int):
-        ml_a, ml_b, cl_a, cl_b = self.pair_arrays
-        comp = _component_ids(n_items, ml_a, ml_b)
-        # A connected component of s items holds at most s(s-1)/2 must-links,
-        # so the total reaches the pair count only if each is a clique.
-        sizes = np.bincount(comp, minlength=n_items)
-        if (sizes * (sizes - 1) // 2).sum() != ml_a.size:
-            raise ValueError("constraint set is not closed: its must-links "
-                             "do not form cliques")
-        # No cannot-link lies inside a component: the component is a clique,
-        # so the pair would be a must-link too, which __post_init__ rejects.
-        ca, cb = comp[cl_a], comp[cl_b]
-        edges = np.unique(np.minimum(ca, cb) * n_items + np.maximum(ca, cb))
-        lo, hi = np.divmod(edges, n_items)
-        if (sizes[lo] * sizes[hi]).sum() != cl_a.size:
-            raise ValueError("constraint set is not closed: its cannot-links "
-                             "do not join whole must-link components")
-        return comp, np.concatenate([lo, hi]), np.concatenate([hi, lo])
+def _n_pairs(sizes: np.ndarray) -> int:
+    """The number of pairs within groups of these sizes."""
+    return int((sizes * (sizes - 1) // 2).sum())
 
 
 def _read_only(*arrays) -> tuple[np.ndarray, ...]:
@@ -162,7 +208,8 @@ def _component_ids(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def close(cs: ConstraintSet, binary_cl_rule: bool = False) -> ConstraintSet:
     """Logical closure: must-links are transitive, and cannot-links propagate
-    through must-linked items.
+    through must-linked items. A closed set is returned as it is, unless the
+    binary rule is asked for.
 
     With `binary_cl_rule`, two cannot-links sharing an endpoint imply a
     must-link between the other endpoints (valid only for two classes; off
@@ -171,24 +218,33 @@ def close(cs: ConstraintSet, binary_cl_rule: bool = False) -> ConstraintSet:
     A cannot-link inside a must-link component raises
     ConstraintConflictError naming the first such pair of `cs.cannot_link`.
     """
-    ml_a, ml_b, cl_a, cl_b = cs.pair_arrays
+    if cs.closed and not binary_cl_rule:
+        return cs
+    return _close_groups(*cs._groups, binary_cl_rule)
+
+
+def _close_groups(member, group, edge_a, edge_b,
+                 binary_cl_rule: bool) -> ConstraintSet:
+    """The closed set of groups 0..G-1 (see `ConstraintSet`), spanned by a
+    must-link from each member to its group's first member and a
+    cannot-link between the first members of each edge's groups. A conflict
+    names the first edge whose groups fall in one component."""
     # Work on positions in the sorted item list, so the smallest position
     # in a component is its smallest item.
-    items, index = np.unique(np.concatenate(cs.pair_arrays),
-                             return_inverse=True)
-    edge_a, edge_b, cl_pos_a, cl_pos_b = np.split(
-        index, np.cumsum([ml_a.size, ml_a.size, cl_a.size]))
+    items, ml_a = np.unique(member, return_inverse=True)
+    lead = ml_a[np.unique(group, return_index=True)[1]]
+    ml_b, cl_a, cl_b = lead[group], lead[edge_a], lead[edge_b]
 
     def cannot_link_components(comp):
-        ca, cb = comp[cl_pos_a], comp[cl_pos_b]
+        ca, cb = comp[cl_a], comp[cl_b]
         inside = np.flatnonzero(ca == cb)
         if inside.size:
             first = inside[0]
-            raise ConstraintConflictError((int(cl_a[first]),
-                                           int(cl_b[first])))
+            raise ConstraintConflictError((int(items[cl_a[first]]),
+                                           int(items[cl_b[first]])))
         return ca, cb
 
-    comp = _component_ids(items.size, edge_a, edge_b)
+    comp = _component_ids(items.size, ml_a, ml_b)
     ca, cb = cannot_link_components(comp)
     if binary_cl_rule:
         # With two classes, the cannot-link neighbours of a component share
@@ -202,36 +258,30 @@ def close(cs: ConstraintSet, binary_cl_rule: bool = False) -> ConstraintSet:
         smallest = np.full(items.size, items.size)
         np.minimum.at(smallest, src, dst)
         comp = _component_ids(items.size,
-                              np.concatenate([edge_a, smallest[src]]),
-                              np.concatenate([edge_b, dst]))
+                              np.concatenate([ml_a, smallest[src]]),
+                              np.concatenate([ml_b, dst]))
         ca, cb = cannot_link_components(comp)
 
-    members = {}
-    for item, c in zip(items.tolist(), comp.tolist()):
-        members.setdefault(c, []).append(item)
-    joined = {(a, b) if a < b else (b, a)
-              for a, b in zip(ca.tolist(), cb.tolist())}
-    return _expand(members.values(),
-                   [(members[a], members[b]) for a, b in joined])
-
-
-def _expand(groups, group_pairs) -> ConstraintSet:
-    """The closed set whose must-link components are `groups` and whose
-    cannot-links join every item of one group in each of `group_pairs` to
-    every item of the other."""
-    ml = (pair for group in groups
-          for pair in itertools.combinations(group, 2))
-    cl = (pair for g, h in group_pairs for pair in itertools.product(g, h))
-    return ConstraintSet(must_link=ml, cannot_link=cl, closed=True)
+    # Number the components in the order of their smallest positions.
+    root_pos, comp = np.unique(comp, return_inverse=True)
+    ca, cb, n_comp = comp[ca], comp[cb], root_pos.size
+    edges = np.unique(np.minimum(ca, cb) * n_comp + np.maximum(ca, cb))
+    cs = ConstraintSet.__new__(ConstraintSet)
+    cs._closure = _read_only(items, comp, *np.divmod(edges, n_comp))
+    return cs
 
 
 def count_violations(cs: ConstraintSet, labels) -> int:
     """Violated constraints under a hard labeling: must-links with differing
-    labels plus cannot-links with equal labels."""
-    labels = np.asarray(labels)
-    ml_a, ml_b, cl_a, cl_b = cs.pair_arrays
-    return int(np.count_nonzero(labels[ml_a] != labels[ml_b])
-               + np.count_nonzero(labels[cl_a] == labels[cl_b]))
+    labels plus cannot-links with equal labels. With n_gk members of group g
+    labelled k, they are sum_g C(s_g, 2) - sum_gk C(n_gk, 2) plus, over the
+    edges (g, g'), sum_k n_gk * n_g'k."""
+    member, group, edge_a, edge_b = cs._groups
+    label = np.unique(np.asarray(labels)[member], return_inverse=True)[1]
+    counts = np.zeros((cs._sizes.size, label.max(initial=0) + 1), int)
+    np.add.at(counts, (group, label), 1)
+    return int(_n_pairs(cs._sizes) - _n_pairs(counts)
+               + (counts[edge_a] * counts[edge_b]).sum())
 
 
 def check_label_constraints(label_constraints, n_items: int,
@@ -259,14 +309,18 @@ def _class_by_item(label_constraints) -> dict:
 
 
 def derive_from_labels(label_constraints) -> ConstraintSet:
-    """Expand (item, class) constraints into all implied pairwise links:
-    must-link within a class, cannot-link across classes. Output is closed.
+    """The closed set that (item, class) constraints imply: must-link within
+    a class, cannot-link across classes. It is the closure of O(L) pairs for
+    L items, with each class a group and an edge between every two classes.
     An item given two classes raises ConstraintConflictError."""
-    by_class = {}
-    for item, cls in _class_by_item(label_constraints).items():
-        by_class.setdefault(cls, []).append(item)
-    return _expand(by_class.values(),
-                   itertools.combinations(by_class.values(), 2))
+    by_item = _class_by_item(label_constraints)
+    if len(by_item) == 1:
+        by_item = {}  # one labelled item implies no pair
+    items = np.fromiter(by_item, dtype=np.intp, count=len(by_item))
+    of_class = np.unique(list(by_item.values()), return_inverse=True)[1]
+    n_classes = of_class.max(initial=-1) + 1
+    return _close_groups(items, of_class, *np.triu_indices(n_classes, 1),
+                         False)
 
 
 DEFAULT_ETA_GRID = (0.01, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 100, 500)

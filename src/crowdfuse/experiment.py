@@ -38,6 +38,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown protocol {p!r}")
         if self.violations_on not in ("given", "closed"):
             raise ValueError("violations_on must be 'given' or 'closed'")
+        # Checked here, since a cell without constraints never searches.
+        if not self.eta_grid:
+            raise ValueError("candidate eta list is empty")
+        for eta in self.eta_grid:
+            aggregators._check_eta(eta)
 
 
 def _cell_seed(base: int, protocol: str, n_c: int, repeat: int) -> int:
@@ -83,7 +88,7 @@ def build_constraints(protocol: str, n_c: int, truth: GroundTruth,
     rng = np.random.default_rng(seed)
     known = [int(i) for i in np.flatnonzero(truth.known_mask)]
     if n_c == 0:
-        empty = ConstraintSet(closed=True)
+        empty = constraints.close(ConstraintSet())
         return empty, empty, []
     if n_c > len(known) and protocol != "bvsb-constraints":
         raise ValueError(f"not enough ground truth for N_C = {n_c}")

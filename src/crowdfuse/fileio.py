@@ -144,11 +144,10 @@ def write_truth(path, truth: GroundTruth, item_ids: list) -> None:
 
 
 def read_constraints(path, item_ids: list):
-    """Read the `kind,a,b` CSV. Returns (ConstraintSet, label_constraints,
-    query_pairs): ML/CL rows build the pairwise set, LABEL rows map an item
-    to a class, QUERY rows are unanswered pair requests."""
+    """Read the `kind,a,b` CSV. Returns (ConstraintSet, label_constraints):
+    ML/CL rows build the pairwise set, LABEL rows map an item to a class."""
     index = {item_id: i for i, item_id in enumerate(item_ids)}
-    ml, cl, label_constraints, queries = set(), set(), [], []
+    ml, cl, label_constraints = set(), set(), []
     handle, reader = _open_reader(path)
     with handle:
         header = next(reader, None)
@@ -159,7 +158,7 @@ def read_constraints(path, item_ids: list):
             if len(row) != 3:
                 raise InputFormatError(f"{path}:{lineno}: expected 3 fields")
             kind, a, b = (c.strip() for c in row)
-            if kind in ("ML", "CL", "QUERY"):
+            if kind in ("ML", "CL"):
                 if a not in index or b not in index:
                     raise InputFormatError(
                         f"{path}:{lineno}: unknown item in pair ({a!r}, {b!r})")
@@ -167,12 +166,7 @@ def read_constraints(path, item_ids: list):
                 if pair[0] == pair[1]:
                     raise InputFormatError(
                         f"{path}:{lineno}: self-pair ({a!r}, {b!r})")
-                if kind == "ML":
-                    ml.add(pair)
-                elif kind == "CL":
-                    cl.add(pair)
-                else:
-                    queries.append(pair)
+                (ml if kind == "ML" else cl).add(pair)
             elif kind == "LABEL":
                 if a not in index:
                     raise InputFormatError(f"{path}:{lineno}: unknown item {a!r}")
@@ -184,7 +178,7 @@ def read_constraints(path, item_ids: list):
             else:
                 raise InputFormatError(f"{path}:{lineno}: unknown kind {kind!r}")
     return (ConstraintSet(must_link=frozenset(ml), cannot_link=frozenset(cl)),
-            label_constraints, queries)
+            label_constraints)
 
 
 def write_constraints(path, rows) -> None:

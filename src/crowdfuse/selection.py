@@ -116,10 +116,3 @@ def answer_queries(plan: QueryPlan,
     """The closure of `answer_pairs` of the queried pairs."""
     return constraints_mod.close(answer_pairs(plan.queries, truth))
 
-
-def plan_to_rows(plan: QueryPlan, item_ids=None) -> list:
-    """Rows for the constraint CSV format, kind QUERY."""
-    def name(i):
-        return item_ids[i] if item_ids is not None else str(i)
-
-    return [("QUERY", name(a), name(b)) for a, b in plan.queries]

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy import special
 
-from crowdfuse.constraints import ConstraintConflictError, ConstraintSet
+from crowdfuse.constraints import ConstraintConflictError
 from crowdfuse.fileio import InputFormatError
 
 
@@ -162,7 +162,8 @@ class _UnionFind:
 
 def reference_close(cs, binary_cl_rule=False):
     """`close` as a dict union-find with a Python fixpoint loop for the
-    binary cannot-link rule. A conflict names the first cannot-link of
+    binary cannot-link rule, returning the closed pairs as (must_link,
+    cannot_link). A conflict names the first cannot-link of
     `cs.cannot_link` that lies inside a must-link component."""
     uf = _UnionFind()
     for a, b in cs.must_link:
@@ -212,11 +213,31 @@ def reference_close(cs, binary_cl_rule=False):
                     for ra, rb in comp_cl])
 
 
+def reference_derive_from_labels(label_constraints):
+    """The pair expansion of (item, class) constraints, as
+    (must_link, cannot_link): every pair within a class and every pair
+    across two classes. An item given two classes raises
+    ConstraintConflictError."""
+    by_item = {}
+    for item, cls in label_constraints:
+        if by_item.setdefault(item, cls) != cls:
+            raise ConstraintConflictError((item, item))
+    by_class = {}
+    for item, cls in by_item.items():
+        by_class.setdefault(cls, []).append(item)
+    return _expand(by_class.values(),
+                   itertools.combinations(by_class.values(), 2))
+
+
 def _expand(groups, group_pairs):
+    """(must_link, cannot_link) of every pair inside a group and every pair
+    joining the two groups of a group pair, each as (i, j) with i < j."""
+    def canonical(pairs):
+        return frozenset((a, b) if a < b else (b, a) for a, b in pairs)
     ml = (pair for group in groups
           for pair in itertools.combinations(group, 2))
     cl = (pair for g, h in group_pairs for pair in itertools.product(g, h))
-    return ConstraintSet(must_link=ml, cannot_link=cl, closed=True)
+    return canonical(ml), canonical(cl)
 
 
 def _witness_pair(cs, uf, root):

@@ -7,7 +7,8 @@ from scipy import special
 from crowdfuse.aggregators import (FitOptions, ds_em_fit, hard_labels_from,
                                    majority_vote, vb_ilc_fit, vb_lc_fit,
                                    vbem_fit)
-from crowdfuse.constraints import ConstraintSet, close
+from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintSet, close,
+                                   eta_search)
 from crowdfuse.model import (PriorConfig, ResponseMatrix,
                              paper_default_priors)
 from crowdfuse.synth import diag_dominant_spec, generate
@@ -209,25 +210,6 @@ class TestVbIlc:
             vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
                        FitOptions(eta=1.0))
 
-    @pytest.mark.parametrize("ml, cl", [
-        # A must-link chain whose ends are not linked.
-        ({(0, 1), (1, 2)}, set()),
-        # A cannot-link that reaches only one item of a must-link pair.
-        ({(0, 1)}, {(1, 2)}),
-        # Not connected through each item's smallest neighbour, yet with as
-        # many pairs as cliques on those groups ({0, 1} and {2, 3, 4, 5})
-        # would have.
-        ({(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)}, set()),
-    ])
-    @pytest.mark.parametrize("eta", [0.0, 1.0])
-    def test_rejects_set_flagged_closed_that_is_not(self, ml, cl, eta):
-        rm = matrix_from_labels([[1, 2, 1, 2, 1, 2]], n_classes=2)
-        cs = ConstraintSet(must_link=frozenset(ml), cannot_link=frozenset(cl),
-                           closed=True)
-        with pytest.raises(ValueError, match="not closed"):
-            vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
-                       FitOptions(eta=eta))
-
     def test_names_smallest_item_out_of_range(self):
         rm = matrix_from_labels([[1, 2, 1, 2, 1]], n_classes=2)
         cs = close(ConstraintSet(must_link=frozenset({(1, 9), (8, 9)}),
@@ -264,3 +246,38 @@ class TestVbIlc:
                          FitOptions(eta=1.0))
         assert fit.prior_only_items == []
         assert len(calls) == 1
+
+
+def degenerate_crowds():
+    """Crowds at the edges of the shapes a fit accepts: one annotator, one
+    observed class of three, and six items that nobody answered."""
+    yield "one annotator", generate(diag_dominant_spec(20, 1, 3, 0.7,
+                                                       seed=2))[0]
+    yield "one observed class", matrix_from_labels(
+        [[1, 1, 0, 1, 1, 0], [0, 1, 1, 1, 0, 1]], n_classes=3)
+    yield "no responses", ResponseMatrix(6, 2, [], [], [], n_classes=3)
+
+
+class TestDegenerateShapes:
+    @pytest.mark.parametrize("method", ["mv", "ds", "vb", "vb-lc", "vb-ilc"])
+    def test_row_stochastic_posterior(self, method):
+        for name, rm in degenerate_crowds():
+            priors = paper_default_priors(rm.n_annotators, rm.n_classes)
+            opts = FitOptions(max_iters=30)
+            if method == "mv":
+                fit = majority_vote(rm)
+            elif method == "ds":
+                fit = ds_em_fit(rm, opts)
+            elif method == "vb":
+                fit = vbem_fit(rm, priors, opts)
+            elif method == "vb-lc":
+                fit = vb_lc_fit(rm, priors, [(0, 2), (3, 1)], opts)
+            else:
+                cs = close(ConstraintSet(must_link={(0, 1)},
+                                         cannot_link={(1, 2), (3, 4)}))
+                _, _, fit = eta_search(rm, priors, cs, DEFAULT_ETA_GRID, opts)
+            q = fit.posterior
+            assert q.shape == (rm.n_items, 3), name
+            assert np.all(np.isfinite(q)) and np.all(q >= 0), name
+            np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0,
+                                       atol=1e-12, err_msg=name)

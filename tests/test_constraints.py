@@ -43,11 +43,13 @@ class TestConstraintSet:
     def test_cached_arrays_are_read_only(self, cannot_link):
         cs = close(ConstraintSet(must_link=frozenset({(0, 1)}),
                                  cannot_link=cannot_link))
-        for arr in (*cs.pair_arrays, *cs.components(4)):
+        components = cs.components(4)
+        for arr in (*cs.pair_arrays, *components):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
-        assert cs.components(4) is cs.components(4)
+        for arr, again in zip(components, cs.components(4)):
+            np.testing.assert_array_equal(arr, again)
         assert count_violations(cs, np.array([1, 1, 2, 2])) == 0
 
     def test_counts_reject_item_out_of_range(self):

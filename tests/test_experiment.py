@@ -113,7 +113,7 @@ class TestEtaSearchFitIsReused:
         # The written posterior is the one a refit at the chosen weight gives.
         doc = json.loads(out.read_text())
         rm = read_responses(responses, n_classes=3)
-        _, labels, _ = read_constraints(cons, rm.item_ids)
+        _, labels = read_constraints(cons, rm.item_ids)
         priors = paper_default_priors(rm.n_annotators, 3)
         vb_fit = vbem_fit(rm, priors)
         refit = vb_ilc_fit(rm, priors, close(derive_from_labels(labels)),

@@ -130,14 +130,12 @@ class TestTruthRoundTrip:
 class TestConstraintsFile:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "c.csv"
-        rows = [("ML", "a", "b"), ("CL", "a", "c"), ("LABEL", "b", 2),
-                ("QUERY", "b", "c")]
+        rows = [("ML", "a", "b"), ("CL", "a", "c"), ("LABEL", "b", 2)]
         write_constraints(path, rows)
-        cs, labels, queries = read_constraints(path, ["a", "b", "c"])
+        cs, labels = read_constraints(path, ["a", "b", "c"])
         assert cs.must_link == frozenset({(0, 1)})
         assert cs.cannot_link == frozenset({(0, 2)})
         assert labels == [(1, 2)]
-        assert queries == [(1, 2)]
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -151,7 +149,7 @@ class TestConstraintsFile:
         with pytest.raises(InputFormatError, match="unknown item"):
             read_constraints(path, ["a", "b"])
 
-    @pytest.mark.parametrize("kind", ["ML", "CL", "QUERY"])
+    @pytest.mark.parametrize("kind", ["ML", "CL"])
     def test_self_pair_names_line(self, tmp_path, kind):
         path = tmp_path / "c.csv"
         path.write_text(f"kind,a,b\nML,a,b\n{kind},b,b\n")
@@ -258,6 +256,20 @@ class TestCliAggregate:
                          "--output", str(dataset["dir"] / "o.json")])
         assert code == 2
         assert "self.csv:3: self-pair" in capsys.readouterr().err
+
+    def test_query_row_exit_code(self, dataset, capsys):
+        # QUERY is not a constraint kind: the row is refused, not dropped.
+        cons = dataset["dir"] / "query.csv"
+        ids = dataset["rm"].item_ids
+        write_constraints(cons, [("ML", ids[0], ids[1]),
+                                 ("QUERY", ids[1], ids[2])])
+        code = cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb-ilc",
+                         "--constraints", str(cons), "--k", "3",
+                         "--output", str(dataset["dir"] / "o.json")])
+        assert code == 2
+        assert "query.csv:3: unknown kind 'QUERY'" in capsys.readouterr().err
+        assert not (dataset["dir"] / "o.json").exists()
 
     @pytest.mark.parametrize("method", ["vb-lc", "vb-ilc"])
     @pytest.mark.parametrize("labels, code, message", [
@@ -485,6 +497,18 @@ class TestCliNonFiniteWeights:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["nan", "1,-2"])
+    def test_experiment_grid_checked_without_constraints(self, dataset,
+                                                         capsys, grid):
+        # At N_C = 0 no cell searches the grid; it is checked all the same.
+        out = dataset["dir"] / "exp.csv"
+        code = cli.main(["experiment", "--spec-json",
+                         str(dataset["spec_path"]), "--nc", "0",
+                         "--eta-grid", grid, "--output", str(out)])
+        assert code == 4
+        assert "eta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliSynthExperimentBounds:
     def test_synth_roundtrip(self, tmp_path):
@@ -530,6 +554,28 @@ class TestCliSynthExperimentBounds:
         doc = json.loads(report_out.read_text())
         assert "U" in doc and "statuses" in doc
         assert doc["empirical"]["max_label_error"] is not None
+
+    def test_vacuous_bounds_are_strict_json(self, tmp_path):
+        # This crowd's label and confusion bounds are infinite in places;
+        # they are written as strings, never as bare Infinity or NaN.
+        r, t, s = (tmp_path / name for name in ("r.csv", "t.csv", "s.json"))
+        assert cli.main(["synth", "--n", "300", "--m", "8", "--k", "3",
+                         "--mu", "0.7", "--seed", "3", "--out-responses",
+                         str(r), "--out-truth", str(t),
+                         "--out-spec", str(s)]) == 0
+        assert cli.main(["aggregate", "--responses", str(r), "--k", "3",
+                         "--method", "vb", "--output",
+                         str(tmp_path / "vb.json")]) == 0
+        out = tmp_path / "bounds.json"
+        assert cli.main(["bounds", "--spec-json", str(s), "--result",
+                         str(tmp_path / "vb.json"), "--truth", str(t),
+                         "--output", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert "inf" in doc["tilde_eps_q"]
+        assert "inf" in np.ravel(doc["eps_gamma_bound"]).tolist()
 
 
 class TestCliDeterminism:

@@ -11,18 +11,20 @@ digamma must agree with scipy and with its own scalar form on every
 positive input. The shared fit loop must keep its trace, convergence flag
 and prior-only items consistent. The component form of the constraint
 penalty must equal the sum over the closed pairs, closure must be
-idempotent and monotone and must equal the union-find closure of
-`oracles.reference_close`, and the array forms of the constraint-set
-queries must equal loops over the pairs.
+idempotent and monotone and its pairs must equal the union-find closure of
+`oracles.reference_close`, `derive_from_labels` must equal the pair
+expansion of `oracles.reference_derive_from_labels`, and the constraint-set
+queries, which a closed set answers from its components, must equal loops
+over the pairs.
 
 The fit loop's shared work must not change any result: the one digamma
 call of `expected_logs` equals the separate calls, also for a stack of
 fits; the column-wise row max of `softmax_rows` equals the row reduction;
-each fit of the stacked eta search, which shares one set's cached
+each fit of the stacked eta search, which shares one closed set's
 components, equals a standalone fit at its weight, and the search equals
 the sequential search of `oracles.reference_eta_search`; and the array
-set-up of `plan_queries` gives the row loop's plan. Permuting the items or
-the annotators permutes the posterior.
+set-up of `plan_queries` gives the row loop's plan. Permuting the items,
+the annotators or the classes permutes the posterior.
 """
 
 import math
@@ -37,7 +39,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
 
-from crowdfuse import aggregators, model
+from crowdfuse import aggregators, constraints, model
 from crowdfuse.aggregators import (FitOptions, _component_penalty,
                                    _StackedScatter, ds_em_fit,
                                    initial_posterior, majority_vote,
@@ -46,14 +48,15 @@ from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
                                    ConstraintSet, close, count_violations,
                                    derive_from_labels, eta_search)
 from crowdfuse.fileio import InputFormatError, read_responses, write_responses
-from crowdfuse.model import (PosteriorParams, ResponseMatrix, expected_logs,
-                             paper_default_priors)
+from crowdfuse.model import (PosteriorParams, PriorConfig, ResponseMatrix,
+                             expected_logs, paper_default_priors)
 from crowdfuse.numerics import digamma, digamma_vec, softmax_rows
 from crowdfuse.selection import plan_queries
 from crowdfuse.synth import diag_dominant_spec, generate
 
-from oracles import (reference_close, reference_eta_search,
-                     reference_pair_penalty, reference_plan_queries,
+from oracles import (reference_close, reference_derive_from_labels,
+                     reference_eta_search, reference_pair_penalty,
+                     reference_plan_queries,
                      reference_read_responses, reference_response_matrix,
                      response_triples)
 
@@ -529,7 +532,7 @@ def closed_sets(draw, n_items):
     """`close` of random pairs, adding one pair at a time and skipping any
     pair whose closure conflicts."""
     binary_cl_rule = draw(st.booleans())
-    closed = ConstraintSet(closed=True)
+    closed = close(ConstraintSet())
     ml, cl = frozenset(), frozenset()
     for a, b, is_ml in draw(pair_lists(n_items)):
         pair = frozenset({(a, b)})
@@ -567,24 +570,6 @@ class TestConstraintPenalty:
                 rtol=0, atol=1e-12)
             assert np.all(penalty[g][free] == 0.0)
 
-    @SETTINGS
-    @given(SIZED_PAIR_LISTS)
-    @example((6, [(0, 1, True), (1, 2, True), (1, 3, True), (1, 4, True),
-                  (1, 5, True), (2, 3, True), (4, 5, True)]))
-    def test_components_accept_exactly_closed_sets(self, drawn):
-        n_items, triples = drawn
-        cs = constraint_set(triples)
-        try:
-            is_closed = (close(cs) == ConstraintSet(cs.must_link,
-                                                    cs.cannot_link, True))
-        except ConstraintConflictError:
-            is_closed = False
-        if is_closed:
-            cs.components(n_items)
-        else:
-            with pytest.raises(ValueError, match="not closed"):
-                cs.components(n_items)
-
 
 class TestConstraintSetProperties:
     @SETTINGS
@@ -619,29 +604,60 @@ class TestConstraintSetProperties:
                 close(cs, binary_cl_rule)
             assert raised.value.pair == conflict.pair
             return
-        assert close(cs, binary_cl_rule) == expected
+        closed = close(cs, binary_cl_rule)
+        assert closed.closed
+        assert (closed.must_link, closed.cannot_link) == expected
 
     @SETTINGS
     @given(SIZED_PAIR_LISTS, st.data())
     def test_array_queries_equal_pair_loops(self, drawn, data):
         n_items, triples = drawn
-        cs = constraint_set(triples)
         labels = data.draw(arrays(np.int64, n_items,
                                   elements=st.integers(1, 3)))
-        violations = (sum(labels[a] != labels[b] for a, b in cs.must_link)
-                      + sum(labels[a] == labels[b] for a, b in cs.cannot_link))
-        assert count_violations(cs, labels) == violations
-        items = cs.items
-        assert items == {x for pair in cs.must_link | cs.cannot_link
-                         for x in pair}
-        assert all(type(x) is int for x in items)
-        ml, cl = cs.per_item_counts(n_items)
-        for degree, pairs in ((ml, cs.must_link), (cl, cs.cannot_link)):
-            expected = np.zeros(n_items, dtype=np.intp)
-            for a, b in pairs:
-                expected[a] += 1
-                expected[b] += 1
-            np.testing.assert_array_equal(degree, expected)
+        assert_queries_equal_pair_loops(constraint_set(triples), n_items,
+                                        labels)
+
+    @SETTINGS
+    @given(st.integers(0, 12), st.data())
+    def test_closed_set_queries_equal_pair_loops(self, n_items, data):
+        # A closed set answers from its components; the answers must be
+        # those of loops over the pairs that reference_close implies, for
+        # any labels, including ones outside 1..K.
+        cs = data.draw(closed_sets(n_items))
+        labels = data.draw(arrays(np.int64, n_items,
+                                  elements=st.integers(-2, 4)))
+        assert_queries_equal_pair_loops(cs, n_items, labels)
+        pairs = reference_close(ConstraintSet(cs.must_link, cs.cannot_link))
+        assert (cs.must_link, cs.cannot_link) == pairs
+        # The components' arrays give each item its component's smallest
+        # item and join the components of every cannot-link.
+        comp, cl_src, cl_dst = cs.components(n_items)
+        assert all(comp[a] == comp[b] for a, b in cs.must_link)
+        linked = {x for pair in cs.must_link for x in pair}
+        for x in range(n_items):
+            assert comp[comp[x]] == comp[x] <= x
+            assert comp[x] == x or x in linked
+        assert {(comp[a], comp[b]) for a, b in cs.cannot_link} \
+            | {(comp[b], comp[a]) for a, b in cs.cannot_link} \
+            == set(zip(cl_src.tolist(), cl_dst.tolist()))
+        assert len(cl_src) == len(set(zip(cl_src.tolist(), cl_dst.tolist())))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-5, 30), st.integers(-1, 4)),
+                    max_size=25))
+    def test_derive_from_labels_equals_pair_expansion(self, labels):
+        # Sparse and negative items, repeated rows and conflicting rows.
+        try:
+            expected = reference_derive_from_labels(labels)
+        except ConstraintConflictError:
+            with pytest.raises(ConstraintConflictError):
+                derive_from_labels(labels)
+            return
+        cs = derive_from_labels(labels)
+        assert cs.closed
+        assert (cs.must_link, cs.cannot_link) == expected
+        assert len(cs) == len(expected[0]) + len(expected[1])
+        assert cs == close(ConstraintSet(*expected))
 
     def test_empty_set(self):
         cs = ConstraintSet()
@@ -652,6 +668,26 @@ class TestConstraintSetProperties:
         comp, cl_src, cl_dst = cs.components(3)
         np.testing.assert_array_equal(comp, [0, 1, 2])
         assert cl_src.size == cl_dst.size == 0
+
+
+def assert_queries_equal_pair_loops(cs, n_items, labels):
+    """`cs`'s size, items, degrees and violation count equal loops over its
+    must_link and cannot_link pairs."""
+    violations = (sum(labels[a] != labels[b] for a, b in cs.must_link)
+                  + sum(labels[a] == labels[b] for a, b in cs.cannot_link))
+    assert count_violations(cs, labels) == violations
+    assert len(cs) == len(cs.must_link) + len(cs.cannot_link)
+    items = cs.items
+    assert items == {x for pair in cs.must_link | cs.cannot_link
+                     for x in pair}
+    assert all(type(x) is int for x in items)
+    ml, cl = cs.per_item_counts(n_items)
+    for degree, pairs in ((ml, cs.must_link), (cl, cs.cannot_link)):
+        expected = np.zeros(n_items, dtype=np.intp)
+        for a, b in pairs:
+            expected[a] += 1
+            expected[b] += 1
+        np.testing.assert_array_equal(degree, expected)
 
 
 def recorded_eta_search(rm, priors, cs, grid, opts):
@@ -702,7 +738,7 @@ class TestEtaSearchSharedWork:
         # set that computes its own components, and the search must equal
         # the sequential search.
         rm, _ = crowd
-        cs = data.draw(st.one_of(st.just(ConstraintSet(closed=True)),
+        cs = data.draw(st.one_of(st.just(close(ConstraintSet())),
                                  closed_sets(rm.n_items)))
         priors = paper_default_priors(rm.n_annotators, rm.n_classes)
         opts = FitOptions(max_iters=max_iters, tol=tol)
@@ -712,8 +748,8 @@ class TestEtaSearchSharedWork:
         assert etas == [float(eta) for eta in grid]
         init_q = initial_posterior(rm, opts)
         for eta, fit in zip(etas, fits):
-            alone = vb_ilc_fit(rm, priors, ConstraintSet(
-                cs.must_link, cs.cannot_link, closed=True), FitOptions(
+            alone = vb_ilc_fit(rm, priors, close(ConstraintSet(
+                cs.must_link, cs.cannot_link)), FitOptions(
                     max_iters=max_iters, tol=tol, eta=eta,
                     init="given_posterior", init_posterior=init_q))
             assert_same_fit(fit, alone)
@@ -763,22 +799,26 @@ class TestEtaSearchSharedWork:
         assert calls == {"softmax_rows": max_iters, "digamma_vec": max_iters}
 
     def test_components_computed_once_per_set(self):
+        # The component routine runs in the closure that builds the set,
+        # once, and never while the grid is fitted, nor are the pairs
+        # expanded.
         rm, truth = generate(diag_dominant_spec(40, 4, 3, 0.7, seed=3))
-        cs = derive_from_labels([(n, int(truth.labels[n]))
-                                 for n in range(0, 40, 3)])
         calls = []
-        real = ConstraintSet._compute_components
+        real = constraints._component_ids
 
-        def counting(self, n_items):
-            calls.append(n_items)
-            return real(self, n_items)
-        with mock.patch.object(ConstraintSet, "_compute_components",
-                               counting):
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+        with mock.patch.object(constraints, "_component_ids", counting):
+            cs = derive_from_labels([(n, int(truth.labels[n]))
+                                     for n in range(0, 40, 3)])
+            assert calls == [len(range(0, 40, 3))]
             _, [(_, fits)] = recorded_eta_search(
                 rm, paper_default_priors(4, 3), cs, DEFAULT_ETA_GRID,
                 FitOptions(max_iters=3, tol=0.0))
         assert len(fits) == len(DEFAULT_ETA_GRID)
-        assert calls == [rm.n_items]
+        assert calls == [len(range(0, 40, 3))]
+        assert "_pairs" not in vars(cs)
 
 
 def selection_set(rm, truth, priors):
@@ -791,52 +831,70 @@ def selection_set(rm, truth, priors):
                          cannot_link=frozenset(set(plan.queries) - ml))
 
 
-def permuted_crowd(rm, item_order, annotator_order):
+def permuted_crowd(rm, item_order, annotator_order, class_order):
     """The crowd with item i of the result being item item_order[i] of rm,
-    and likewise for annotators."""
+    and likewise for annotators and classes."""
     ann, item, label0 = rm.coords
     item_pos = np.argsort(item_order)
     ann_pos = np.argsort(annotator_order)
+    class_pos = np.argsort(class_order)
     return ResponseMatrix(rm.n_items, rm.n_annotators, ann_pos[ann],
-                          item_pos[item], label0 + 1,
+                          item_pos[item], class_pos[label0] + 1,
                           n_classes=rm.n_classes)
 
 
 class TestPermutationInvariance:
-    # Relabelling the items or the annotators relabels the posterior: the
-    # sums run in another order, so it matches to rounding. tol = 0 fixes
-    # the iteration count, which a tolerance test could shift by one.
+    # Relabelling the items, the annotators or the classes (with the priors
+    # relabelled to match) relabels the posterior: the sums run in another
+    # order, so it matches to rounding. tol = 0 fixes the iteration count,
+    # which a tolerance test could shift by one.
     @settings(max_examples=30, deadline=None)
     @given(st.integers(4, 40), st.integers(1, 6), st.integers(2, 4),
-           st.integers(0, 2**32 - 1), st.booleans(), st.data())
+           st.integers(0, 2**32 - 1),
+           st.sampled_from(["items", "annotators", "classes"]), st.data())
     def test_posterior_permutes(self, n_items, n_annotators, n_classes,
-                                seed, permute_items, data):
+                                seed, relabelled, data):
         rm, truth = generate(diag_dominant_spec(n_items, n_annotators,
                                                 n_classes, 0.7, seed=seed))
         rng = np.random.default_rng(seed)
-        item_order = (rng.permutation(n_items) if permute_items
-                      else np.arange(n_items))
-        annotator_order = (np.arange(n_annotators) if permute_items
-                           else rng.permutation(n_annotators))
-        moved = permuted_crowd(rm, item_order, annotator_order)
-        priors = paper_default_priors(n_annotators, n_classes)
+        orders = {name: (rng.permutation(size) if name == relabelled
+                         else np.arange(size))
+                  for name, size in (("items", n_items),
+                                     ("annotators", n_annotators),
+                                     ("classes", n_classes))}
+        item_order, class_order = orders["items"], orders["classes"]
+        annotator_order = orders["annotators"]
+        moved = permuted_crowd(rm, item_order, annotator_order, class_order)
+        # The paper's priors made distinct, so a class relabelling that left
+        # the priors as they were would show.
+        paper = paper_default_priors(n_annotators, n_classes)
+        priors = PriorConfig(
+            alpha0=paper.alpha0 + rng.random(n_classes),
+            beta0=paper.beta0 + rng.random(paper.beta0.shape))
+        moved_priors = PriorConfig(
+            alpha0=priors.alpha0[class_order],
+            beta0=priors.beta0[annotator_order][:, class_order]
+            [:, :, class_order])
         opts = FitOptions(max_iters=15, tol=0.0)
-        for fit in (lambda r: ds_em_fit(r, opts),
-                    lambda r: vbem_fit(r, priors, opts)):
+
+        def moved_back(posterior):
+            return posterior[item_order][:, class_order]
+        for fit in (lambda r, p: ds_em_fit(r, opts),
+                    lambda r, p: vbem_fit(r, p, opts)):
             np.testing.assert_allclose(
-                fit(moved).posterior, fit(rm).posterior[item_order],
-                rtol=0, atol=1e-10)
+                fit(moved, moved_priors).posterior,
+                moved_back(fit(rm, priors).posterior), rtol=0, atol=1e-10)
 
         cs = data.draw(closed_sets(n_items))
         item_pos = np.argsort(item_order)
-        moved_cs = ConstraintSet(
+        moved_cs = close(ConstraintSet(
             must_link=[(item_pos[a], item_pos[b]) for a, b in cs.must_link],
             cannot_link=[(item_pos[a], item_pos[b])
-                         for a, b in cs.cannot_link], closed=True)
+                         for a, b in cs.cannot_link]))
         eta, _, best = eta_search(rm, priors, cs, DEFAULT_ETA_GRID, opts)
-        moved_eta, _, moved_best = eta_search(moved, priors, moved_cs,
+        moved_eta, _, moved_best = eta_search(moved, moved_priors, moved_cs,
                                               DEFAULT_ETA_GRID, opts)
         assert moved_eta == eta
         np.testing.assert_allclose(moved_best.posterior,
-                                   best.posterior[item_order],
+                                   moved_back(best.posterior),
                                    rtol=0, atol=1e-10)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from crowdfuse.model import GroundTruth
-from crowdfuse.selection import (QueryPlan, answer_queries, bvsb,
-                                 plan_queries, plan_to_rows)
+from crowdfuse.selection import QueryPlan, answer_queries, bvsb, plan_queries
 
 
 class TestBvsb:
@@ -123,9 +122,3 @@ class TestAnswerQueries:
         with pytest.raises(ValueError, match="unknown truth"):
             answer_queries(plan, truth)
 
-
-class TestPlanToRows:
-    def test_rows(self):
-        plan = QueryPlan(uncertain=(0,), partners={0: [2]}, queries=((0, 2),))
-        assert plan_to_rows(plan) == [("QUERY", "0", "2")]
-        assert plan_to_rows(plan, ["a", "b", "c"]) == [("QUERY", "a", "c")]
