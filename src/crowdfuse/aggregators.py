@@ -258,7 +258,7 @@ def _em_m_step(scatter: _StackedScatter, q: np.ndarray):
 
 def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
               etas=(0.0,), pinned: dict | None = None,
-              cs: ConstraintSet | None = None, cs_items=()) -> list:
+              cs: ConstraintSet | None = None) -> list:
     """Advance one fit per entry of `etas` as one stack of posteriors
     (G, N, K), and return their FitResults in the order of `etas`.
 
@@ -267,9 +267,9 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     priors (G, K), log confusion arrays (G, M, K, K)), then updates every
     label posterior. The fits share the crowd, the initial posterior and
     the constraints; only eta differs. `pinned` maps items to known
-    classes. `cs`, whose items are `cs_items`, adds each fit's eta times
-    the signed neighbour posteriors to its logits, computed from the
-    set's must-link components.
+    classes. `cs` adds each fit's eta times the signed neighbour posteriors
+    to its logits, computed from the set's must-link components, which
+    checks that its items are in range.
 
     A fit whose largest posterior change drops below `opts.tol` stops
     there, and its result is final; the fits still running are compacted
@@ -286,7 +286,7 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     penalty = (_component_penalty(cs, rm.n_items, rm.n_classes, etas.size)
                if cs is not None and len(cs) else None)
 
-    constrained = pinned.keys() | cs_items
+    constrained = pinned.keys() | (cs.items if cs is not None else set())
     prior_only = [int(n) for n in np.flatnonzero(rm.responses_per_item() == 0)
                   if n not in constrained]
     results = [None] * etas.size
@@ -379,12 +379,8 @@ def _vb_ilc_fits(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     _check_prior_dimensions(rm, priors)
     if len(cs) and not cs.closed:
         raise ValueError("constraint set must be closed before fitting")
-    cs_items = cs.items
-    outside = [item for item in cs_items if not 0 <= item < rm.n_items]
-    if outside:
-        raise ValueError(f"constrained item {min(outside)} out of range")
     return _fit_loop(rm, opts, functools.partial(_vb_m_step, priors=priors),
-                     etas=etas, cs=cs, cs_items=cs_items)
+                     etas=etas, cs=cs)
 
 
 def ds_em_fit(rm: ResponseMatrix, opts: FitOptions | None = None) -> FitResult:

@@ -103,19 +103,15 @@ class BoundInputs:
         return float(self.priors.beta0.sum(axis=2).min())
 
 
-def constraint_counts(cs, truth: GroundTruth,
-                      n_items: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-item must-link and cannot-link degrees plus, per item and class,
-    the number of cannot-link partners whose true class is that class."""
-    n_classes = int(truth.labels.max())
+def constraint_counts(cs, truth: GroundTruth, n_items: int,
+                      n_classes: int) -> tuple[np.ndarray, ...]:
+    """Per-item must-link and cannot-link degrees plus, per item and class
+    1..n_classes, the number of cannot-link partners whose true class is
+    that class."""
     n_ml, n_cl = cs.per_item_counts(n_items)
-    _, _, cl_a, cl_b = cs.pair_arrays
-    item = np.concatenate([cl_a, cl_b])
-    partner_class = truth.labels[np.concatenate([cl_b, cl_a])]
-    known = partner_class > 0
-    by_class = np.bincount(item[known] * n_classes + partner_class[known] - 1,
-                           minlength=n_items * n_classes)
-    return n_ml, n_cl, by_class.reshape(n_items, n_classes)
+    by_class = [cs.cannot_link_sums(truth.labels == k)
+                for k in range(1, n_classes + 1)]
+    return n_ml, n_cl, np.stack(by_class, axis=1).astype(np.intp)
 
 
 def exponent_u(inputs: BoundInputs) -> float:

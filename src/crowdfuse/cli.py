@@ -108,7 +108,8 @@ def _params_doc(fit) -> dict | None:
 def cmd_aggregate(args) -> int:
     rm = fileio.read_responses(args.responses, n_classes=args.k)
     priors = _load_priors(args, rm.n_annotators, rm.n_classes)
-    truth = fileio.read_truth(args.truth, rm.item_ids) if args.truth else None
+    truth = (fileio.read_truth(args.truth, rm.item_ids, rm.n_classes)
+             if args.truth else None)
 
     cs = None
     label_constraints = None
@@ -137,14 +138,9 @@ def cmd_aggregate(args) -> int:
         else:
             if cs is None:
                 raise InputFormatError("vb-ilc needs a constraints file")
-            cs_all = cs
-            if label_constraints:
-                constraints.check_label_constraints(
-                    label_constraints, rm.n_items, rm.n_classes)
-                derived = constraints.derive_from_labels(label_constraints)
-                cs_all = constraints.ConstraintSet(
-                    must_link=cs.must_link | derived.must_link,
-                    cannot_link=cs.cannot_link | derived.cannot_link)
+            constraints.check_label_constraints(
+                label_constraints, rm.n_items, rm.n_classes)
+            cs_all = constraints.join_labels(cs, label_constraints)
             cs_fit = constraints.close(cs_all)
             # A fixed --eta is a one-candidate search, which makes one fit.
             grid = _parse_eta_grid(args.eta_grid) if args.eta_grid else \
@@ -188,7 +184,7 @@ def cmd_experiment(args) -> int:
             raise InputFormatError(
                 "experiment needs --spec-json or --responses with --truth")
         rm = fileio.read_responses(args.responses, n_classes=args.k)
-        truth = fileio.read_truth(args.truth, rm.item_ids)
+        truth = fileio.read_truth(args.truth, rm.item_ids, rm.n_classes)
     priors = _load_priors(args, rm.n_annotators, rm.n_classes)
     config = experiment.ExperimentConfig(
         protocols=tuple(args.protocols.split(",")),
@@ -252,7 +248,7 @@ def cmd_bounds(args) -> int:
         params=params,
     )
 
-    truth = fileio.read_truth(args.truth, rm_ids)
+    truth = fileio.read_truth(args.truth, rm_ids, spec.n_classes)
     priors = _load_priors(args, spec.n_annotators, spec.n_classes)
 
     # Default error levels: the empirical errors of the supplied run, so the
@@ -262,8 +258,8 @@ def cmd_bounds(args) -> int:
     n_ml = n_cl = by_class = None
     if args.constraints:
         cs, _ = fileio.read_constraints(args.constraints, rm_ids)
-        n_ml, n_cl, by_class = bounds.constraint_counts(cs, truth,
-                                                        spec.n_items)
+        n_ml, n_cl, by_class = bounds.constraint_counts(
+            cs, truth, spec.n_items, spec.n_classes)
     inputs = bounds.BoundInputs(
         spec=spec, priors=priors,
         eps_pi=args.eps_pi if args.eps_pi is not None else emp_pi or 0.0,

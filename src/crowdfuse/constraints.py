@@ -28,20 +28,20 @@ def _canonical(pairs) -> frozenset:
 
 
 class ConstraintSet:
-    """Unordered must-link and cannot-link item pairs, each kept as (i, j)
-    with i < j.
+    """Unordered must-link and cannot-link item pairs, stored as groups:
+    every pair inside a group is a must-link, and every pair across the two
+    groups of an edge is a cannot-link. The groups are read-only arrays of
+    each member's item and group and each edge's two groups.
 
-    Queries read the set as groups: every pair inside a group is a
-    must-link, and every pair across the two groups of an edge is a
-    cannot-link. A set built from pairs has a group per must-link and a
-    one-item group at each end of a cannot-link. A set that `close` builds
-    keeps only its groups, its must-link components, as read-only arrays:
-    its sorted items, each item's component (numbered in the order of the
-    components' smallest items, their roots) and the edges between them.
-    Its pairs are views, expanded on first access.
+    A set built from pairs has a group per must-link and a one-item group
+    at each end of a cannot-link (edges in `cannot_link` order), and keeps
+    its pairs, each as (i, j) with i < j. A closed set has a group per
+    must-link component, numbered in the order of the components' smallest
+    items, its sorted items as members and sorted edges. Other sets expand
+    their pairs on first access.
     """
 
-    _closure = None  # (items, comp, edge_a, edge_b) of a closed set
+    closed = False  # whether `close` built the set
 
     def __init__(self, must_link=frozenset(), cannot_link=frozenset()):
         ml = _canonical(must_link)
@@ -50,11 +50,21 @@ class ConstraintSet:
         if overlap:
             raise ConstraintConflictError(next(iter(overlap)))
         self._pairs = (ml, cl)
+        n_ml, n_cl = len(ml), len(cl)
+        ends = n_ml + np.arange(0, 2 * n_cl, 2)  # each cannot-link's first end
+        self._groups = _read_only(
+            np.fromiter(itertools.chain.from_iterable(itertools.chain(ml, cl)),
+                        dtype=np.intp, count=2 * (n_ml + n_cl)),
+            np.concatenate([np.repeat(np.arange(n_ml), 2),
+                            n_ml + np.arange(2 * n_cl)]),
+            ends, ends + 1)
 
-    @property
-    def closed(self) -> bool:
-        """Whether `close` built the set."""
-        return self._closure is not None
+    @classmethod
+    def _from_groups(cls, member, group, edge_a, edge_b, closed=False):
+        cs = cls.__new__(cls)
+        cs._groups = _read_only(member, group, edge_a, edge_b)
+        cs.closed = closed
+        return cs
 
     @property
     def must_link(self) -> frozenset:
@@ -66,28 +76,16 @@ class ConstraintSet:
 
     @functools.cached_property
     def _pairs(self) -> tuple[frozenset, frozenset]:
-        # Only a closed set reaches this: __init__ sets a given set's pairs.
-        items, comp, edge_a, edge_b = self._closure
-        groups = [group.tolist() for group in np.split(
-            items[np.argsort(comp, kind="stable")],
-            np.cumsum(self._sizes)[:-1])]
-        return (frozenset(pair for group in groups
-                          for pair in itertools.combinations(group, 2)),
+        # __init__ sets a set's pairs if it is built from them. Each group
+        # lists its members in item order, so its pairs have i < j.
+        member, group, edge_a, edge_b = self._groups
+        groups = [members.tolist() for members in np.split(
+            member[np.lexsort((member, group))], np.cumsum(self._sizes)[:-1])]
+        return (frozenset(pair for members in groups
+                          for pair in itertools.combinations(members, 2)),
                 _canonical(pair for a, b in zip(edge_a, edge_b)
                            for pair in itertools.product(groups[a],
                                                          groups[b])))
-
-    @functools.cached_property
-    def _groups(self) -> tuple[np.ndarray, ...]:
-        """(member item, member group, edge_a, edge_b); the edges follow the
-        order of `cannot_link`."""
-        if self.closed:
-            return self._closure
-        n_ml, n_cl = len(self.must_link), len(self.cannot_link)
-        ends = n_ml + np.arange(2 * n_cl)  # the cannot-links' one-item groups
-        return (np.concatenate(self.pair_arrays),
-                np.concatenate([np.tile(np.arange(n_ml), 2), ends]),
-                ends[:n_cl], ends[n_cl:])
 
     @functools.cached_property
     def _sizes(self) -> np.ndarray:
@@ -97,7 +95,7 @@ class ConstraintSet:
         if not isinstance(other, ConstraintSet):
             return NotImplemented
         if self.closed and other.closed:
-            return all(map(np.array_equal, self._closure, other._closure))
+            return all(map(np.array_equal, self._groups, other._groups))
         return not (self.closed or other.closed) and self._pairs == other._pairs
 
     def __hash__(self):
@@ -111,24 +109,9 @@ class ConstraintSet:
         sizes, edge_a, edge_b = self._sizes, *self._groups[2:]
         return _n_pairs(sizes) + int((sizes[edge_a] * sizes[edge_b]).sum())
 
-    @functools.cached_property
-    def pair_arrays(self) -> tuple[np.ndarray, ...]:
-        """(ml_a, ml_b, cl_a, cl_b): the pairs' endpoints as intp arrays,
-        with a < b in every pair."""
-        def endpoints(pairs):
-            flat = np.fromiter(itertools.chain.from_iterable(pairs),
-                               dtype=np.intp, count=2 * len(pairs))
-            return flat[0::2], flat[1::2]
-        return _read_only(*endpoints(self.must_link),
-                          *endpoints(self.cannot_link))
-
     @property
     def items(self) -> frozenset:
         """The items that appear in some pair."""
-        return self._items
-
-    @functools.cached_property
-    def _items(self) -> frozenset:
         return frozenset(self._item_array.tolist())
 
     @functools.cached_property
@@ -137,19 +120,28 @@ class ConstraintSet:
 
     def _check_range(self, n_items: int) -> None:
         items = self._item_array
-        if items.size and (items[0] < 0 or items[-1] >= n_items):
-            raise ValueError(f"constrained item outside 0..{n_items - 1}")
+        outside = items[(items < 0) | (items >= n_items)]
+        if outside.size:
+            raise ValueError(f"constrained item {outside[0]} out of range "
+                             f"(outside 0..{n_items - 1})")
 
     def per_item_counts(self, n_items: int) -> tuple[np.ndarray, np.ndarray]:
         """(must-link degree, cannot-link degree) per item index."""
-        self._check_range(n_items)
+        cannot = self.cannot_link_sums(np.ones(n_items))  # checks the range
+        member, group = self._groups[:2]
+        must = np.bincount(member, (self._sizes - 1)[group], n_items)
+        return must.astype(np.intp), cannot.astype(np.intp)
+
+    def cannot_link_sums(self, values) -> np.ndarray:
+        """For each item index i, the sum of values[j] over the cannot-link
+        partners j of i, as floats."""
+        self._check_range(len(values))
         member, group, edge_a, edge_b = self._groups
-        sizes = self._sizes
+        per_group = np.bincount(group, values[member], self._sizes.size)
         joined = np.bincount(np.concatenate([edge_a, edge_b]),
-                             np.concatenate([sizes[edge_b], sizes[edge_a]]),
-                             sizes.size)
-        return tuple(np.bincount(member, per_group[group], n_items).astype(
-            np.intp) for per_group in (sizes - 1, joined))
+                             per_group[np.concatenate([edge_b, edge_a])],
+                             self._sizes.size)
+        return np.bincount(member, joined[group], len(values))
 
     def components(self, n_items: int):
         """The must-link components of the set's closure: (component id per
@@ -160,7 +152,7 @@ class ConstraintSet:
         if not self.closed:
             return close(self).components(n_items)
         self._check_range(n_items)
-        items, item_comp, edge_a, edge_b = self._closure
+        items, item_comp, edge_a, edge_b = self._groups
         roots = items[np.unique(item_comp, return_index=True)[1]]
         comp = np.arange(n_items)
         comp[items] = roots[item_comp]
@@ -266,9 +258,8 @@ def _close_groups(member, group, edge_a, edge_b,
     root_pos, comp = np.unique(comp, return_inverse=True)
     ca, cb, n_comp = comp[ca], comp[cb], root_pos.size
     edges = np.unique(np.minimum(ca, cb) * n_comp + np.maximum(ca, cb))
-    cs = ConstraintSet.__new__(ConstraintSet)
-    cs._closure = _read_only(items, comp, *np.divmod(edges, n_comp))
-    return cs
+    return ConstraintSet._from_groups(items, comp,
+                                      *np.divmod(edges, n_comp), closed=True)
 
 
 def count_violations(cs: ConstraintSet, labels) -> int:
@@ -278,8 +269,9 @@ def count_violations(cs: ConstraintSet, labels) -> int:
     edges (g, g'), sum_k n_gk * n_g'k."""
     member, group, edge_a, edge_b = cs._groups
     label = np.unique(np.asarray(labels)[member], return_inverse=True)[1]
-    counts = np.zeros((cs._sizes.size, label.max(initial=0) + 1), int)
-    np.add.at(counts, (group, label), 1)
+    width = label.max(initial=0) + 1
+    counts = np.bincount(group * width + label,
+                         minlength=cs._sizes.size * width).reshape(-1, width)
     return int(_n_pairs(cs._sizes) - _n_pairs(counts)
                + (counts[edge_a] * counts[edge_b]).sum())
 
@@ -308,19 +300,49 @@ def _class_by_item(label_constraints) -> dict:
     return by_item
 
 
+def _label_groups(by_item: dict, first: int = 0) -> tuple[np.ndarray, ...]:
+    """The groups (see `ConstraintSet`) that {item: class} constraints
+    imply, numbered from `first`: one per class, with an edge between every
+    two classes. A single labelled item implies no pair, so no group."""
+    if len(by_item) == 1:
+        by_item = {}
+    items = np.fromiter(by_item, dtype=np.intp, count=len(by_item))
+    of_class = np.unique(list(by_item.values()), return_inverse=True)[1]
+    n_classes = of_class.max(initial=-1) + 1
+    return items, first + of_class, *(first + np.array(
+        np.triu_indices(n_classes, 1)))
+
+
 def derive_from_labels(label_constraints) -> ConstraintSet:
     """The closed set that (item, class) constraints imply: must-link within
     a class, cannot-link across classes. It is the closure of O(L) pairs for
     L items, with each class a group and an edge between every two classes.
     An item given two classes raises ConstraintConflictError."""
-    by_item = _class_by_item(label_constraints)
-    if len(by_item) == 1:
-        by_item = {}  # one labelled item implies no pair
-    items = np.fromiter(by_item, dtype=np.intp, count=len(by_item))
-    of_class = np.unique(list(by_item.values()), return_inverse=True)[1]
-    n_classes = of_class.max(initial=-1) + 1
-    return _close_groups(items, of_class, *np.triu_indices(n_classes, 1),
+    return _close_groups(*_label_groups(_class_by_item(label_constraints)),
                          False)
+
+
+def join_labels(cs: ConstraintSet, label_constraints) -> ConstraintSet:
+    """The set of `cs`'s pairs and the pairs that (item, class) constraints
+    imply (see `derive_from_labels`), with the labels joined as their groups,
+    not as pairs; it is not closed. A pair of `cs` between two labelled
+    items is left out if their classes agree with it; if they contradict
+    it, ConstraintConflictError names the smallest such pair."""
+    by_item = _class_by_item(label_constraints)
+    ml, cl, contradicted = set(), set(), []
+    for pairs, kept, same_class in ((cs.must_link, ml, True),
+                                    (cs.cannot_link, cl, False)):
+        for a, b in pairs:
+            if a not in by_item or b not in by_item:
+                kept.add((a, b))
+            elif (by_item[a] == by_item[b]) != same_class:
+                contradicted.append((a, b))
+    if contradicted:
+        raise ConstraintConflictError(min(contradicted))
+    given = ConstraintSet(ml, cl)
+    labels = _label_groups(by_item, first=given._sizes.size)
+    return ConstraintSet._from_groups(*map(np.concatenate,
+                                           zip(given._groups, labels)))
 
 
 DEFAULT_ETA_GRID = (0.01, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 100, 500)

@@ -108,9 +108,10 @@ def write_responses(path, rm: ResponseMatrix) -> None:
                                    label0[order].tolist()))
 
 
-def read_truth(path, item_ids: list) -> GroundTruth:
+def read_truth(path, item_ids: list, n_classes=None) -> GroundTruth:
     """Read the `item,label` CSV against an existing item-id ordering.
-    Items missing from the file keep unknown truth."""
+    Items missing from the file keep unknown truth (label 0). With a class
+    count, a label outside 0..n_classes is an error."""
     index = {item_id: i for i, item_id in enumerate(item_ids)}
     labels = np.zeros(len(item_ids), dtype=np.intp)
     handle, reader = _open_reader(path)
@@ -127,10 +128,14 @@ def read_truth(path, item_ids: list) -> GroundTruth:
                 raise InputFormatError(
                     f"{path}:{lineno}: unknown item {item_id!r}")
             try:
-                labels[index[item_id]] = int(label_str)
+                label = int(label_str)
             except ValueError as exc:
                 raise InputFormatError(
                     f"{path}:{lineno}: non-integer label {label_str!r}") from exc
+            if n_classes is not None and not 0 <= label <= n_classes:
+                raise InputFormatError(f"{path}:{lineno}: label {label} "
+                                       f"outside 0..{n_classes}")
+            labels[index[item_id]] = label
     return GroundTruth(labels=labels)
 
 

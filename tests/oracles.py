@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy import special
 
-from crowdfuse.constraints import ConstraintConflictError
+from crowdfuse.constraints import ConstraintConflictError, ConstraintSet
 from crowdfuse.fileio import InputFormatError
 
 
@@ -227,6 +227,16 @@ def reference_derive_from_labels(label_constraints):
         by_class.setdefault(cls, []).append(item)
     return _expand(by_class.values(),
                    itertools.combinations(by_class.values(), 2))
+
+
+def reference_label_union(cs, label_constraints):
+    """The pair form of `constraints.join_labels`: a set built from the
+    union of `cs`'s pairs and every pair that the (item, class) constraints
+    imply. A pair that is then both a must-link and a cannot-link raises
+    ConstraintConflictError, as does an item given two classes."""
+    ml, cl = reference_derive_from_labels(label_constraints)
+    return ConstraintSet(must_link=cs.must_link | ml,
+                         cannot_link=cs.cannot_link | cl)
 
 
 def _expand(groups, group_pairs):

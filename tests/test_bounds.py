@@ -308,12 +308,22 @@ class TestConstraintCounts:
         cs = ConstraintSet(must_link=frozenset({(0, 1)}),
                            cannot_link=frozenset({(0, 2), (1, 3)}))
         truth = GroundTruth(labels=np.array([1, 1, 2, 2]))
-        n_ml, n_cl, by_class = constraint_counts(cs, truth, 4)
+        n_ml, n_cl, by_class = constraint_counts(cs, truth, 4, 2)
         np.testing.assert_array_equal(n_ml, [1, 1, 0, 0])
         np.testing.assert_array_equal(n_cl, [1, 1, 1, 1])
         # Item 0's cannot-link partner (item 2) is class 2.
         np.testing.assert_array_equal(by_class[0], [0, 1])
         np.testing.assert_array_equal(by_class[2], [1, 0])
+
+    def test_by_class_has_every_class(self):
+        # No item of known truth is class 3, but the column is still there,
+        # so item 0's fewest cannot-link partners of one class is 0, not 1.
+        cs = ConstraintSet(cannot_link=frozenset({(0, 1), (0, 2)}))
+        truth = GroundTruth(labels=np.array([0, 1, 2, 0]))
+        _, _, by_class = constraint_counts(cs, truth, 4, 3)
+        np.testing.assert_array_equal(by_class, [[1, 1, 0], [0, 0, 0],
+                                                 [0, 0, 0], [0, 0, 0]])
+        assert by_class.min(axis=1)[0] == 0
 
 
 class TestReport:

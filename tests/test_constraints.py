@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from crowdfuse.aggregators import FitOptions, vb_ilc_fit, vbem_fit
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
                                    ConstraintSet, check_label_constraints,
                                    close, count_violations,
-                                   derive_from_labels, eta_search)
+                                   derive_from_labels, eta_search,
+                                   join_labels)
 from crowdfuse.model import paper_default_priors
 from crowdfuse.synth import diag_dominant_spec, generate
 
@@ -41,10 +43,11 @@ class TestConstraintSet:
     @pytest.mark.parametrize("cannot_link", [frozenset({(1, 2)}),
                                              frozenset()])
     def test_cached_arrays_are_read_only(self, cannot_link):
-        cs = close(ConstraintSet(must_link=frozenset({(0, 1)}),
-                                 cannot_link=cannot_link))
+        given = ConstraintSet(must_link=frozenset({(0, 1)}),
+                              cannot_link=cannot_link)
+        cs = close(given)
         components = cs.components(4)
-        for arr in (*cs.pair_arrays, *components):
+        for arr in (*given._groups, *cs._groups, *components):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
@@ -158,6 +161,52 @@ class TestDeriveFromLabels:
         with pytest.raises(ConstraintConflictError,
                            match="item 0: classes 1 and 2"):
             derive_from_labels([(0, 1), (0, 2)])
+
+
+class TestJoinLabels:
+    def test_agreeing_pair_counted_once(self):
+        cs = ConstraintSet(must_link=frozenset({(0, 1), (1, 4)}),
+                           cannot_link=frozenset({(0, 2)}))
+        joined = join_labels(cs, [(0, 1), (1, 1), (2, 2)])
+        assert not joined.closed
+        assert joined.must_link == {(0, 1), (1, 4)}
+        assert joined.cannot_link == {(0, 2), (1, 2)}
+        assert len(joined) == 4
+        assert count_violations(joined, np.array([1, 2, 2, 1, 1])) == 3
+
+    def test_contradicted_pair_named(self):
+        cs = ConstraintSet(must_link=frozenset({(3, 5), (0, 2)}),
+                           cannot_link=frozenset({(1, 4)}))
+        with pytest.raises(ConstraintConflictError,
+                           match=r"pair \(0, 2\)"):
+            join_labels(cs, [(0, 1), (1, 1), (2, 2), (3, 1), (4, 1),
+                             (5, 2)])
+
+    def test_thousand_labels_stay_small(self):
+        # 1,000 labelled items of K=3 classes imply about 333,000
+        # must-links and 333,000 cannot-links; joined as groups, closed and
+        # counted, none of them is built.
+        rng = np.random.default_rng(0)
+        classes = rng.integers(1, 4, 3000)
+        labels = [(int(i), int(classes[i]))
+                  for i in rng.choice(3000, 1000, replace=False)]
+        pairs = {(min(a, b), max(a, b))
+                 for a, b in rng.choice(3000, (50, 2)).tolist() if a != b}
+        cs = ConstraintSet(
+            must_link={p for p in pairs if classes[p[0]] == classes[p[1]]},
+            cannot_link={p for p in pairs if classes[p[0]] != classes[p[1]]})
+        tracemalloc.start()
+        try:
+            joined = join_labels(cs, labels)
+            closed = close(joined)
+            n_v = (count_violations(joined, classes),
+                   count_violations(closed, classes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert n_v == (0, 0)
+        assert len(closed) >= len(joined) >= math.comb(1000, 2)
 
 
 class TestCheckLabelConstraints:

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from crowdfuse import aggregators, cli, fileio
+from crowdfuse import aggregators, cli, constraints, fileio
 from crowdfuse.fileio import (InputFormatError, read_constraints,
                               read_responses, read_truth, result_schema,
                               write_constraints, write_responses,
@@ -16,7 +16,7 @@ from crowdfuse.fileio import (InputFormatError, read_constraints,
 from crowdfuse.model import GroundTruth
 from crowdfuse.synth import diag_dominant_spec, generate
 
-from oracles import response_triples
+from oracles import reference_label_union, response_triples
 
 
 def run_cli(args):
@@ -288,6 +288,50 @@ class TestCliAggregate:
                          "--eta", "2",
                          "--output", str(dataset["dir"] / "o.json")]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("violations_on", ["given", "closed"])
+    @pytest.mark.parametrize("weights", [["--eta", "2"],
+                                         ["--eta-grid", "default"]])
+    def test_labels_overlapping_pairs_match_pair_union(
+            self, dataset, monkeypatch, weights, violations_on):
+        # File pairs among the labelled items 0..14, between them and other
+        # items, and among other items, all agreeing with the truth. Joining
+        # the labels as groups writes the document that the union of every
+        # pair writes.
+        ids, labels = dataset["rm"].item_ids, dataset["truth"].labels
+        rows = [("LABEL", ids[i], int(labels[i])) for i in range(15)]
+        rows += [("ML" if labels[a] == labels[b] else "CL", ids[a], ids[b])
+                 for a, b in [(0, 1), (2, 7), (3, 11), (5, 14), (4, 20),
+                              (9, 31), (20, 21), (33, 40), (12, 13)]]
+        cons = dataset["dir"] / "overlap.csv"
+        write_constraints(cons, rows)
+
+        def aggregate(name):
+            out = dataset["dir"] / name
+            assert cli.main(["aggregate", "--responses",
+                             str(dataset["responses"]), "--method", "vb-ilc",
+                             "--constraints", str(cons), "--k", "3",
+                             "--truth", str(dataset["truth_path"]),
+                             "--violations-on", violations_on, *weights,
+                             "--max-iters", "30", "--output", str(out)]) == 0
+            return re.sub(r'"timestamp": "[^"]*"', "", out.read_text())
+        joined = aggregate("joined.json")
+        monkeypatch.setattr(constraints, "join_labels", reference_label_union)
+        assert joined == aggregate("union.json")
+
+    def test_pair_contradicting_labels_exit_code(self, dataset, capsys):
+        ids, labels = dataset["rm"].item_ids, dataset["truth"].labels
+        a = 0
+        b = next(i for i in range(1, 60) if labels[i] != labels[a])
+        cons = dataset["dir"] / "contradiction.csv"
+        write_constraints(cons, [("LABEL", ids[a], int(labels[a])),
+                                 ("LABEL", ids[b], int(labels[b])),
+                                 ("ML", ids[a], ids[b])])
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb-ilc",
+                         "--constraints", str(cons), "--k", "3",
+                         "--output", str(dataset["dir"] / "o.json")]) == 3
+        assert f"pair ({a}, {b})" in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, dataset, tmp_path):
         priors = tmp_path / "priors.json"
@@ -576,6 +620,31 @@ class TestCliSynthExperimentBounds:
         doc = json.loads(out.read_text(), parse_constant=refuse)
         assert "inf" in doc["tilde_eps_q"]
         assert "inf" in np.ravel(doc["eps_gamma_bound"]).tolist()
+
+
+class TestCliTruthLabelRange:
+    @pytest.mark.parametrize("command", ["aggregate", "experiment",
+                                         "bounds"])
+    def test_label_above_class_count(self, dataset, capsys, command):
+        # A K=3 crowd and a truth row of class 7: exit 2 naming the line,
+        # where `bounds` raised IndexError and `aggregate` scored the row.
+        ids, out = dataset["rm"].item_ids, dataset["dir"] / "out"
+        truth = dataset["dir"] / "bad_truth.csv"
+        truth.write_text(f"item,label\n{ids[0]},1\n{ids[1]},7\n")
+        responses = ["--responses", str(dataset["responses"]), "--k", "3"]
+        argv = {
+            "aggregate": ["aggregate", *responses, "--method", "mv"],
+            "experiment": ["experiment", *responses, "--nc", "0"],
+            "bounds": ["bounds", "--spec-json", str(dataset["spec_path"]),
+                       "--result", str(dataset["dir"] / "vb.json")],
+        }[command]
+        assert cli.main(["aggregate", *responses, "--method", "vb",
+                         "--output", str(dataset["dir"] / "vb.json")]) == 0
+        assert cli.main([*argv, "--truth", str(truth),
+                         "--output", str(out)]) == 2
+        assert "bad_truth.csv:3: label 7 outside 0..3" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliDeterminism:

@@ -40,23 +40,26 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
 
 from crowdfuse import aggregators, constraints, model
+from crowdfuse.bounds import constraint_counts
 from crowdfuse.aggregators import (FitOptions, _component_penalty,
                                    _StackedScatter, ds_em_fit,
                                    initial_posterior, majority_vote,
                                    vb_ilc_fit, vbem_fit)
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
                                    ConstraintSet, close, count_violations,
-                                   derive_from_labels, eta_search)
+                                   derive_from_labels, eta_search,
+                                   join_labels)
 from crowdfuse.fileio import InputFormatError, read_responses, write_responses
-from crowdfuse.model import (PosteriorParams, PriorConfig, ResponseMatrix,
-                             expected_logs, paper_default_priors)
+from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
+                             ResponseMatrix, expected_logs,
+                             paper_default_priors)
 from crowdfuse.numerics import digamma, digamma_vec, softmax_rows
 from crowdfuse.selection import plan_queries
 from crowdfuse.synth import diag_dominant_spec, generate
 
 from oracles import (reference_close, reference_derive_from_labels,
-                     reference_eta_search, reference_pair_penalty,
-                     reference_plan_queries,
+                     reference_eta_search, reference_label_union,
+                     reference_pair_penalty, reference_plan_queries,
                      reference_read_responses, reference_response_matrix,
                      response_triples)
 
@@ -528,6 +531,25 @@ def constraint_set(triples):
 
 
 @st.composite
+def pairs_and_labels(draw):
+    """(n_items, pair triples, (item, class) constraints). Some draws give
+    every labelled item one class, and some of those also make every pair
+    agree with hidden classes; the others make contradictions likely."""
+    n_items = draw(st.integers(2, 12))
+    triples = draw(pair_lists(n_items, 20))
+    labels = draw(st.lists(st.tuples(st.integers(0, n_items - 1),
+                                     st.integers(1, 3)), max_size=10))
+    consistent = draw(st.sampled_from(["none", "labels", "all"]))
+    if consistent != "none":
+        hidden = draw(arrays(np.int64, n_items, elements=st.integers(1, 3)))
+        labels = [(item, int(hidden[item])) for item, _ in labels]
+    if consistent == "all":
+        triples = [(a, b, bool(hidden[a] == hidden[b]))
+                   for a, b, _ in triples]
+    return n_items, triples, labels
+
+
+@st.composite
 def closed_sets(draw, n_items):
     """`close` of random pairs, adding one pair at a time and skipping any
     pair whose closure conflicts."""
@@ -658,6 +680,43 @@ class TestConstraintSetProperties:
         assert (cs.must_link, cs.cannot_link) == expected
         assert len(cs) == len(expected[0]) + len(expected[1])
         assert cs == close(ConstraintSet(*expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs_and_labels(), st.data())
+    def test_join_labels_equals_pair_union(self, drawn, data):
+        # The labels joined as groups answer every query as the union of
+        # the pairs and every label-implied pair does, and raise a conflict
+        # exactly when the union does.
+        n_items, triples, labels = drawn
+        cs = constraint_set(triples)
+        try:
+            expected = reference_label_union(cs, labels)
+        except ConstraintConflictError:
+            with pytest.raises(ConstraintConflictError):
+                join_labels(cs, labels)
+            return
+        joined = join_labels(cs, labels)
+        assert not joined.closed and joined == expected
+        assert (joined.must_link, joined.cannot_link) == \
+            (expected.must_link, expected.cannot_link)
+        assert len(joined) == len(expected)
+        assert joined.items == expected.items
+        truth = data.draw(arrays(np.int64, n_items,
+                                 elements=st.integers(0, 3)))
+        assert_queries_equal_pair_loops(joined, n_items, truth)
+        assert count_violations(joined, truth) == \
+            count_violations(expected, truth)
+        for got, want in zip(
+                constraint_counts(joined, GroundTruth(truth), n_items, 3),
+                constraint_counts(expected, GroundTruth(truth), n_items, 3)):
+            np.testing.assert_array_equal(got, want)
+        try:
+            closed = close(expected)
+        except ConstraintConflictError:
+            with pytest.raises(ConstraintConflictError):
+                close(joined)
+            return
+        assert close(joined) == closed
 
     def test_empty_set(self):
         cs = ConstraintSet()
