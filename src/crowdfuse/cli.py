@@ -138,9 +138,8 @@ def cmd_aggregate(args) -> int:
         else:
             if cs is None:
                 raise InputFormatError("vb-ilc needs a constraints file")
-            constraints.check_label_constraints(
-                label_constraints, rm.n_items, rm.n_classes)
-            cs_all = constraints.join_labels(cs, label_constraints)
+            cs_all = constraints.join_labels(cs, label_constraints,
+                                             rm.n_items, rm.n_classes)
             cs_fit = constraints.close(cs_all)
             # A fixed --eta is a one-candidate search, which makes one fit.
             grid = _parse_eta_grid(args.eta_grid) if args.eta_grid else \

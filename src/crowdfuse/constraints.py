@@ -41,7 +41,8 @@ class ConstraintSet:
     their pairs on first access.
     """
 
-    closed = False  # whether `close` built the set
+    _closed = False
+    closed = property(lambda self: self._closed)  # whether `close` built it
 
     def __init__(self, must_link=frozenset(), cannot_link=frozenset()):
         ml = _canonical(must_link)
@@ -63,7 +64,7 @@ class ConstraintSet:
     def _from_groups(cls, member, group, edge_a, edge_b, closed=False):
         cs = cls.__new__(cls)
         cs._groups = _read_only(member, group, edge_a, edge_b)
-        cs.closed = closed
+        cs._closed = closed
         return cs
 
     @property
@@ -322,13 +323,14 @@ def derive_from_labels(label_constraints) -> ConstraintSet:
                          False)
 
 
-def join_labels(cs: ConstraintSet, label_constraints) -> ConstraintSet:
-    """The set of `cs`'s pairs and the pairs that (item, class) constraints
-    imply (see `derive_from_labels`), with the labels joined as their groups,
-    not as pairs; it is not closed. A pair of `cs` between two labelled
-    items is left out if their classes agree with it; if they contradict
-    it, ConstraintConflictError names the smallest such pair."""
-    by_item = _class_by_item(label_constraints)
+def join_labels(cs: ConstraintSet, label_constraints, n_items: int,
+                n_classes: int) -> ConstraintSet:
+    """`cs`'s pairs and the pairs that (item, class) constraints, checked by
+    `check_label_constraints`, imply (see `derive_from_labels`), the labels
+    joined as groups, not pairs; the set is not closed. A pair of `cs`
+    between two labelled items is left out if their classes agree with it;
+    if not, ConstraintConflictError names the smallest such pair."""
+    by_item = check_label_constraints(label_constraints, n_items, n_classes)
     ml, cl, contradicted = set(), set(), []
     for pairs, kept, same_class in ((cs.must_link, ml, True),
                                     (cs.cannot_link, cl, False)):

@@ -108,10 +108,10 @@ def write_responses(path, rm: ResponseMatrix) -> None:
                                    label0[order].tolist()))
 
 
-def read_truth(path, item_ids: list, n_classes=None) -> GroundTruth:
+def read_truth(path, item_ids: list, n_classes: int) -> GroundTruth:
     """Read the `item,label` CSV against an existing item-id ordering.
-    Items missing from the file keep unknown truth (label 0). With a class
-    count, a label outside 0..n_classes is an error."""
+    Items missing from the file keep unknown truth (label 0); a label
+    outside 0..n_classes is an error."""
     index = {item_id: i for i, item_id in enumerate(item_ids)}
     labels = np.zeros(len(item_ids), dtype=np.intp)
     handle, reader = _open_reader(path)
@@ -132,7 +132,7 @@ def read_truth(path, item_ids: list, n_classes=None) -> GroundTruth:
             except ValueError as exc:
                 raise InputFormatError(
                     f"{path}:{lineno}: non-integer label {label_str!r}") from exc
-            if n_classes is not None and not 0 <= label <= n_classes:
+            if not 0 <= label <= n_classes:
                 raise InputFormatError(f"{path}:{lineno}: label {label} "
                                        f"outside 0..{n_classes}")
             labels[index[item_id]] = label

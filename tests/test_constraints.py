@@ -67,6 +67,12 @@ class TestClosure:
         assert (1, 3) in cs.must_link
         assert cs.closed
 
+    def test_closed_flag_is_read_only(self):
+        cs = ConstraintSet(must_link=frozenset({(1, 2), (2, 3)}))
+        with pytest.raises(AttributeError):
+            cs.closed = True
+        assert not cs.closed
+
     def test_cannot_link_propagates(self):
         cs = close(ConstraintSet(must_link=frozenset({(1, 2)}),
                                  cannot_link=frozenset({(2, 3)})))
@@ -167,7 +173,7 @@ class TestJoinLabels:
     def test_agreeing_pair_counted_once(self):
         cs = ConstraintSet(must_link=frozenset({(0, 1), (1, 4)}),
                            cannot_link=frozenset({(0, 2)}))
-        joined = join_labels(cs, [(0, 1), (1, 1), (2, 2)])
+        joined = join_labels(cs, [(0, 1), (1, 1), (2, 2)], 5, 3)
         assert not joined.closed
         assert joined.must_link == {(0, 1), (1, 4)}
         assert joined.cannot_link == {(0, 2), (1, 2)}
@@ -180,7 +186,13 @@ class TestJoinLabels:
         with pytest.raises(ConstraintConflictError,
                            match=r"pair \(0, 2\)"):
             join_labels(cs, [(0, 1), (1, 1), (2, 2), (3, 1), (4, 1),
-                             (5, 2)])
+                             (5, 2)], 6, 3)
+
+    def test_labels_checked(self):
+        with pytest.raises(ValueError, match="class 4 outside 1..3"):
+            join_labels(ConstraintSet(), [(0, 1), (1, 4)], 2, 3)
+        with pytest.raises(ValueError, match="item 2 out of range"):
+            join_labels(ConstraintSet(), [(2, 1)], 2, 3)
 
     def test_thousand_labels_stay_small(self):
         # 1,000 labelled items of K=3 classes imply about 333,000
@@ -197,7 +209,7 @@ class TestJoinLabels:
             cannot_link={p for p in pairs if classes[p[0]] != classes[p[1]]})
         tracemalloc.start()
         try:
-            joined = join_labels(cs, labels)
+            joined = join_labels(cs, labels, 3000, 3)
             closed = close(joined)
             n_v = (count_violations(joined, classes),
                    count_violations(closed, classes))

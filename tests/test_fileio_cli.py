@@ -111,20 +111,20 @@ class TestResponsesRoundTrip:
 
 class TestTruthRoundTrip:
     def test_roundtrip(self, dataset):
-        truth = read_truth(dataset["truth_path"], dataset["rm"].item_ids)
+        truth = read_truth(dataset["truth_path"], dataset["rm"].item_ids, 3)
         np.testing.assert_array_equal(truth.labels, dataset["truth"].labels)
 
     def test_missing_items_stay_unknown(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("item,label\nb,2\n")
-        truth = read_truth(path, ["a", "b"])
+        truth = read_truth(path, ["a", "b"], 3)
         np.testing.assert_array_equal(truth.labels, [0, 2])
 
     def test_unknown_item_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("item,label\nzzz,1\n")
         with pytest.raises(InputFormatError, match="unknown item"):
-            read_truth(path, ["a", "b"])
+            read_truth(path, ["a", "b"], 3)
 
 
 class TestConstraintsFile:
@@ -316,7 +316,9 @@ class TestCliAggregate:
                              "--max-iters", "30", "--output", str(out)]) == 0
             return re.sub(r'"timestamp": "[^"]*"', "", out.read_text())
         joined = aggregate("joined.json")
-        monkeypatch.setattr(constraints, "join_labels", reference_label_union)
+        monkeypatch.setattr(constraints, "join_labels",
+                            lambda cs, labels, *_: reference_label_union(
+                                cs, labels))
         assert joined == aggregate("union.json")
 
     def test_pair_contradicting_labels_exit_code(self, dataset, capsys):
@@ -564,7 +566,7 @@ class TestCliSynthExperimentBounds:
         assert proc.returncode == 0, proc.stderr
         rm = read_responses(tmp_path / "r.csv", n_classes=2)
         assert rm.n_items == 30
-        truth = read_truth(tmp_path / "t.csv", rm.item_ids)
+        truth = read_truth(tmp_path / "t.csv", rm.item_ids, 2)
         assert np.all(truth.known_mask)
 
     def test_experiment_runs(self, dataset):

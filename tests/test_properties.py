@@ -693,9 +693,9 @@ class TestConstraintSetProperties:
             expected = reference_label_union(cs, labels)
         except ConstraintConflictError:
             with pytest.raises(ConstraintConflictError):
-                join_labels(cs, labels)
+                join_labels(cs, labels, n_items, 3)
             return
-        joined = join_labels(cs, labels)
+        joined = join_labels(cs, labels, n_items, 3)
         assert not joined.closed and joined == expected
         assert (joined.must_link, joined.cannot_link) == \
             (expected.must_link, expected.cannot_link)
