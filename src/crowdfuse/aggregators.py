@@ -187,36 +187,6 @@ class _StackedScatter:
         return by_response.reshape(g, m, k, k).transpose(0, 1, 3, 2)
 
 
-def _component_penalty(cs: ConstraintSet, n_items: int, n_classes: int,
-                       n_fits: int):
-    """The per-item sums of signed neighbour posteriors of a closed set, as a
-    function of a stack of up to `n_fits` posteriors q (G, N, K).
-
-    They are computed from `cs.components`: an item's must-link neighbours
-    are the rest of its component, and its cannot-link neighbours are every
-    component joined to its own. Each scatter is one np.bincount over the
-    flat slots g * N * K + item * K + class, which costs less per call than
-    one bincount per column at these sizes. As in `_StackedScatter`, a stack
-    of G fits uses the first G blocks of the slot arrays.
-    """
-    comp, cl_src, cl_dst = cs.components(n_items)
-    size = n_items * n_classes
-    fit = np.arange(n_fits)[:, None, None] * size
-    classes = np.arange(n_classes)
-    comp_slots = (fit + comp[:, None] * n_classes + classes).ravel()
-    src_slots = (fit + cl_src[:, None] * n_classes + classes).ravel()
-
-    def penalty(q: np.ndarray) -> np.ndarray:
-        g = q.shape[0]
-        sums = np.bincount(comp_slots[:g * size], weights=q.ravel(),
-                           minlength=g * size).reshape(q.shape)
-        across = np.bincount(src_slots[:g * cl_src.size * n_classes],
-                             weights=sums[:, cl_dst].ravel(),
-                             minlength=g * size).reshape(q.shape)
-        return (sums - across)[:, comp] - q
-    return penalty
-
-
 def _check_prior_dimensions(rm: ResponseMatrix, priors: PriorConfig) -> None:
     if priors.n_classes != rm.n_classes or priors.n_annotators != rm.n_annotators:
         raise ValueError("prior dimensions do not match the response matrix")
@@ -267,9 +237,9 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     priors (G, K), log confusion arrays (G, M, K, K)), then updates every
     label posterior. The fits share the crowd, the initial posterior and
     the constraints; only eta differs. `pinned` maps items to known
-    classes. `cs` adds each fit's eta times the signed neighbour posteriors
-    to its logits, computed from the set's must-link components, which
-    checks that its items are in range.
+    classes. `cs` adds each fit's eta times the signed sum of its must-link
+    and cannot-link partners' posteriors (`ConstraintSet.partner_sums`) to
+    its logits.
 
     A fit whose largest posterior change drops below `opts.tol` stops
     there, and its result is final; the fits still running are compacted
@@ -283,8 +253,6 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     scatter = _StackedScatter(rm, etas.size)
     q = np.repeat(initial_posterior(rm, opts)[None], etas.size, axis=0)
     _pin(q, pin_items, pin_classes0)
-    penalty = (_component_penalty(cs, rm.n_items, rm.n_classes, etas.size)
-               if cs is not None and len(cs) else None)
 
     constrained = pinned.keys() | (cs.items if cs is not None else set())
     prior_only = [int(n) for n in np.flatnonzero(rm.responses_per_item() == 0)
@@ -295,8 +263,10 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     for step in range(opts.max_iters):
         fields, log_pi, log_gamma = m_step(scatter, q)
         logits = log_pi[:, None, :] + scatter.likelihood_logits(log_gamma)
-        if penalty is not None and etas[running].any():
-            logits = logits + etas[running, None, None] * penalty(q)
+        if cs is not None and etas[running].any():
+            must, cannot = cs.partner_sums(q.transpose(1, 0, 2))
+            logits = logits + etas[running, None, None] * (
+                must - cannot).transpose(1, 0, 2)
         q_new = softmax_rows(logits.reshape(-1, rm.n_classes)).reshape(q.shape)
         _pin(q_new, pin_items, pin_classes0)
         # initial=0.0 lets a crowd with no items converge at once.
@@ -359,11 +329,9 @@ def vb_ilc_fit(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     update: each item's logits gain eta * sum of signed neighbor posteriors
     from the previous iteration (must-link +1, cannot-link -1).
 
-    The term is computed per must-link component of the closed set, not per
-    pair: an item's must-link sum is its component's posterior sum less its
-    own row, and its cannot-link sum is the sum over the components joined
-    to its own. A non-empty set that `close` did not build raises
-    ValueError.
+    The sums are taken over the closed set's must-link components, not its
+    pairs (`ConstraintSet.partner_sums`). A non-empty set that `close` did
+    not build, or a constrained item outside the crowd, raises ValueError.
     """
     opts = opts or FitOptions()
     [fit] = _vb_ilc_fits(rm, priors, cs, (opts.eta,), opts)
@@ -379,6 +347,7 @@ def _vb_ilc_fits(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     _check_prior_dimensions(rm, priors)
     if len(cs) and not cs.closed:
         raise ValueError("constraint set must be closed before fitting")
+    cs.check_range(rm.n_items)
     return _fit_loop(rm, opts, functools.partial(_vb_m_step, priors=priors),
                      etas=etas, cs=cs)
 

@@ -109,9 +109,9 @@ def constraint_counts(cs, truth: GroundTruth, n_items: int,
     1..n_classes, the number of cannot-link partners whose true class is
     that class."""
     n_ml, n_cl = cs.per_item_counts(n_items)
-    by_class = [cs.cannot_link_sums(truth.labels == k)
-                for k in range(1, n_classes + 1)]
-    return n_ml, n_cl, np.stack(by_class, axis=1).astype(np.intp)
+    one_hot = truth.labels[:, None] == np.arange(1, n_classes + 1)
+    _, by_class = cs.partner_sums(one_hot)
+    return n_ml, n_cl, by_class.astype(np.intp)
 
 
 def exponent_u(inputs: BoundInputs) -> float:

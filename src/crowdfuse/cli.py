@@ -256,7 +256,9 @@ def cmd_bounds(args) -> int:
 
     n_ml = n_cl = by_class = None
     if args.constraints:
-        cs, _ = fileio.read_constraints(args.constraints, rm_ids)
+        cs = constraints.join_labels(
+            *fileio.read_constraints(args.constraints, rm_ids),
+            spec.n_items, spec.n_classes)
         n_ml, n_cl, by_class = bounds.constraint_counts(
             cs, truth, spec.n_items, spec.n_classes)
     inputs = bounds.BoundInputs(
@@ -289,11 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "constraints")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_fit(p):
+    def common_priors(p):
         p.add_argument("--priors", choices=("paper-default", "uniform"),
                        default="paper-default")
         p.add_argument("--priors-file", default=None,
                        help="JSON file with alpha0 and beta0 arrays")
+
+    def common_fit(p):
+        common_priors(p)
         p.add_argument("--max-iters", type=int, default=100)
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--seed", type=int, default=0)
@@ -360,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--r-scale", type=float, default=0.5,
                      help="r inputs as a fraction of the class priors")
     bnd.add_argument("--output", required=True)
-    common_fit(bnd)
+    common_priors(bnd)
     bnd.set_defaults(func=cmd_bounds)
     return parser
 

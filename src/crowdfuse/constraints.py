@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -119,7 +120,9 @@ class ConstraintSet:
     def _item_array(self) -> np.ndarray:
         return np.unique(self._groups[0])
 
-    def _check_range(self, n_items: int) -> None:
+    def check_range(self, n_items: int) -> None:
+        """Raise ValueError, naming the smallest, if a constrained item is
+        outside 0..n_items-1."""
         items = self._item_array
         outside = items[(items < 0) | (items >= n_items)]
         if outside.size:
@@ -128,38 +131,41 @@ class ConstraintSet:
 
     def per_item_counts(self, n_items: int) -> tuple[np.ndarray, np.ndarray]:
         """(must-link degree, cannot-link degree) per item index."""
-        cannot = self.cannot_link_sums(np.ones(n_items))  # checks the range
-        member, group = self._groups[:2]
-        must = np.bincount(member, (self._sizes - 1)[group], n_items)
+        must, cannot = self.partner_sums(np.ones(n_items))
         return must.astype(np.intp), cannot.astype(np.intp)
 
-    def cannot_link_sums(self, values) -> np.ndarray:
-        """For each item index i, the sum of values[j] over the cannot-link
-        partners j of i, as floats."""
-        self._check_range(len(values))
-        member, group, edge_a, edge_b = self._groups
-        per_group = np.bincount(group, values[member], self._sizes.size)
-        joined = np.bincount(np.concatenate([edge_a, edge_b]),
-                             per_group[np.concatenate([edge_b, edge_a])],
-                             self._sizes.size)
-        return np.bincount(member, joined[group], len(values))
+    def partner_sums(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """(must, cannot): for each item index i, the sum of values[j] over
+        the must-link partners j of i, and over its cannot-link partners,
+        as floats of the shape of `values`, whose axis 0 indexes the items.
 
-    def components(self, n_items: int):
-        """The must-link components of the set's closure: (component id per
-        item, source and target components of each cannot-link edge between
-        components, listed in both directions), as read-only arrays. A
-        component's id is its smallest item; an item with no must-link is
-        its own component."""
-        if not self.closed:
-            return close(self).components(n_items)
-        self._check_range(n_items)
-        items, item_comp, edge_a, edge_b = self._groups
-        roots = items[np.unique(item_comp, return_index=True)[1]]
-        comp = np.arange(n_items)
-        comp[items] = roots[item_comp]
-        lo, hi = roots[edge_a], roots[edge_b]
-        return _read_only(comp, np.concatenate([lo, hi]),
-                          np.concatenate([hi, lo]))
+        An item's must-link partners are the rest of each group it is a
+        member of, and its cannot-link partners are the members of every
+        group joined by an edge to one of its groups, so each sum is a
+        scatter over the members and edges, not over the pairs.
+        """
+        values = np.asarray(values)
+        n_items, n_groups = len(values), self._sizes.size
+        self.check_range(n_items)
+        member, group, edge_a, edge_b = self._groups
+        rows = values[member]
+        per_group = _scatter_rows(group, rows, n_groups)
+        joined = _scatter_rows(np.concatenate([edge_a, edge_b]),
+                               per_group[np.concatenate([edge_b, edge_a])],
+                               n_groups)
+        return (_scatter_rows(member, per_group[group] - rows, n_items),
+                _scatter_rows(member, joined[group], n_items))
+
+
+def _scatter_rows(index: np.ndarray, rows: np.ndarray,
+                  length: int) -> np.ndarray:
+    """The sums of the rows by their index: out[i] is the sum of rows[j]
+    over the j with index[j] == i, for i below `length`, as floats. It is
+    one np.bincount over the flat slots index * width + column."""
+    width = math.prod(rows.shape[1:])
+    slots = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(slots, rows.ravel(), length * width).reshape(
+        length, *rows.shape[1:])
 
 
 def _n_pairs(sizes: np.ndarray) -> int:

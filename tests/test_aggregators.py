@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,16 @@ class TestVbIlc:
                            match="constrained item -3 out of range"):
             vb_ilc_fit(rm, paper_default_priors(1, 2), cs,
                        FitOptions(eta=1.0))
+
+    def test_range_checked_at_eta_zero(self):
+        # At eta = 0 the fit adds no partner sums, but it still checks the
+        # range before the first iteration.
+        rm = generate(diag_dominant_spec(20, 3, 2, 0.8, seed=1))[0]
+        cs = close(ConstraintSet(must_link=frozenset({(0, 25)})))
+        with pytest.raises(ValueError, match=re.escape(
+                "constrained item 25 out of range (outside 0..19)")):
+            vb_ilc_fit(rm, paper_default_priors(3, 2), cs,
+                       FitOptions(eta=0.0))
 
     def test_reports_violations(self):
         spec = diag_dominant_spec(30, 4, 2, 0.8, seed=1)

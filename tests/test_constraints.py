@@ -46,12 +46,17 @@ class TestConstraintSet:
         given = ConstraintSet(must_link=frozenset({(0, 1)}),
                               cannot_link=cannot_link)
         cs = close(given)
-        components = cs.components(4)
-        for arr in (*given._groups, *cs._groups, *components):
+        values = np.array([1.0, 2.0, 4.0, 8.0])
+        sums = cs.partner_sums(values)
+        for arr in (*given._groups, *cs._groups):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
-        for arr, again in zip(components, cs.components(4)):
+        # The closure adds the cannot-link (0, 2).
+        np.testing.assert_array_equal(sums[0], [2, 1, 0, 0])
+        np.testing.assert_array_equal(
+            sums[1], [4, 4, 3, 0] if cannot_link else [0, 0, 0, 0])
+        for arr, again in zip(sums, cs.partner_sums(values)):
             np.testing.assert_array_equal(arr, again)
         assert count_violations(cs, np.array([1, 1, 2, 2])) == 0
 
@@ -59,6 +64,8 @@ class TestConstraintSet:
         cs = ConstraintSet(cannot_link=frozenset({(0, 2)}))
         with pytest.raises(ValueError, match="outside"):
             cs.per_item_counts(2)
+        with pytest.raises(ValueError, match="item 2 out of range"):
+            cs.partner_sums(np.ones((2, 3)))
 
 
 class TestClosure:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import subprocess
@@ -8,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from crowdfuse import aggregators, cli, constraints, fileio
+from crowdfuse import aggregators, bounds, cli, constraints, fileio
 from crowdfuse.fileio import (InputFormatError, read_constraints,
                               read_responses, read_truth, result_schema,
                               write_constraints, write_responses,
@@ -622,6 +623,73 @@ class TestCliSynthExperimentBounds:
         doc = json.loads(out.read_text(), parse_constant=refuse)
         assert "inf" in doc["tilde_eps_q"]
         assert "inf" in np.ravel(doc["eps_gamma_bound"]).tolist()
+
+
+class TestCliBoundsConstraints:
+    @staticmethod
+    def run_bounds(dataset, rows, monkeypatch, *extra):
+        """Exit code of `bounds --eta 1` on a vb result, with a constraints
+        file of `rows`, and the constraint counts it computed."""
+        vb = dataset["dir"] / "vb.json"
+        if not vb.exists():
+            assert cli.main(["aggregate", "--responses",
+                             str(dataset["responses"]), "--method", "vb",
+                             "--k", "3", "--output", str(vb)]) == 0
+        cons = dataset["dir"] / "cons.csv"
+        write_constraints(cons, rows)
+        counts = []
+
+        def recording(*args):
+            counts.append(real(*args))
+            return counts[-1]
+        real = bounds.constraint_counts
+        monkeypatch.setattr(bounds, "constraint_counts", recording)
+        code = cli.main(["bounds", "--spec-json", str(dataset["spec_path"]),
+                         "--result", str(vb),
+                         "--truth", str(dataset["truth_path"]),
+                         "--constraints", str(cons), "--eta", "1", *extra,
+                         "--output", str(dataset["dir"] / "b.json")])
+        return code, counts
+
+    def test_label_rows_count_as_their_pairs(self, dataset, monkeypatch):
+        # LABEL rows for items 0..14 give the degrees and per-class
+        # cannot-link counts of the ML/CL file of every pair they imply.
+        ids, labels = dataset["rm"].item_ids, dataset["truth"].labels
+        labelled = range(15)
+        code, [from_labels] = self.run_bounds(
+            dataset, [("LABEL", ids[i], int(labels[i])) for i in labelled],
+            monkeypatch)
+        assert code == 0
+        pairs = [("ML" if labels[a] == labels[b] else "CL", ids[a], ids[b])
+                 for a, b in itertools.combinations(labelled, 2)]
+        code, [from_pairs] = self.run_bounds(dataset, pairs, monkeypatch)
+        assert code == 0
+        for got, want in zip(from_labels, from_pairs):
+            np.testing.assert_array_equal(got, want)
+        n_ml, n_cl, _ = from_labels
+        assert np.count_nonzero(n_ml + n_cl) == len(labelled)
+
+    @pytest.mark.parametrize("labels, code, message", [
+        ([(0, 1), (0, 2)], 3, "item 0: classes 1 and 2"),
+        ([(0, 7)], 4, "constraint class 7 outside 1..3")])
+    def test_label_rows_checked_as_under_aggregate(
+            self, dataset, monkeypatch, capsys, labels, code, message):
+        ids = dataset["rm"].item_ids
+        assert self.run_bounds(
+            dataset, [("LABEL", ids[i], c) for i, c in labels],
+            monkeypatch)[0] == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-6"], ["--max-iters", "3"],
+                                      ["--seed", "4"], ["--k", "9"]])
+    def test_fit_flags_are_usage_errors(self, dataset, flag):
+        # `bounds` fits nothing, so it takes only the priors flags.
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["bounds", "--spec-json", str(dataset["spec_path"]),
+                      "--result", str(dataset["dir"] / "vb.json"),
+                      "--truth", str(dataset["truth_path"]), *flag,
+                      "--output", str(dataset["dir"] / "b.json")])
+        assert exited.value.code == 2
 
 
 class TestCliTruthLabelRange:

@@ -9,13 +9,13 @@ The scatter kernels must give each fit of a stack exactly the np.add.at
 sums of that fit alone (same terms, added in the same order), and the array
 digamma must agree with scipy and with its own scalar form on every
 positive input. The shared fit loop must keep its trace, convergence flag
-and prior-only items consistent. The component form of the constraint
-penalty must equal the sum over the closed pairs, closure must be
-idempotent and monotone and its pairs must equal the union-find closure of
-`oracles.reference_close`, `derive_from_labels` must equal the pair
-expansion of `oracles.reference_derive_from_labels`, and the constraint-set
-queries, which a closed set answers from its components, must equal loops
-over the pairs.
+and prior-only items consistent. The constraint penalty, taken from the
+group form's partner sums, must equal the sum over the closed pairs,
+closure must be idempotent and monotone and its pairs must equal the
+union-find closure of `oracles.reference_close`, `derive_from_labels` must
+equal the pair expansion of `oracles.reference_derive_from_labels`, and the
+constraint-set queries, partner sums included, which a set answers from its
+groups, must equal loops over the pairs.
 
 The fit loop's shared work must not change any result: the one digamma
 call of `expected_logs` equals the separate calls, also for a stack of
@@ -27,6 +27,7 @@ set-up of `plan_queries` gives the row loop's plan. Permuting the items,
 the annotators or the classes permutes the posterior.
 """
 
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -41,8 +42,7 @@ from scipy import special
 
 from crowdfuse import aggregators, constraints, model
 from crowdfuse.bounds import constraint_counts
-from crowdfuse.aggregators import (FitOptions, _component_penalty,
-                                   _StackedScatter, ds_em_fit,
+from crowdfuse.aggregators import (FitOptions, _StackedScatter, ds_em_fit,
                                    initial_posterior, majority_vote,
                                    vb_ilc_fit, vbem_fit)
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
@@ -570,20 +570,19 @@ def closed_sets(draw, n_items):
 class TestConstraintPenalty:
     @SETTINGS
     @given(crowds(), st.data())
-    def test_components_equal_pair_sum(self, crowd, data):
-        # The component form sums in another order, so it matches the pair
-        # sum to rounding, not bit for bit. Each fit of a stack gets its own
-        # posterior's penalty, also when the penalty was built for a larger
-        # stack.
+    def test_partner_sums_equal_pair_sum(self, crowd, data):
+        # The group form sums in another order, so it matches the pair sum
+        # to rounding, not bit for bit. Each fit of a stack, transposed to
+        # (N, G, K) as the fit loop passes it, gets its own posterior's
+        # penalty, bit for bit the penalty of that fit alone.
         rm, seed = crowd
         cs = data.draw(closed_sets(rm.n_items))
-        n_fits, spare = data.draw(st.integers(1, 3)), data.draw(
-            st.integers(0, 2))
+        n_fits = data.draw(st.integers(1, 3))
         rng = np.random.default_rng(seed)
         q = np.stack([random_posterior(rng, rm.n_items, rm.n_classes)
                       for _ in range(n_fits)])
-        penalty = _component_penalty(cs, rm.n_items, rm.n_classes,
-                                     n_fits + spare)(q)
+        must, cannot = cs.partner_sums(q.transpose(1, 0, 2))
+        penalty = (must - cannot).transpose(1, 0, 2)
         free = [n for n in range(rm.n_items) if n not in cs.items]
         for g in range(n_fits):
             np.testing.assert_allclose(
@@ -591,6 +590,8 @@ class TestConstraintPenalty:
                 reference_pair_penalty(cs.must_link, cs.cannot_link, q[g]),
                 rtol=0, atol=1e-12)
             assert np.all(penalty[g][free] == 0.0)
+            must_g, cannot_g = cs.partner_sums(q[g])
+            np.testing.assert_array_equal(penalty[g], must_g - cannot_g)
 
 
 class TestConstraintSetProperties:
@@ -642,27 +643,28 @@ class TestConstraintSetProperties:
     @SETTINGS
     @given(st.integers(0, 12), st.data())
     def test_closed_set_queries_equal_pair_loops(self, n_items, data):
-        # A closed set answers from its components; the answers must be
-        # those of loops over the pairs that reference_close implies, for
-        # any labels, including ones outside 1..K.
+        # A closed set answers from its groups, which are its must-link
+        # components; the answers must be those of loops over the pairs
+        # that reference_close implies, for any labels, including ones
+        # outside 1..K.
         cs = data.draw(closed_sets(n_items))
         labels = data.draw(arrays(np.int64, n_items,
                                   elements=st.integers(-2, 4)))
         assert_queries_equal_pair_loops(cs, n_items, labels)
         pairs = reference_close(ConstraintSet(cs.must_link, cs.cannot_link))
         assert (cs.must_link, cs.cannot_link) == pairs
-        # The components' arrays give each item its component's smallest
-        # item and join the components of every cannot-link.
-        comp, cl_src, cl_dst = cs.components(n_items)
-        assert all(comp[a] == comp[b] for a, b in cs.must_link)
-        linked = {x for pair in cs.must_link for x in pair}
-        for x in range(n_items):
-            assert comp[comp[x]] == comp[x] <= x
-            assert comp[x] == x or x in linked
-        assert {(comp[a], comp[b]) for a, b in cs.cannot_link} \
-            | {(comp[b], comp[a]) for a, b in cs.cannot_link} \
-            == set(zip(cl_src.tolist(), cl_dst.tolist()))
-        assert len(cl_src) == len(set(zip(cl_src.tolist(), cl_dst.tolist())))
+        # Each item is a member of one group, the members of a group are
+        # must-linked, and the edges join the groups of every cannot-link,
+        # each pair of groups once.
+        member, group, edge_a, edge_b = (arr.tolist() for arr in cs._groups)
+        group_of = dict(zip(member, group))
+        assert len(group_of) == len(member)
+        assert {(a, b) for a, b in itertools.combinations(sorted(member), 2)
+                if group_of[a] == group_of[b]} == cs.must_link
+        edges = {frozenset(edge) for edge in zip(edge_a, edge_b)}
+        assert len(edges) == len(edge_a)
+        assert {frozenset((group_of[a], group_of[b]))
+                for a, b in cs.cannot_link} == edges
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-5, 30), st.integers(-1, 4)),
@@ -724,14 +726,17 @@ class TestConstraintSetProperties:
         assert cs.items == set()
         for degree in cs.per_item_counts(3):
             np.testing.assert_array_equal(degree, [0, 0, 0])
-        comp, cl_src, cl_dst = cs.components(3)
-        np.testing.assert_array_equal(comp, [0, 1, 2])
-        assert cl_src.size == cl_dst.size == 0
+        for sums in cs.partner_sums(np.ones((3, 2))):
+            np.testing.assert_array_equal(sums, np.zeros((3, 2)))
+        for sums in cs.partner_sums(np.ones(0)):
+            assert sums.shape == (0,)
 
 
 def assert_queries_equal_pair_loops(cs, n_items, labels):
-    """`cs`'s size, items, degrees and violation count equal loops over its
-    must_link and cannot_link pairs."""
+    """`cs`'s size, items, degrees, violation count and partner sums of
+    random 1-D, (N, K) and (N, G, K) values equal loops over its must_link
+    and cannot_link pairs, and the (N, G, K) sums equal the sums of each
+    (N, K) slice alone, bit for bit."""
     violations = (sum(labels[a] != labels[b] for a, b in cs.must_link)
                   + sum(labels[a] == labels[b] for a, b in cs.cannot_link))
     assert count_violations(cs, labels) == violations
@@ -747,6 +752,20 @@ def assert_queries_equal_pair_loops(cs, n_items, labels):
             expected[a] += 1
             expected[b] += 1
         np.testing.assert_array_equal(degree, expected)
+    rng = np.random.default_rng(n_items)
+    for shape in ((n_items,), (n_items, 3), (n_items, 2, 3)):
+        values = rng.random(shape)
+        sums = cs.partner_sums(values)
+        for got, pairs in zip(sums, (cs.must_link, cs.cannot_link)):
+            expected = np.zeros(shape)
+            for a, b in pairs:
+                expected[a] += values[b]
+                expected[b] += values[a]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        if len(shape) == 3:
+            for g in range(shape[1]):
+                for got, alone in zip(sums, cs.partner_sums(values[:, g])):
+                    np.testing.assert_array_equal(got[:, g], alone)
 
 
 def recorded_eta_search(rm, priors, cs, grid, opts):
