@@ -10,7 +10,11 @@ expected logs under Dirichlet posteriors, through digamma.
 
 The loop advances a stack of fits that differ only in the constraint
 weight eta: the eta search runs its whole grid as one stack, and every
-other fit is a stack of one.
+other fit is a stack of one. Each E-step and M-step sum over the responses
+is one product of a sparse incidence matrix, built once per loop, with the
+stack's posteriors or log confusion arrays. The whole stack shares that
+response-indexed storage, so only the (N, G, K) posteriors and their
+temporaries grow with the number of fits G.
 """
 
 from __future__ import annotations
@@ -122,69 +126,64 @@ def initial_posterior(rm: ResponseMatrix, opts: FitOptions) -> np.ndarray:
     return q.copy()
 
 
-def _scatter_columns(index: np.ndarray, columns, n_rows: int) -> np.ndarray:
-    """Sum each column of per-response values into n_rows slots by index;
-    returns shape (n_rows, number of columns).
+class _Incidence:
+    """The responses of a crowd as two sparse incidence matrices, so that
+    every E-step and M-step sum of a stack of any number of fits is one
+    sparse-times-dense product, with storage that grows with the responses
+    only.
 
-    np.bincount adds each slot's terms in input order starting from zero, so
-    every sum is bit-identical to a loop over the responses. `columns` is
-    iterated once, so a generator holds one column at a time.
-    """
-    return np.stack([np.bincount(index, weights=col, minlength=n_rows)
-                     for col in columns], axis=1)
-
-
-class _StackedScatter:
-    """The E-step and M-step scatters of a stack of up to `n_fits` fits.
-
-    Fit g's slots follow fit g-1's in every flat array here, so the first G
-    blocks of each serve a stack of any G <= n_fits fits: dropping fits
-    from the end of the stack needs no new arrays. Each slot receives the
-    terms a fit on its own would give it, in the same order, so every sum
-    is bit-identical to that fit's.
+    `by_item` is N x M*K, with a 1.0 per response at row `item` and column
+    `annotator * K + label`; `by_count` is (M*K + 1) x N, with a 1.0 per
+    response at row `annotator * K + label` and column `item`, and a last
+    row of N ones. Both are canonical CSR: each row's entries in column
+    order, so in response order, since the responses are sorted by
+    (annotator, item). A CSR product adds each row's terms in stored order
+    starting from zero, and a weight of 1.0 is exact, so every sum is
+    bit-identical to `np.bincount` over the responses. The last row's sums
+    equal numpy's sums over the items bit for bit too: numpy adds an axis
+    that is not the innermost in order (with K = 1, where it is, every
+    posterior entry is 1.0).
     """
 
-    def __init__(self, rm: ResponseMatrix, n_fits: int):
+    def __init__(self, rm: ResponseMatrix):
+        from scipy import sparse  # here, so that the CLI imports fast
+
         ann, item, label0 = rm.coords
         n, m, k = rm.n_items, rm.n_annotators, rm.n_classes
         self.shape = n, m, k
-        self.n_responses = rm.n_responses
-        fit = np.arange(n_fits)[:, None]
-        # Likelihood rows g*N + item, and flat offsets of q[g, item, 0].
-        self.item_slots = (fit * n + item).ravel()
-        self.q_offsets = self.item_slots * k
-        # Count rows (g, annotator, response), and flat offsets of
-        # log_gamma[g, annotator, 0, response]: true class c sits c*K on.
-        self.count_slots = (fit * (m * k) + ann * k + label0).ravel()
-        self.gamma_offsets = (fit * (m * k * k) + ann * (k * k)
-                              + label0).ravel()
+        column = ann * k + label0
+
+        def csr(rows, cols, n_rows, n_cols):
+            # A 1.0 at (rows[r], cols[r]) for each r, each row's entries in
+            # the order of r.
+            indptr = np.zeros(n_rows + 1, dtype=np.intp)
+            np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+            return sparse.csr_array(
+                (np.ones(rows.size), cols[np.argsort(rows, kind="stable")],
+                 indptr), shape=(n_rows, n_cols))
+
+        self.by_item = csr(item, column, n, m * k)
+        self.by_count = csr(np.concatenate([column, np.full(n, m * k)]),
+                            np.concatenate([item, np.arange(n)]), m * k + 1, n)
 
     def likelihood_logits(self, log_gamma: np.ndarray) -> np.ndarray:
-        """Per-item sums of expected response log-probabilities, (G, N, K),
+        """Per-item sums of expected response log-probabilities, (N, G, K),
         from the log confusion arrays (G, M, K, K)."""
-        n, _, k = self.shape
+        n, m, k = self.shape
         g = log_gamma.shape[0]
-        used = g * self.n_responses
-        offsets = self.gamma_offsets[:used]
-        flat = log_gamma.ravel()
-        return _scatter_columns(
-            self.item_slots[:used],
-            (flat[c * k:].take(offsets) for c in range(k)),
-            g * n).reshape(g, n, k)
+        # Rows (annotator, response), columns (fit, true class).
+        by_response = log_gamma.transpose(1, 3, 0, 2).reshape(m * k, g * k)
+        return (self.by_item @ by_response).reshape(n, g, k)
 
-    def response_counts(self, q: np.ndarray) -> np.ndarray:
-        """Posterior-weighted response counts in the (annotator, true class,
-        response) layout, (G, M, K, K), from the posteriors (G, N, K)."""
-        _, m, k = self.shape
-        g = q.shape[0]
-        used = g * self.n_responses
-        offsets = self.q_offsets[:used]
-        flat = q.ravel()
-        # Rows are (fit, annotator, response); columns are true classes.
-        by_response = _scatter_columns(
-            self.count_slots[:used],
-            (flat[c:].take(offsets) for c in range(k)), g * m * k)
-        return by_response.reshape(g, m, k, k).transpose(0, 1, 3, 2)
+    def weighted_counts(self, q: np.ndarray):
+        """(class totals (G, K), posterior-weighted response counts in the
+        (annotator, true class, response) layout (G, M, K, K)) from the
+        posteriors (N, G, K)."""
+        n, m, k = self.shape
+        g = q.shape[1]
+        sums = self.by_count @ q.reshape(n, g * k)
+        counts = sums[:-1].reshape(m, k, g, k).transpose(2, 0, 3, 1)
+        return sums[-1].reshape(g, k), counts
 
 
 def _check_prior_dimensions(rm: ResponseMatrix, priors: PriorConfig) -> None:
@@ -193,20 +192,20 @@ def _check_prior_dimensions(rm: ResponseMatrix, priors: PriorConfig) -> None:
 
 
 def _pin(q: np.ndarray, items: np.ndarray, classes0: np.ndarray) -> None:
-    """Set each pinned item's posterior row, in every fit of the stack q, to
-    its known class (zero-based), in place."""
+    """Set each pinned item's posterior row, in every fit of the stack q
+    (N, G, K), to its known class (zero-based), in place."""
     if not items.size:
         return
-    q[:, items] = 0.0
-    q[:, items, classes0] = 1.0
+    q[items] = 0.0
+    q[items, :, classes0] = 1.0
 
 
-def _vb_m_step(scatter: _StackedScatter, q: np.ndarray, priors: PriorConfig):
+def _vb_m_step(incidence: _Incidence, q: np.ndarray, priors: PriorConfig):
     """Dirichlet posteriors, and the logits' terms as their expectations.
     Building the stacked PosteriorParams checks every fit's positivity."""
-    params = PosteriorParams(
-        alpha=q.sum(axis=1) + priors.alpha0,
-        beta=scatter.response_counts(q) + priors.beta0)
+    totals, counts = incidence.weighted_counts(q)
+    params = PosteriorParams(alpha=totals + priors.alpha0,
+                             beta=counts + priors.beta0)
 
     def fields(g):
         return {"params": PosteriorParams(alpha=params.alpha[g].copy(),
@@ -214,11 +213,12 @@ def _vb_m_step(scatter: _StackedScatter, q: np.ndarray, priors: PriorConfig):
     return (fields, *expected_logs(params))
 
 
-def _em_m_step(scatter: _StackedScatter, q: np.ndarray):
+def _em_m_step(incidence: _Incidence, q: np.ndarray):
     """Smoothed point estimates, and the logits' terms as their logs."""
-    nk = q.sum(axis=1) + _EM_SMOOTHING
+    totals, counts = incidence.weighted_counts(q)
+    nk = totals + _EM_SMOOTHING
     pi_hat = nk / nk.sum(axis=-1, keepdims=True)
-    counts = scatter.response_counts(q) + _EM_SMOOTHING
+    counts = counts + _EM_SMOOTHING
     gamma_hat = counts / counts.sum(axis=-1, keepdims=True)
 
     def fields(g):
@@ -230,12 +230,13 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
               etas=(0.0,), pinned: dict | None = None,
               cs: ConstraintSet | None = None) -> list:
     """Advance one fit per entry of `etas` as one stack of posteriors
-    (G, N, K), and return their FitResults in the order of `etas`.
+    (N, G, K), and return their FitResults in the order of `etas`.
 
-    Each iteration calls `m_step(scatter, q)`, which returns (a function of
-    a fit's index in the stack giving its FitResult fields, log class
+    Each iteration calls `m_step(incidence, q)`, which returns (a function
+    of a fit's index in the stack giving its FitResult fields, log class
     priors (G, K), log confusion arrays (G, M, K, K)), then updates every
-    label posterior. The fits share the crowd, the initial posterior and
+    label posterior. The crowd's `_Incidence`, built once, serves the stack
+    at every size, so its response-indexed storage does not grow with G. The fits share the crowd, the initial posterior and
     the constraints; only eta differs. `pinned` maps items to known
     classes. `cs` adds each fit's eta times the signed sum of its must-link
     and cannot-link partners' posteriors (`ConstraintSet.partner_sums`) to
@@ -250,8 +251,8 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     pin_items = np.fromiter(pinned.keys(), dtype=np.intp, count=len(pinned))
     pin_classes0 = np.fromiter(pinned.values(), dtype=np.intp,
                                count=len(pinned)) - 1
-    scatter = _StackedScatter(rm, etas.size)
-    q = np.repeat(initial_posterior(rm, opts)[None], etas.size, axis=0)
+    incidence = _Incidence(rm)
+    q = np.repeat(initial_posterior(rm, opts)[:, None], etas.size, axis=1)
     _pin(q, pin_items, pin_classes0)
 
     constrained = pinned.keys() | (cs.items if cs is not None else set())
@@ -261,17 +262,17 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     traces = [[] for _ in range(etas.size)]
     running = np.arange(etas.size)  # each stacked fit's index in etas
     for step in range(opts.max_iters):
-        fields, log_pi, log_gamma = m_step(scatter, q)
-        logits = log_pi[:, None, :] + scatter.likelihood_logits(log_gamma)
+        fields, log_pi, log_gamma = m_step(incidence, q)
+        logits = incidence.likelihood_logits(log_gamma)
+        logits += log_pi
         if cs is not None and etas[running].any():
-            must, cannot = cs.partner_sums(q.transpose(1, 0, 2))
-            logits = logits + etas[running, None, None] * (
-                must - cannot).transpose(1, 0, 2)
+            must, cannot = cs.partner_sums(q)
+            logits += etas[running, None] * (must - cannot)
         q_new = softmax_rows(logits.reshape(-1, rm.n_classes)).reshape(q.shape)
         _pin(q_new, pin_items, pin_classes0)
-        # initial=0.0 lets a crowd with no items converge at once.
-        deltas = np.abs(q_new - q).reshape(running.size, -1).max(
-            axis=1, initial=0.0)
+        # Items first, a fast reduction over the outer axis; initial=0.0
+        # lets a crowd with no items converge at once.
+        deltas = np.abs(q_new - q).max(axis=0, initial=0.0).max(axis=1)
         q = q_new
         for g, delta in zip(running.tolist(), deltas.tolist()):
             traces[g].append(delta)
@@ -282,7 +283,7 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
             continue
         for j in np.flatnonzero(stopped).tolist():
             g = int(running[j])
-            posterior = q[j].copy()
+            posterior = q[:, j].copy()
             results[g] = FitResult(
                 posterior=posterior,
                 hard_labels=hard_labels_from(posterior),
@@ -295,7 +296,7 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
             if cs is not None:
                 results[g].n_violations = count_violations(
                     cs, results[g].hard_labels)
-        running, q = running[~stopped], q[~stopped]
+        running, q = running[~stopped], q[:, ~stopped]
         if not running.size:
             break
     return results

@@ -104,12 +104,20 @@ class ConstraintSet:
         return hash((self.closed, len(self), self.items))
 
     def __repr__(self):
-        return (f"{'closed ' * self.closed}ConstraintSet(must_link="
-                f"{set(self.must_link)}, cannot_link={set(self.cannot_link)})")
+        # Counts, not pairs: L labelled items imply about L**2 / 2 pairs.
+        must, cannot = self._pair_counts
+        return (f"{'closed ' * self.closed}ConstraintSet("
+                f"items={self._item_array.size}, groups={self._sizes.size}, "
+                f"must_link={must}, cannot_link={cannot})")
 
     def __len__(self) -> int:
+        return sum(self._pair_counts)
+
+    @property
+    def _pair_counts(self) -> tuple[int, int]:
+        """(must-link pairs, cannot-link pairs), from the group sizes."""
         sizes, edge_a, edge_b = self._sizes, *self._groups[2:]
-        return _n_pairs(sizes) + int((sizes[edge_a] * sizes[edge_b]).sum())
+        return _n_pairs(sizes), int((sizes[edge_a] * sizes[edge_b]).sum())
 
     @property
     def items(self) -> frozenset:
@@ -364,9 +372,10 @@ def eta_search(rm, priors, cs: ConstraintSet, candidate_etas, opts):
 
     The candidates are fitted as one stack of posteriors, G = len(candidates)
     of them, that advance together through one fit loop: each iteration
-    pays the loop's fixed costs once for the whole grid, and its largest
-    temporaries hold about G times the number of responses floats. Every
-    candidate is checked before the fit starts. All candidates share the
+    pays the loop's fixed costs once for the whole grid. The whole stack
+    shares the loop's response-indexed storage, so only the (N, G, K)
+    posteriors and their temporaries grow with G. Every candidate is
+    checked before the fit starts. All candidates share the
     initialization posterior of `opts`, and each fit equals `vb_ilc_fit` at
     its weight bit for bit; `opts.eta` is not read.
     """

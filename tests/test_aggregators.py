@@ -1,15 +1,17 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
-from crowdfuse.aggregators import (FitOptions, ds_em_fit, hard_labels_from,
-                                   majority_vote, vb_ilc_fit, vb_lc_fit,
-                                   vbem_fit)
+from crowdfuse.aggregators import (FitOptions, _vb_ilc_fits, ds_em_fit,
+                                   hard_labels_from, majority_vote,
+                                   vb_ilc_fit, vb_lc_fit, vbem_fit)
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintSet, close,
                                    eta_search)
+from crowdfuse.experiment import build_constraints
 from crowdfuse.model import (PriorConfig, ResponseMatrix,
                              paper_default_priors)
 from crowdfuse.synth import diag_dominant_spec, generate
@@ -257,6 +259,32 @@ class TestVbIlc:
                          FitOptions(eta=1.0))
         assert fit.prior_only_items == []
         assert len(calls) == 1
+
+
+class TestStackedGridMemory:
+    def test_grid_peak_within_six_single_fits(self):
+        # The stacked grid shares every response-indexed array, so only its
+        # (G, N, K) posteriors grow with the grid: its traced peak on a
+        # 99,600-response crowd stays within 6 times one fit's.
+        rm, truth = generate(diag_dominant_spec(10000, 20, 3, 0.65, seed=1,
+                                                mu=0.5))
+        _, cs, _ = build_constraints("random-constraints", 300, truth, None,
+                                     seed=1)
+        priors = paper_default_priors(rm.n_annotators, rm.n_classes)
+        opts = FitOptions(max_iters=5, tol=0.0)
+        vb_ilc_fit(rm, priors, cs, opts)  # imports outside the traced peaks
+
+        def traced_peak(fit):
+            tracemalloc.start()
+            try:
+                fit()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        one = traced_peak(lambda: vb_ilc_fit(rm, priors, cs, opts))
+        grid = traced_peak(lambda: _vb_ilc_fits(rm, priors, cs,
+                                                DEFAULT_ETA_GRID, opts))
+        assert grid <= 6 * one, (grid, one)
 
 
 def degenerate_crowds():

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,18 @@ class TestDeriveFromLabels:
         with pytest.raises(ConstraintConflictError,
                            match="item 0: classes 1 and 2"):
             derive_from_labels([(0, 1), (0, 2)])
+
+    def test_repr_counts_pairs_without_expanding_them(self):
+        # 2,000 labelled items of three classes imply 1,999,000 pairs. The
+        # repr gives their counts, from the group sizes, and builds none.
+        cs = derive_from_labels([(i, 1 + i % 3) for i in range(2000)])
+        start = time.perf_counter()
+        text = repr(cs)
+        assert time.perf_counter() - start < 0.5
+        assert text == ("closed ConstraintSet(items=2000, groups=3, "
+                        "must_link=665667, cannot_link=1333333)")
+        assert "_pairs" not in vars(cs)
+        assert len(cs) == math.comb(2000, 2)
 
 
 class TestJoinLabels:

@@ -5,15 +5,17 @@ The array constructor of ResponseMatrix must give what the dict form gave,
 the responses CSV must round-trip, and the responses reader must read what
 the row-at-a-time reader read, or report the same fault.
 
-The scatter kernels must give each fit of a stack exactly the np.add.at
-sums of that fit alone (same terms, added in the same order), and the array
-digamma must agree with scipy and with its own scalar form on every
-positive input. The shared fit loop must keep its trace, convergence flag
-and prior-only items consistent. The constraint penalty, taken from the
-group form's partner sums, must equal the sum over the closed pairs,
-closure must be idempotent and monotone and its pairs must equal the
-union-find closure of `oracles.reference_close`, `derive_from_labels` must
-equal the pair expansion of `oracles.reference_derive_from_labels`, and the
+The incidence-matrix products must give each fit of a stack exactly the
+np.add.at sums of that fit alone (same terms, added in the same order), and
+the class totals exactly `q.sum(axis=1)`, also on crowds with no responses,
+no items or unanswered items. The array digamma must agree with scipy and
+with its own scalar form on every positive input. The shared fit loop
+must keep its trace, convergence flag and prior-only items consistent.
+The constraint penalty, taken from the group form's partner sums, must
+equal the sum over the closed pairs, closure must be idempotent and
+monotone and its pairs must equal the union-find closure of
+`oracles.reference_close`, `derive_from_labels` must equal the pair
+expansion of `oracles.reference_derive_from_labels`, and the
 constraint-set queries, partner sums included, which a set answers from its
 groups, must equal loops over the pairs.
 
@@ -42,7 +44,7 @@ from scipy import special
 
 from crowdfuse import aggregators, constraints, model
 from crowdfuse.bounds import constraint_counts
-from crowdfuse.aggregators import (FitOptions, _StackedScatter, ds_em_fit,
+from crowdfuse.aggregators import (FitOptions, _Incidence, ds_em_fit,
                                    initial_posterior, majority_vote,
                                    vb_ilc_fit, vbem_fit)
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
@@ -305,37 +307,72 @@ def random_posterior(rng, n_items, n_classes):
     return q / np.maximum(q.sum(axis=1, keepdims=True), 1e-300)
 
 
+# Crowds with no responses, with no items, and with items nobody answered.
+EDGE_CROWDS = (ResponseMatrix(3, 2, [], [], [], n_classes=3),
+               ResponseMatrix(0, 2, [], [], [], n_classes=2),
+               ResponseMatrix(5, 2, [0, 1, 1], [1, 1, 3], [2, 1, 2],
+                              n_classes=2))
+
+
+def with_edge_crowds(test):
+    """Add each of EDGE_CROWDS, in stacks of 1 and 3 fits, as an example."""
+    for rm in EDGE_CROWDS:
+        for n_fits in (1, 3):
+            test = example(crowd=(rm, 0), n_fits=n_fits)(test)
+    return test
+
+
 class TestScatterKernels:
-    # Each fit of a stack gets exactly the np.add.at sums of a fit on its
-    # own, also when the scatter was built for a larger stack.
+    # One incidence object serves a stack of any size, and each fit of the
+    # stack gets exactly the np.add.at sums of a fit on its own.
     @SETTINGS
-    @given(crowds(), st.integers(1, 3), st.integers(0, 2))
-    def test_e_step_logits(self, crowd, n_fits, spare):
+    @given(crowds())
+    @example(crowd=(EDGE_CROWDS[0], 0))
+    @example(crowd=(EDGE_CROWDS[1], 0))
+    @example(crowd=(EDGE_CROWDS[2], 0))
+    def test_incidence_is_canonical(self, crowd):
+        rm, _ = crowd
+        incidence = _Incidence(rm)
+        n, m, k = rm.n_items, rm.n_annotators, rm.n_classes
+        assert incidence.by_item.shape == (n, m * k)
+        assert incidence.by_count.shape == (m * k + 1, n)
+        assert incidence.by_item.nnz == rm.n_responses
+        assert incidence.by_count.nnz == rm.n_responses + n
+        for matrix in (incidence.by_item, incidence.by_count):
+            assert matrix.has_canonical_format
+            assert np.all(matrix.data == 1.0)
+
+    @SETTINGS
+    @given(crowds(), st.integers(1, 3))
+    @with_edge_crowds
+    def test_e_step_logits(self, crowd, n_fits):
         rm, seed = crowd
         rng = np.random.default_rng(seed)
         k = rm.n_classes
         log_gamma = np.log(rng.dirichlet(np.ones(k),
                                          size=(n_fits, rm.n_annotators, k)))
-        logits = _StackedScatter(rm, n_fits + spare).likelihood_logits(
-            log_gamma)
-        assert logits.shape == (n_fits, rm.n_items, k)
+        logits = _Incidence(rm).likelihood_logits(log_gamma)
+        assert logits.shape == (rm.n_items, n_fits, k)
         for g in range(n_fits):
             np.testing.assert_array_equal(
-                logits[g], add_at_likelihood_logits(rm, log_gamma[g]))
+                logits[:, g], add_at_likelihood_logits(rm, log_gamma[g]))
 
     @SETTINGS
-    @given(crowds(), st.integers(1, 3), st.integers(0, 2))
-    def test_m_step_counts(self, crowd, n_fits, spare):
+    @given(crowds(), st.integers(1, 3))
+    @with_edge_crowds
+    def test_m_step_counts(self, crowd, n_fits):
         rm, seed = crowd
         rng = np.random.default_rng(seed)
         q = np.stack([random_posterior(rng, rm.n_items, rm.n_classes)
-                      for _ in range(n_fits)])
-        counts = _StackedScatter(rm, n_fits + spare).response_counts(q)
+                      for _ in range(n_fits)])  # (G, N, K)
+        totals, counts = _Incidence(rm).weighted_counts(
+            np.ascontiguousarray(q.transpose(1, 0, 2)))
         assert counts.shape == (n_fits, rm.n_annotators, rm.n_classes,
                                 rm.n_classes)
         for g in range(n_fits):
             np.testing.assert_array_equal(counts[g],
                                           add_at_response_counts(rm, q[g]))
+        np.testing.assert_array_equal(totals, q.sum(axis=1))
 
     @SETTINGS
     @given(crowds())
