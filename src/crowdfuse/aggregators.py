@@ -13,8 +13,15 @@ weight eta: the eta search runs its whole grid as one stack, and every
 other fit is a stack of one. Each E-step and M-step sum over the responses
 is one product of a sparse incidence matrix, built once per loop, with the
 stack's posteriors or log confusion arrays. The whole stack shares that
-response-indexed storage, so only the (N, G, K) posteriors and their
-temporaries grow with the number of fits G.
+response-indexed storage, so only the posteriors and the loop's arrays,
+G * K * N entries each, grow with the number of fits G.
+
+The label update works on class rows (G, K, N), each fit's K rows over the
+items contiguous, allocated once per loop and again only when the stack
+compacts: the softmax, the pinning, the log-prior add and each fit's
+largest change are whole-row operations, and none reduces along the short
+class axis. The products read and write item-major (N, G * K) arrays, so
+an iteration crosses layouts twice, each time in one transposed copy.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .constraints import (ConstraintSet, check_label_constraints,
                           count_violations)
 from .model import (PosteriorParams, PriorConfig, ResponseMatrix,
                     expected_logs)
-from .numerics import softmax_rows
+from .numerics import softmax_planes, softmax_scratch_rows, sum_matrix
 
 # Added to every count in the point-estimate M-step so a class an annotator
 # never emitted cannot produce log(0).
@@ -135,36 +142,23 @@ class _Incidence:
     `by_item` is N x M*K, with a 1.0 per response at row `item` and column
     `annotator * K + label`; `by_count` is (M*K + 1) x N, with a 1.0 per
     response at row `annotator * K + label` and column `item`, and a last
-    row of N ones. Both are canonical CSR: each row's entries in column
-    order, so in response order, since the responses are sorted by
-    (annotator, item). A CSR product adds each row's terms in stored order
-    starting from zero, and a weight of 1.0 is exact, so every sum is
-    bit-identical to `np.bincount` over the responses. The last row's sums
-    equal numpy's sums over the items bit for bit too: numpy adds an axis
-    that is not the innermost in order (with K = 1, where it is, every
-    posterior entry is 1.0).
+    row of N ones. Each row's entries are in column order, which is
+    response order, since the responses are sorted by (annotator, item). So
+    every sum is bit-identical to `np.bincount` over the responses (see
+    `numerics.sum_matrix`). The last row's sums equal numpy's sums over the
+    items bit for bit too: numpy adds an axis that is not the innermost in
+    order (with K = 1, where it is, every posterior entry is 1.0).
     """
 
     def __init__(self, rm: ResponseMatrix):
-        from scipy import sparse  # here, so that the CLI imports fast
-
         ann, item, label0 = rm.coords
         n, m, k = rm.n_items, rm.n_annotators, rm.n_classes
         self.shape = n, m, k
         column = ann * k + label0
-
-        def csr(rows, cols, n_rows, n_cols):
-            # A 1.0 at (rows[r], cols[r]) for each r, each row's entries in
-            # the order of r.
-            indptr = np.zeros(n_rows + 1, dtype=np.intp)
-            np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-            return sparse.csr_array(
-                (np.ones(rows.size), cols[np.argsort(rows, kind="stable")],
-                 indptr), shape=(n_rows, n_cols))
-
-        self.by_item = csr(item, column, n, m * k)
-        self.by_count = csr(np.concatenate([column, np.full(n, m * k)]),
-                            np.concatenate([item, np.arange(n)]), m * k + 1, n)
+        self.by_item = sum_matrix(item, column, (n, m * k))
+        self.by_count = sum_matrix(
+            np.concatenate([column, np.full(n, m * k)]),
+            np.concatenate([item, np.arange(n)]), (m * k + 1, n))
 
     def likelihood_logits(self, log_gamma: np.ndarray) -> np.ndarray:
         """Per-item sums of expected response log-probabilities, (N, G, K),
@@ -192,12 +186,57 @@ def _check_prior_dimensions(rm: ResponseMatrix, priors: PriorConfig) -> None:
 
 
 def _pin(q: np.ndarray, items: np.ndarray, classes0: np.ndarray) -> None:
-    """Set each pinned item's posterior row, in every fit of the stack q
-    (N, G, K), to its known class (zero-based), in place."""
+    """Set each pinned item's posterior, in every fit of the stack's class
+    rows q (G, K, N), to its known class (zero-based), in place."""
     if not items.size:
         return
-    q[items] = 0.0
-    q[items, :, classes0] = 1.0
+    q[:, :, items] = 0.0
+    q[:, classes0, items] = 1.0
+
+
+class _ClassRows:
+    """The fit loop's arrays for a stack of G fits, allocated once per
+    stack size. The posteriors `q`, the next posteriors `q_new` and the
+    `logits` are class rows (G, K, N): each fit's K rows over the N items,
+    each row contiguous, so the softmax, the pinning, the log-prior add
+    and the changes are whole-row operations. `items` is q copied
+    item-major (N, G, K) for the M-step and the partner sums; with the
+    E-step's item-major logits, it is one of the two layout crossings of an
+    iteration, each a 2-D transposed copy of (N, G*K). `scratch` is the
+    softmax's."""
+
+    def __init__(self, n_items: int, n_fits: int, n_classes: int):
+        rows = n_fits, n_classes, n_items
+        self.q, self.q_new, self.logits = (np.empty(rows) for _ in range(3))
+        self.items = np.empty((n_items, n_fits, n_classes))
+        self.scratch = np.empty((softmax_scratch_rows(n_classes), n_fits,
+                                 n_items))
+
+    def kept(self, keep: np.ndarray) -> "_ClassRows":
+        """New arrays for the fits `keep` (a mask over the stack), their
+        posteriors copied."""
+        n_fits, n_classes, n_items = self.q.shape
+        kept = _ClassRows(n_items, int(keep.sum()), n_classes)
+        np.compress(keep, self.q, axis=0, out=kept.q)
+        np.compress(keep, self.items, axis=1, out=kept.items)
+        return kept
+
+    def set_logits(self, by_item: np.ndarray) -> np.ndarray:
+        """Copy item-major logits (N, G, K) into `logits`, and return it."""
+        np.copyto(self.logits, by_item.transpose(1, 2, 0))
+        return self.logits
+
+    def advance(self) -> np.ndarray:
+        """Make q_new the posteriors, copy them to `items`, and return each
+        fit's largest change of a posterior entry; `logits` is scratch."""
+        change = self.logits
+        np.subtract(self.q_new, self.q, out=change)
+        np.abs(change, out=change)
+        largest = change.max(axis=1, out=self.scratch[0])
+        self.q, self.q_new = self.q_new, self.q
+        np.copyto(self.items, self.q.transpose(2, 0, 1))
+        # initial=0.0 lets a crowd with no items converge at once.
+        return largest.max(axis=1, initial=0.0)
 
 
 def _vb_m_step(incidence: _Incidence, q: np.ndarray, priors: PriorConfig):
@@ -229,18 +268,20 @@ def _em_m_step(incidence: _Incidence, q: np.ndarray):
 def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
               etas=(0.0,), pinned: dict | None = None,
               cs: ConstraintSet | None = None) -> list:
-    """Advance one fit per entry of `etas` as one stack of posteriors
-    (N, G, K), and return their FitResults in the order of `etas`.
+    """Advance one fit per entry of `etas` as one stack of posteriors, and
+    return their FitResults in the order of `etas`.
 
-    Each iteration calls `m_step(incidence, q)`, which returns (a function
-    of a fit's index in the stack giving its FitResult fields, log class
-    priors (G, K), log confusion arrays (G, M, K, K)), then updates every
-    label posterior. The crowd's `_Incidence`, built once, serves the stack
-    at every size, so its response-indexed storage does not grow with G. The fits share the crowd, the initial posterior and
-    the constraints; only eta differs. `pinned` maps items to known
-    classes. `cs` adds each fit's eta times the signed sum of its must-link
-    and cannot-link partners' posteriors (`ConstraintSet.partner_sums`) to
-    its logits.
+    Each iteration calls `m_step(incidence, q)` on the item-major
+    posteriors q (N, G, K), which returns (a function of a fit's index in
+    the stack giving its FitResult fields, log class priors (G, K), log
+    confusion arrays (G, M, K, K)), then updates every label posterior. The
+    crowd's `_Incidence`, built once, serves the stack at every size, so
+    its response-indexed storage does not grow with G. The update works on
+    class rows (G, K, N) that `_ClassRows` allocates once per stack size.
+    The fits share the crowd, the initial posterior and the constraints;
+    only eta differs. `pinned` maps items to known classes. `cs` adds each
+    fit's eta times the signed sum of its must-link and cannot-link
+    partners' posteriors (`ConstraintSet.partner_sums`) to its logits.
 
     A fit whose largest posterior change drops below `opts.tol` stops
     there, and its result is final; the fits still running are compacted
@@ -252,8 +293,10 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     pin_classes0 = np.fromiter(pinned.values(), dtype=np.intp,
                                count=len(pinned)) - 1
     incidence = _Incidence(rm)
-    q = np.repeat(initial_posterior(rm, opts)[:, None], etas.size, axis=1)
-    _pin(q, pin_items, pin_classes0)
+    stack = _ClassRows(rm.n_items, etas.size, rm.n_classes)
+    stack.q[...] = initial_posterior(rm, opts).T
+    _pin(stack.q, pin_items, pin_classes0)
+    np.copyto(stack.items, stack.q.transpose(2, 0, 1))
 
     constrained = pinned.keys() | (cs.items if cs is not None else set())
     prior_only = [int(n) for n in np.flatnonzero(rm.responses_per_item() == 0)
@@ -262,18 +305,18 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     traces = [[] for _ in range(etas.size)]
     running = np.arange(etas.size)  # each stacked fit's index in etas
     for step in range(opts.max_iters):
-        fields, log_pi, log_gamma = m_step(incidence, q)
-        logits = incidence.likelihood_logits(log_gamma)
-        logits += log_pi
+        fields, log_pi, log_gamma = m_step(incidence, stack.items)
+        logits = stack.set_logits(incidence.likelihood_logits(log_gamma))
+        logits += log_pi[:, :, None]
         if cs is not None and etas[running].any():
-            must, cannot = cs.partner_sums(q)
-            logits += etas[running, None] * (must - cannot)
-        q_new = softmax_rows(logits.reshape(-1, rm.n_classes)).reshape(q.shape)
-        _pin(q_new, pin_items, pin_classes0)
-        # Items first, a fast reduction over the outer axis; initial=0.0
-        # lets a crowd with no items converge at once.
-        deltas = np.abs(q_new - q).max(axis=0, initial=0.0).max(axis=1)
-        q = q_new
+            must, cannot = cs.partner_sums(stack.items)
+            must -= cannot
+            # q_new is free until the softmax writes it.
+            logits += np.multiply(must.transpose(1, 2, 0),
+                                  etas[running, None, None], out=stack.q_new)
+        softmax_planes(logits, stack.q_new, stack.scratch)
+        _pin(stack.q_new, pin_items, pin_classes0)
+        deltas = stack.advance()
         for g, delta in zip(running.tolist(), deltas.tolist()):
             traces[g].append(delta)
         stopped = deltas < opts.tol
@@ -283,7 +326,7 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
             continue
         for j in np.flatnonzero(stopped).tolist():
             g = int(running[j])
-            posterior = q[:, j].copy()
+            posterior = stack.items[:, j].copy()
             results[g] = FitResult(
                 posterior=posterior,
                 hard_labels=hard_labels_from(posterior),
@@ -296,9 +339,10 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
             if cs is not None:
                 results[g].n_violations = count_violations(
                     cs, results[g].hard_labels)
-        running, q = running[~stopped], q[:, ~stopped]
+        running = running[~stopped]
         if not running.size:
             break
+        stack = stack.kept(~stopped)
     return results
 
 

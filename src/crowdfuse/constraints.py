@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from .numerics import sum_matrix
+
 
 class ConstraintConflictError(ValueError):
     """A pair is required to both share and not share a class, or an item
@@ -145,35 +147,66 @@ class ConstraintSet:
     def partner_sums(self, values) -> tuple[np.ndarray, np.ndarray]:
         """(must, cannot): for each item index i, the sum of values[j] over
         the must-link partners j of i, and over its cannot-link partners,
-        as floats of the shape of `values`, whose axis 0 indexes the items.
+        as float arrays of the shape of `values`, whose axis 0 indexes the
+        items.
 
         An item's must-link partners are the rest of each group it is a
         member of, and its cannot-link partners are the members of every
-        group joined by an edge to one of its groups, so each sum is a
-        scatter over the members and edges, not over the pairs.
+        group joined by an edge to one of its groups. So each sum is taken
+        over the members and edges, not over the pairs: two sparse products
+        with gathers of the values (members to groups, then groups along the
+        edges), and a third when an item is a member of several groups (its
+        memberships to the item), all with operators the set builds once
+        (`_sum_operators`). Each sum adds its terms in the order of the
+        members, and of the edges' ends (edge_a's, then edge_b's), as
+        `np.bincount` over them adds, bit for bit.
         """
-        values = np.asarray(values)
-        n_items, n_groups = len(values), self._sizes.size
+        values = np.asarray(values, dtype=float)
+        n_items = len(values)
         self.check_range(n_items)
+        width = math.prod(values.shape[1:])
+        member, group = self._groups[:2]
+        (to_groups, along_edges, edge_ends, to_items,
+         items) = self._sum_operators
+        rows = values.reshape(n_items, width)[member]
+        per_group = to_groups @ rows
+        joined = along_edges @ per_group[edge_ends]
+        # Each membership's terms: the rest of its group, and the groups
+        # joined to it.
+        must_terms, cannot_terms = per_group[group] - rows, joined[group]
+        if to_items is not None:
+            both = to_items @ np.concatenate([must_terms, cannot_terms],
+                                             axis=1)
+            must_terms, cannot_terms = both[:, :width], both[:, width:]
+        must, cannot = np.zeros(values.shape), np.zeros(values.shape)
+        must.reshape(n_items, width)[items] = must_terms
+        cannot.reshape(n_items, width)[items] = cannot_terms
+        return must, cannot
+
+    @functools.cached_property
+    def _sum_operators(self):
+        """What `partner_sums` needs of the set, built once:
+        (members to groups, edge ends to groups, the group at the far end
+        of each edge end, memberships to items or None, the items those
+        sums go to). The matrices are `numerics.sum_matrix`es; an edge's
+        ends are listed edge_a's first, then edge_b's. When no item is a
+        member of two groups, each membership is its item's only term, so
+        the fourth is None and the fifth `member`."""
         member, group, edge_a, edge_b = self._groups
-        rows = values[member]
-        per_group = _scatter_rows(group, rows, n_groups)
-        joined = _scatter_rows(np.concatenate([edge_a, edge_b]),
-                               per_group[np.concatenate([edge_b, edge_a])],
-                               n_groups)
-        return (_scatter_rows(member, per_group[group] - rows, n_items),
-                _scatter_rows(member, joined[group], n_items))
-
-
-def _scatter_rows(index: np.ndarray, rows: np.ndarray,
-                  length: int) -> np.ndarray:
-    """The sums of the rows by their index: out[i] is the sum of rows[j]
-    over the j with index[j] == i, for i below `length`, as floats. It is
-    one np.bincount over the flat slots index * width + column."""
-    width = math.prod(rows.shape[1:])
-    slots = (index[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(slots, rows.ravel(), length * width).reshape(
-        length, *rows.shape[1:])
+        n_members, n_groups, n_ends = member.size, self._sizes.size, \
+            2 * edge_a.size
+        to_items, items = None, member
+        if self._item_array.size < n_members:
+            items = self._item_array
+            to_items = sum_matrix(np.searchsorted(items, member),
+                                  np.arange(n_members),
+                                  (items.size, n_members))
+        return (sum_matrix(group, np.arange(n_members),
+                           (n_groups, n_members)),
+                sum_matrix(np.concatenate([edge_a, edge_b]),
+                           np.arange(n_ends), (n_groups, n_ends)),
+                *_read_only(np.concatenate([edge_b, edge_a])), to_items,
+                items)
 
 
 def _n_pairs(sizes: np.ndarray) -> int:

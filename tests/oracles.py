@@ -3,7 +3,9 @@
 Everything here is written with plain Python loops and third-party special
 functions so it shares no code paths with the package under test, except
 `reference_eta_search`, which is the loop of standalone fits that the
-stacked eta search replaced.
+stacked eta search replaced, and the two kernels the fit loop replaced,
+`reference_softmax_rows` and `reference_partner_sums`, kept as the exact
+oracles of their replacements.
 """
 
 import csv
@@ -266,6 +268,38 @@ def reference_pair_penalty(must_link, cannot_link, q):
             penalty[a] += sign * q[b]
             penalty[b] += sign * q[a]
     return penalty
+
+
+def reference_softmax_rows(logits):
+    """Row softmax with numpy's row reductions: exp(logits - row max),
+    divided by `sum(axis=1)`, on C-ordered rows (numpy sums each row of a
+    C-ordered array pairwise, and the columns of an F-ordered one in
+    sequence)."""
+    logits = np.ascontiguousarray(logits, dtype=float)
+    out = np.exp(logits - logits.max(axis=1, keepdims=True))
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def reference_partner_sums(cs, values):
+    """`ConstraintSet.partner_sums` as one `np.bincount` per scatter over
+    the set's groups: members to groups, groups along the edges (edge_a's
+    ends, then edge_b's) and each membership back to its item."""
+    values = np.asarray(values)
+    n_items, n_groups = len(values), np.bincount(cs._groups[1]).size
+    member, group, edge_a, edge_b = cs._groups
+
+    def scatter(index, rows, length):
+        width = math.prod(rows.shape[1:])
+        slots = (index[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(slots, rows.ravel(), length * width).reshape(
+            length, *rows.shape[1:])
+    rows = values[member]
+    per_group = scatter(group, rows, n_groups)
+    joined = scatter(np.concatenate([edge_a, edge_b]),
+                     per_group[np.concatenate([edge_b, edge_a])], n_groups)
+    return (scatter(member, per_group[group] - rows, n_items),
+            scatter(member, joined[group], n_items))
 
 
 def reference_eta_search(rm, priors, cs, candidate_etas, opts):

@@ -61,6 +61,15 @@ class TestConstraintSet:
             np.testing.assert_array_equal(arr, again)
         assert count_violations(cs, np.array([1, 1, 2, 2])) == 0
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 2, 3)])
+    def test_empty_set_partner_sums_are_float_zeros(self, shape):
+        # No member and no edge: both sums are float zeros of the values'
+        # shape, also for a stack (N, G, K), not the integers an empty
+        # np.bincount gives.
+        for sums in close(ConstraintSet()).partner_sums(np.ones(shape)):
+            assert sums.dtype == np.float64 and sums.shape == shape
+            assert not sums.any()
+
     def test_counts_reject_item_out_of_range(self):
         cs = ConstraintSet(cannot_link=frozenset({(0, 2)}))
         with pytest.raises(ValueError, match="outside"):

@@ -55,14 +55,16 @@ from crowdfuse.fileio import InputFormatError, read_responses, write_responses
 from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
                              ResponseMatrix, expected_logs,
                              paper_default_priors)
-from crowdfuse.numerics import digamma, digamma_vec, softmax_rows
+from crowdfuse.numerics import (digamma, digamma_vec, softmax_planes,
+                                softmax_rows, softmax_scratch_rows)
 from crowdfuse.selection import plan_queries
 from crowdfuse.synth import diag_dominant_spec, generate
 
 from oracles import (reference_close, reference_derive_from_labels,
                      reference_eta_search, reference_label_union,
-                     reference_pair_penalty, reference_plan_queries,
-                     reference_read_responses, reference_response_matrix,
+                     reference_pair_penalty, reference_partner_sums,
+                     reference_plan_queries, reference_read_responses,
+                     reference_response_matrix, reference_softmax_rows,
                      response_triples)
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -519,6 +521,30 @@ class TestSoftmaxRows:
         np.testing.assert_array_equal(softmax_rows(logits), expected)
 
 
+    @SETTINGS
+    @given(st.sampled_from([*range(1, 21), 129, 200]), st.integers(1, 3),
+           st.integers(0, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 30.0, 1e3]), st.booleans())
+    def test_planes_equal_row_oracle(self, k, n_fits, n_items, seed, scale,
+                                     given_scratch):
+        # Each fit's class rows (K, N) in a stack (G, K, N), as the fit loop
+        # keeps them, softmax to the row softmax of their transpose, bit for
+        # bit: the pairwise sum's lanes (K >= 8) and halves (K > 128) add
+        # in numpy's order. Scratch that holds garbage changes nothing.
+        logits = scale * np.random.default_rng(seed).standard_normal(
+            (n_fits, k, n_items))
+        expected = [reference_softmax_rows(fit.T) for fit in logits]
+        scratch = None
+        if given_scratch:
+            scratch = np.full((softmax_scratch_rows(k), n_fits, n_items),
+                              np.nan)
+        out = softmax_planes(logits.copy(), np.empty_like(logits), scratch)
+        for g in range(n_fits):
+            np.testing.assert_array_equal(out[g].T, expected[g])
+        np.testing.assert_array_equal(softmax_rows(logits[0].T),
+                                      expected[0])
+
+
 @st.composite
 def plan_inputs(draw):
     """(posterior, n_constraints, seed) that plan_queries accepts. Rows
@@ -629,6 +655,49 @@ class TestConstraintPenalty:
             assert np.all(penalty[g][free] == 0.0)
             must_g, cannot_g = cs.partner_sums(q[g])
             np.testing.assert_array_equal(penalty[g], must_g - cannot_g)
+
+
+    @SETTINGS
+    @given(st.integers(0, 12), st.data())
+    def test_partner_sums_equal_bincount_oracle_closed(self, n_items, data):
+        assert_partner_sums_equal_oracle(data.draw(closed_sets(n_items)),
+                                         n_items)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs_and_labels())
+    def test_partner_sums_equal_bincount_oracle_joined(self, drawn):
+        # A joined set is not closed: an item can be a member of a pair's
+        # group and of its class's group, so its sums add over several
+        # memberships.
+        n_items, triples, labels = drawn
+        try:
+            cs = join_labels(constraint_set(triples), labels, n_items, 3)
+        except ConstraintConflictError:
+            return
+        assert_partner_sums_equal_oracle(cs, n_items)
+
+    def test_joined_item_in_several_groups(self):
+        # Item 1 is in the must-link's group and in class 2's group, and
+        # the label groups list their items out of order.
+        cs = join_labels(ConstraintSet(must_link={(0, 1)},
+                                       cannot_link={(3, 4)}),
+                         [(4, 2), (1, 2), (2, 1)], 5, 3)
+        must, cannot = cs.partner_sums(np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
+        np.testing.assert_array_equal(must, [2, 1 + 16, 0, 0, 2])
+        np.testing.assert_array_equal(cannot, [0, 4, 2 + 16, 16, 8 + 4])
+        assert_partner_sums_equal_oracle(cs, 5)
+
+
+def assert_partner_sums_equal_oracle(cs, n_items):
+    """`cs.partner_sums` of random 1-D, (N, K) and (N, G, K) values equals
+    `oracles.reference_partner_sums`, bit for bit, as floats."""
+    rng = np.random.default_rng(n_items)
+    for shape in ((n_items,), (n_items, 3), (n_items, 2, 3)):
+        values = rng.standard_normal(shape)
+        for got, want in zip(cs.partner_sums(values),
+                             reference_partner_sums(cs, values)):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
 
 
 class TestConstraintSetProperties:
@@ -897,7 +966,7 @@ class TestEtaSearchSharedWork:
         rm, truth = generate(diag_dominant_spec(60, 4, 3, 0.7, seed=3))
         cs = derive_from_labels([(n, int(truth.labels[n]))
                                  for n in range(0, 60, 4)])
-        calls = {"softmax_rows": 0, "digamma_vec": 0}
+        calls = {"softmax_planes": 0, "digamma_vec": 0}
 
         def counting(name, real):
             def wrapped(*args):
@@ -905,13 +974,14 @@ class TestEtaSearchSharedWork:
                 return real(*args)
             return wrapped
         max_iters = 7
-        with mock.patch.object(aggregators, "softmax_rows",
-                               counting("softmax_rows", softmax_rows)), \
+        with mock.patch.object(aggregators, "softmax_planes",
+                               counting("softmax_planes", softmax_planes)), \
                 mock.patch.object(model, "digamma_vec",
                                   counting("digamma_vec", digamma_vec)):
             eta_search(rm, paper_default_priors(4, 3), cs, DEFAULT_ETA_GRID,
                        FitOptions(max_iters=max_iters, tol=0.0))
-        assert calls == {"softmax_rows": max_iters, "digamma_vec": max_iters}
+        assert calls == {"softmax_planes": max_iters,
+                         "digamma_vec": max_iters}
 
     def test_components_computed_once_per_set(self):
         # The component routine runs in the closure that builds the set,
