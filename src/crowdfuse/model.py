@@ -132,6 +132,11 @@ class PriorConfig:
         beta0 = np.asarray(self.beta0, dtype=float)
         if alpha0.ndim != 1 or beta0.ndim != 3:
             raise ValueError("alpha0 must be 1-D and beta0 3-D (M, K, K)")
+        # A NaN passes every comparison below, and an infinite prior makes
+        # the expected logs NaN.
+        if not (np.isfinite(alpha0).all() and np.isfinite(beta0).all()):
+            raise ValueError("prior parameters must be finite, not NaN or "
+                             "infinite")
         if np.any(alpha0 <= 0) or np.any(beta0 <= 0):
             raise ValueError("prior parameters must be strictly positive")
         if np.any(alpha0 < 0.5):

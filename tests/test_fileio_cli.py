@@ -347,6 +347,26 @@ class TestCliAggregate:
                         "--output", str(tmp_path / "o.json")])
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_priors_exit_code(self, dataset, tmp_path, capsys,
+                                         recwarn, value):
+        # json writes NaN and Infinity tokens, which json.load reads back;
+        # the priors are rejected before any fit step can warn.
+        beta0 = np.ones((4, 3, 3))
+        beta0[0, 0, 0] = value
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({"alpha0": [1.0, 1.0, 1.0],
+                                      "beta0": beta0.tolist()}))
+        assert ("NaN" if np.isnan(value) else "Infinity") in \
+            priors.read_text()
+        code = cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--priors-file", str(priors),
+                         "--output", str(tmp_path / "o.json")])
+        assert code == 4
+        assert "prior parameters must be finite" in capsys.readouterr().err
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
     def test_priors_without_beta0(self, dataset, tmp_path, capsys):
         priors = tmp_path / "priors.json"
         priors.write_text(json.dumps({"alpha0": [1.0, 1.0, 1.0]}))

@@ -120,6 +120,14 @@ class TestPriors:
         with pytest.raises(ValueError):
             PriorConfig(alpha0=np.ones(2), beta0=np.ones((1, 3, 3)))
 
+    @pytest.mark.parametrize("key", ["alpha0", "beta0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, key, value):
+        arrays = {"alpha0": np.ones(2), "beta0": np.ones((1, 2, 2))}
+        arrays[key].flat[-1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            PriorConfig(**arrays)
+
 
 class TestExpectedLogs:
     def test_symmetric_alpha(self):
