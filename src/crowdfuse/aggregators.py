@@ -196,35 +196,22 @@ def _pin(q: np.ndarray, items: np.ndarray, classes0: np.ndarray) -> None:
 
 class _ClassRows:
     """The fit loop's arrays for a stack of G fits, allocated once per
-    stack size. The posteriors `q`, the next posteriors `q_new` and the
-    `logits` are class rows (G, K, N): each fit's K rows over the N items,
-    each row contiguous, so the softmax, the pinning, the log-prior add
-    and the changes are whole-row operations. `items` is q copied
-    item-major (N, G, K) for the M-step and the partner sums; with the
-    E-step's item-major logits, it is one of the two layout crossings of an
-    iteration, each a 2-D transposed copy of (N, G*K). `scratch` is the
-    softmax's."""
+    stack size from the posteriors q. The posteriors `q`, the next
+    posteriors `q_new` and the `logits` are class rows (G, K, N): each
+    fit's K rows over the N items, each row contiguous, so the softmax, the
+    pinning, the log-prior add and the changes are whole-row operations.
+    `items` is q copied item-major (N, G, K) for the M-step and the partner
+    sums. That copy and the E-step's item-major logits are an iteration's
+    two layout crossings, each a 2-D transposed copy of (N, G*K).
+    `scratch` is the softmax's."""
 
-    def __init__(self, n_items: int, n_fits: int, n_classes: int):
-        rows = n_fits, n_classes, n_items
-        self.q, self.q_new, self.logits = (np.empty(rows) for _ in range(3))
-        self.items = np.empty((n_items, n_fits, n_classes))
+    def __init__(self, q: np.ndarray):
+        n_fits, n_classes, n_items = q.shape
+        self.q, self.q_new, self.logits = q, np.empty_like(q), \
+            np.empty_like(q)
+        self.items = np.ascontiguousarray(q.transpose(2, 0, 1))
         self.scratch = np.empty((softmax_scratch_rows(n_classes), n_fits,
                                  n_items))
-
-    def kept(self, keep: np.ndarray) -> "_ClassRows":
-        """New arrays for the fits `keep` (a mask over the stack), their
-        posteriors copied."""
-        n_fits, n_classes, n_items = self.q.shape
-        kept = _ClassRows(n_items, int(keep.sum()), n_classes)
-        np.compress(keep, self.q, axis=0, out=kept.q)
-        np.compress(keep, self.items, axis=1, out=kept.items)
-        return kept
-
-    def set_logits(self, by_item: np.ndarray) -> np.ndarray:
-        """Copy item-major logits (N, G, K) into `logits`, and return it."""
-        np.copyto(self.logits, by_item.transpose(1, 2, 0))
-        return self.logits
 
     def advance(self) -> np.ndarray:
         """Make q_new the posteriors, copy them to `items`, and return each
@@ -293,10 +280,9 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     pin_classes0 = np.fromiter(pinned.values(), dtype=np.intp,
                                count=len(pinned)) - 1
     incidence = _Incidence(rm)
-    stack = _ClassRows(rm.n_items, etas.size, rm.n_classes)
-    stack.q[...] = initial_posterior(rm, opts).T
-    _pin(stack.q, pin_items, pin_classes0)
-    np.copyto(stack.items, stack.q.transpose(2, 0, 1))
+    q = np.repeat(initial_posterior(rm, opts).T[None], etas.size, axis=0)
+    _pin(q, pin_items, pin_classes0)
+    stack = _ClassRows(q)
 
     constrained = pinned.keys() | (cs.items if cs is not None else set())
     prior_only = [int(n) for n in np.flatnonzero(rm.responses_per_item() == 0)
@@ -306,7 +292,9 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     running = np.arange(etas.size)  # each stacked fit's index in etas
     for step in range(opts.max_iters):
         fields, log_pi, log_gamma = m_step(incidence, stack.items)
-        logits = stack.set_logits(incidence.likelihood_logits(log_gamma))
+        logits = stack.logits
+        np.copyto(logits, incidence.likelihood_logits(log_gamma)
+                  .transpose(1, 2, 0))
         logits += log_pi[:, :, None]
         if cs is not None and etas[running].any():
             must, cannot = cs.partner_sums(stack.items)
@@ -342,7 +330,7 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
         running = running[~stopped]
         if not running.size:
             break
-        stack = stack.kept(~stopped)
+        stack = _ClassRows(stack.q[~stopped])
     return results
 
 
