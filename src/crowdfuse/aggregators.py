@@ -302,6 +302,9 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
             # q_new is free until the softmax writes it.
             logits += np.multiply(must.transpose(1, 2, 0),
                                   etas[running, None, None], out=stack.q_new)
+            # Freed here, the sums are not held through the next
+            # iteration's, which would add two stacks to the peak.
+            del must, cannot
         softmax_planes(logits, stack.q_new, stack.scratch)
         _pin(stack.q_new, pin_items, pin_classes0)
         deltas = stack.advance()
