@@ -17,16 +17,22 @@ monotone and its pairs must equal the union-find closure of
 `oracles.reference_close`, `derive_from_labels` must equal the pair
 expansion of `oracles.reference_derive_from_labels`, and the
 constraint-set queries, partner sums included, which a set answers from its
-groups, must equal loops over the pairs.
+groups, must equal loops over the pairs. The partner sums, taken as sparse
+products, must equal the `np.bincount` scatters of
+`oracles.reference_partner_sums` bit for bit, on closed sets and on joined
+sets whose items belong to several groups.
 
 The fit loop's shared work must not change any result: the one digamma
 call of `expected_logs` equals the separate calls, also for a stack of
-fits; the column-wise row max of `softmax_rows` equals the row reduction;
-each fit of the stacked eta search, which shares one closed set's
-components, equals a standalone fit at its weight, and the search equals
-the sequential search of `oracles.reference_eta_search`; and the array
-set-up of `plan_queries` gives the row loop's plan. Permuting the items,
-the annotators or the classes permutes the posterior.
+fits; the class-row softmax of `softmax_planes`, which adds its K rows in
+numpy's pairwise order, equals the row softmax of
+`oracles.reference_softmax_rows` bit for bit, for K up to 200 and stacks
+of fits, and so does `softmax_rows`; each fit of the stacked eta search,
+which shares one closed set's components, equals a standalone fit at its
+weight, and the search equals the sequential search of
+`oracles.reference_eta_search`; and the array set-up of `plan_queries`
+gives the row loop's plan. Permuting the items, the annotators or the
+classes permutes the posterior.
 """
 
 import itertools
