@@ -66,7 +66,8 @@ def softmax_planes(logits: np.ndarray, out: np.ndarray,
     adds a contiguous row (`_pairwise_sum`), so the result equals the row
     softmax of the transposed logits, normalized by `sum(axis=1)`, bit for
     bit. `scratch`, of shape (softmax_scratch_rows(K), ..., N), is used
-    when given, so a caller that keeps it allocates nothing here.
+    when given, so a caller that keeps it allocates nothing here for K up
+    to 128 (above, each halving of the sum takes one more (..., N) array).
     """
     n_classes = logits.shape[-2]
     if scratch is None:
