@@ -207,8 +207,8 @@ class _ClassRows:
 
     def __init__(self, q: np.ndarray):
         n_fits, n_classes, n_items = q.shape
-        self.q, self.q_new, self.logits = q, np.empty_like(q), \
-            np.empty_like(q)
+        self.q = q
+        self.q_new, self.logits = np.empty_like(q), np.empty_like(q)
         self.items = np.ascontiguousarray(q.transpose(2, 0, 1))
         self.scratch = np.empty((softmax_scratch_rows(n_classes), n_fits,
                                  n_items))
