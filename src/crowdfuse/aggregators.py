@@ -36,7 +36,7 @@ from .constraints import (ConstraintSet, check_label_constraints,
                           count_violations)
 from .model import (PosteriorParams, PriorConfig, ResponseMatrix,
                     expected_logs)
-from .numerics import softmax_planes, softmax_scratch_rows, sum_matrix
+from .numerics import softmax_planes, sum_matrix
 
 # Added to every count in the point-estimate M-step so a class an annotator
 # never emitted cannot produce log(0).
@@ -206,12 +206,11 @@ class _ClassRows:
     `scratch` is the softmax's."""
 
     def __init__(self, q: np.ndarray):
-        n_fits, n_classes, n_items = q.shape
+        n_fits, _, n_items = q.shape
         self.q = q
         self.q_new, self.logits = np.empty_like(q), np.empty_like(q)
         self.items = np.ascontiguousarray(q.transpose(2, 0, 1))
-        self.scratch = np.empty((softmax_scratch_rows(n_classes), n_fits,
-                                 n_items))
+        self.scratch = np.empty((2, n_fits, n_items))
 
     def advance(self) -> np.ndarray:
         """Make q_new the posteriors, copy them to `items`, and return each

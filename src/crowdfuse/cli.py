@@ -28,13 +28,17 @@ EXIT_NUMERIC = 4
 METHODS = ("mv", "ds", "vb", "vb-lc", "vb-ilc")
 
 
+def _parse_list(raw: str, convert, name: str):
+    try:
+        return tuple(convert(x) for x in raw.split(","))
+    except ValueError as exc:
+        raise InputFormatError(f"bad {name} {raw!r}") from exc
+
+
 def _parse_eta_grid(raw: str):
     if raw == "default":
         return DEFAULT_ETA_GRID
-    try:
-        return tuple(float(x) for x in raw.split(","))
-    except ValueError as exc:
-        raise InputFormatError(f"bad eta grid {raw!r}") from exc
+    return _parse_list(raw, float, "eta grid")
 
 
 @contextlib.contextmanager
@@ -187,7 +191,7 @@ def cmd_experiment(args) -> int:
     priors = _load_priors(args, rm.n_annotators, rm.n_classes)
     config = experiment.ExperimentConfig(
         protocols=tuple(args.protocols.split(",")),
-        nc_list=tuple(int(x) for x in args.nc.split(",")),
+        nc_list=_parse_list(args.nc, int, "N_C list"),
         repeats=args.repeats,
         seed=args.seed,
         eta_grid=_parse_eta_grid(args.eta_grid),

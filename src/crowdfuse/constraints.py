@@ -52,7 +52,7 @@ class ConstraintSet:
         cl = _canonical(cannot_link)
         overlap = ml & cl
         if overlap:
-            raise ConstraintConflictError(next(iter(overlap)))
+            raise ConstraintConflictError(min(overlap))
         self._pairs = (ml, cl)
         n_ml, n_cl = len(ml), len(cl)
         ends = n_ml + np.arange(0, 2 * n_cl, 2)  # each cannot-link's first end

@@ -38,6 +38,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown protocol {p!r}")
         if self.violations_on not in ("given", "closed"):
             raise ValueError("violations_on must be 'given' or 'closed'")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        for n_c in self.nc_list:
+            if n_c < 0:
+                raise ValueError(f"N_C must be >= 0, got {n_c}")
         # Checked here, since a cell without constraints never searches.
         if not self.eta_grid:
             raise ValueError("candidate eta list is empty")

@@ -111,9 +111,10 @@ def write_responses(path, rm: ResponseMatrix) -> None:
 def read_truth(path, item_ids: list, n_classes: int) -> GroundTruth:
     """Read the `item,label` CSV against an existing item-id ordering.
     Items missing from the file keep unknown truth (label 0); a label
-    outside 0..n_classes is an error."""
+    outside 0..n_classes, or a second row for one item, is an error."""
     index = {item_id: i for i, item_id in enumerate(item_ids)}
     labels = np.zeros(len(item_ids), dtype=np.intp)
+    seen = set()
     handle, reader = _open_reader(path)
     with handle:
         header = next(reader, None)
@@ -135,6 +136,10 @@ def read_truth(path, item_ids: list, n_classes: int) -> GroundTruth:
             if not 0 <= label <= n_classes:
                 raise InputFormatError(f"{path}:{lineno}: label {label} "
                                        f"outside 0..{n_classes}")
+            if item_id in seen:
+                raise InputFormatError(
+                    f"{path}:{lineno}: duplicate truth for item {item_id!r}")
+            seen.add(item_id)
             labels[index[item_id]] = label
     return GroundTruth(labels=labels)
 

@@ -47,8 +47,8 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a 2-D array, renormalized after exponentiation.
 
     `softmax_planes` on the transposed rows; the result equals
-    exp(logits - row max) / its row sum, with numpy's reductions along the
-    rows of a C-ordered array, bit for bit.
+    exp(logits - row max) / its row sum, the sum adding the columns in
+    order.
     """
     planes = np.array(np.asarray(logits, dtype=float).T, order="C")
     return softmax_planes(planes, np.empty_like(planes)).T
@@ -61,66 +61,25 @@ def softmax_planes(logits: np.ndarray, out: np.ndarray,
     `logits` is left holding the logits minus their max.
 
     Each class row is contiguous, so every step works along the long axis
-    N and none reduces along a short one. The max is exact in any order.
-    The sum adds the class rows in the order numpy's pairwise summation
-    adds a contiguous row (`_pairwise_sum`), so the result equals the row
-    softmax of the transposed logits, normalized by `sum(axis=1)`, bit for
-    bit. `scratch`, of shape (softmax_scratch_rows(K), ..., N), is used
-    when given, so a caller that keeps it allocates nothing here for K up
-    to 128 (above, each halving of the sum takes one more (..., N) array).
+    N and none reduces along a short one. The max is exact in any order;
+    the sum adds the class rows in order, row 0 first. Below 8 classes
+    that is numpy's own order for a contiguous row, so the result equals
+    the row softmax of the transposed logits, normalized by `sum(axis=1)`,
+    bit for bit. `scratch`, of shape (2, ..., N) for the max and the sum,
+    is used when given, so a caller that keeps it allocates no array here.
     """
-    n_classes = logits.shape[-2]
     if scratch is None:
-        scratch = np.empty((softmax_scratch_rows(n_classes),)
-                           + logits.shape[:-2] + logits.shape[-1:])
-    row_max, row_sum = scratch[0], scratch[1]
+        scratch = np.empty((2,) + logits.shape[:-2] + logits.shape[-1:])
+    row_max, row_sum = scratch
     logits.max(axis=-2, out=row_max)
     logits -= row_max[..., None, :]
     np.exp(logits, out=out)
-    _pairwise_sum(np.moveaxis(out, -2, 0), row_sum, scratch[2:])
+    # An explicit loop: np.add.reduce over axis -2 may sum pairwise.
+    np.copyto(row_sum, out[..., 0, :])
+    for k in range(1, out.shape[-2]):
+        row_sum += out[..., k, :]
     out /= row_sum[..., None, :]
     return out
-
-
-def softmax_scratch_rows(n_classes: int) -> int:
-    """The length of `softmax_planes`' scratch for K classes: the max, the
-    sum and, from K = 8 on, the sum's eight lanes."""
-    return 2 + 8 * (n_classes >= 8)
-
-
-def _pairwise_sum(planes: np.ndarray, out: np.ndarray,
-                  lanes: np.ndarray) -> None:
-    """out = the sum of the planes, in numpy's pairwise order for a
-    contiguous row: fewer than 8 terms in sequence; up to 128 in eight
-    lanes, each lane adding every eighth term, the lanes combined as
-    ((0+1)+(2+3))+((4+5)+(6+7)) and the rest added in sequence; more than
-    128 as the sums of two halves, the first a multiple of 8 long. numpy
-    adds that sum to an initial 0.0, which changes no sum of
-    non-negative terms. `lanes` holds eight planes; it is read only from
-    8 terms on.
-    """
-    n = len(planes)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(planes[:half], out, lanes)
-        rest = np.empty_like(out)
-        _pairwise_sum(planes[half:], rest, lanes)
-        out += rest
-        return
-    if n < 8:
-        np.copyto(out, planes[0])
-        tail = planes[1:]
-    else:
-        np.copyto(lanes, planes[:8])
-        for start in range(8, n - n % 8, 8):
-            lanes += planes[start:start + 8]
-        for step in (1, 2):
-            for lane in range(0, 8, 2 * step):
-                lanes[lane] += lanes[lane + step]
-        np.add(lanes[0], lanes[4], out=out)
-        tail = planes[n - n % 8:]
-    for plane in tail:
-        out += plane
 
 
 def sum_matrix(rows: np.ndarray, cols: np.ndarray, shape):

@@ -5,7 +5,8 @@ functions so it shares no code paths with the package under test, except
 `reference_eta_search`, which is the loop of standalone fits that the
 stacked eta search replaced, and the two kernels the fit loop replaced,
 `reference_softmax_rows` and `reference_partner_sums`, kept as the exact
-oracles of their replacements.
+oracles of their replacements (the softmax's from K = 8 on is
+`reference_softmax_rows_in_order`).
 """
 
 import csv
@@ -278,6 +279,18 @@ def reference_softmax_rows(logits):
     logits = np.ascontiguousarray(logits, dtype=float)
     out = np.exp(logits - logits.max(axis=1, keepdims=True))
     out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def reference_softmax_rows_in_order(logits):
+    """Row softmax whose row sums add the columns in order, one Python-level
+    add per column: exp(logits - row max), divided by that sum."""
+    logits = np.asarray(logits, dtype=float)
+    out = np.exp(logits - logits.max(axis=1, keepdims=True))
+    total = out[:, 0].copy()
+    for k in range(1, out.shape[1]):
+        total += out[:, k]
+    out /= total[:, None]
     return out
 
 

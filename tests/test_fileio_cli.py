@@ -127,6 +127,63 @@ class TestTruthRoundTrip:
         with pytest.raises(InputFormatError, match="unknown item"):
             read_truth(path, ["a", "b"], 3)
 
+    def test_duplicate_item_rejected(self, dataset, capsys):
+        # A second row for one item names its line and exits 2; the last
+        # row used to win silently.
+        item = dataset["rm"].item_ids[0]
+        path = dataset["dir"] / "t.csv"
+        path.write_text(f"item,label\n{item},1\n\n{item},2\n")
+        with pytest.raises(InputFormatError,
+                           match=rf"t\.csv:4: duplicate truth for item "
+                                 rf"'{item}'$"):
+            read_truth(path, dataset["rm"].item_ids, 3)
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "mv",
+                         "--truth", str(path), "--output",
+                         str(dataset["dir"] / "o.json")]) == 2
+        assert f"duplicate truth for item '{item}'" in capsys.readouterr().err
+
+
+class TestTruthAndConstraintsFormat:
+    # Each row fault names the file and line, a header fault the file,
+    # and all of them exit 2; blank lines are skipped. {0} and {1} stand
+    # for the first two item ids.
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--truth", "item,class\n{0},1\n",
+         "t.csv: expected header item,label"),
+        ("--truth", "item,label\n{0},1\n{1}\n", "t.csv:3: expected 2 fields"),
+        ("--truth", "item,label\n\n{0},1,2\n", "t.csv:3: expected 2 fields"),
+        ("--truth", "item,label\n\n{0},1\n\n{1},2\n", None),
+        ("--constraints", "kind,i,j\nML,{0},{1}\n",
+         "c.csv: expected header kind,a,b"),
+        ("--constraints", "kind,a,b\nML,{0},{1}\nCL,{0}\n",
+         "c.csv:3: expected 3 fields"),
+        ("--constraints", "kind,a,b\n\nML,{0},{1},x\n",
+         "c.csv:3: expected 3 fields"),
+        ("--constraints", "kind,a,b\n\nML,{0},{1}\n\nLABEL,{1},2\n", None),
+    ])
+    def test_faults_and_blank_lines(self, dataset, capsys, flag, text,
+                                    message):
+        ids = dataset["rm"].item_ids
+        path = dataset["dir"] / ("t.csv" if flag == "--truth" else "c.csv")
+        path.write_text(text.format(*ids))
+        code = cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "mv",
+                         flag, str(path), "--output",
+                         str(dataset["dir"] / "o.json")])
+        if message is not None:
+            assert code == 2
+            assert message in capsys.readouterr().err
+        elif flag == "--truth":
+            assert code == 0
+            truth = read_truth(path, ids, 3)
+            np.testing.assert_array_equal(truth.labels[:3], [1, 2, 0])
+        else:
+            assert code == 0
+            cs, labels = read_constraints(path, ids)
+            assert cs.must_link == frozenset({(0, 1)})
+            assert labels == [(1, 2)]
+
 
 class TestConstraintsFile:
     def test_roundtrip(self, tmp_path):
@@ -575,6 +632,52 @@ class TestCliNonFiniteWeights:
         assert code == 4
         assert "eta must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCliExperimentCounts:
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--nc", "abc"], 2, "bad N_C list 'abc'"),
+        (["--nc", "5,x"], 2, "bad N_C list '5,x'"),
+        (["--nc", "-3"], 4, "N_C must be >= 0, got -3"),
+        (["--repeats", "0"], 4, "repeats must be >= 1, got 0"),
+        (["--repeats", "-2"], 4, "repeats must be >= 1, got -2"),
+    ])
+    def test_rejected_before_any_cell(self, dataset, capsys, flags, code,
+                                      message):
+        # A count that is not an integer is malformed input; a negative
+        # N_C or fewer than one repeat is a domain error. Either way no
+        # CSV is written, where a header-only CSV or numpy's own error was.
+        out = dataset["dir"] / "exp.csv"
+        assert cli.main(["experiment", "--spec-json",
+                         str(dataset["spec_path"]), *flags,
+                         "--output", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCliConstraintConflict:
+    def test_direct_conflict_named_in_any_row_order(self, tmp_path, capsys):
+        # Pairs (0, 6) and (1, 5) are both must- and cannot-links; the
+        # smaller is named whatever the rows' order.
+        r = tmp_path / "r.csv"
+        assert cli.main(["synth", "--n", "10", "--m", "3", "--k", "2",
+                         "--seed", "1", "--out-responses", str(r),
+                         "--out-truth", str(tmp_path / "t.csv"),
+                         "--out-spec", str(tmp_path / "s.json")]) == 0
+        rows = [("ML", 0, 2), ("ML", 0, 6), ("ML", 1, 5), ("ML", 7, 3),
+                ("CL", 1, 4), ("CL", 1, 5), ("CL", 5, 0), ("CL", 6, 0)]
+        messages = set()
+        for seed in range(8):
+            order = np.random.default_rng(seed).permutation(len(rows))
+            cons = tmp_path / "c.csv"
+            write_constraints(cons, [rows[i] for i in order])
+            assert cli.main(["aggregate", "--responses", str(r),
+                             "--method", "vb-ilc", "--constraints",
+                             str(cons), "--output",
+                             str(tmp_path / "o.json")]) == 3
+            messages.add(capsys.readouterr().err)
+        assert messages == {"error: conflicting constraints on pair "
+                            "(0, 6)\n"}
 
 
 class TestCliSynthExperimentBounds:

@@ -25,9 +25,11 @@ sets whose items belong to several groups.
 The fit loop's shared work must not change any result: the one digamma
 call of `expected_logs` equals the separate calls, also for a stack of
 fits; the class-row softmax of `softmax_planes`, which adds its K rows in
-numpy's pairwise order, equals the row softmax of
-`oracles.reference_softmax_rows` bit for bit, for K up to 200 and stacks
-of fits, and so does `softmax_rows`; each fit of the stacked eta search,
+order, equals the row softmax of `oracles.reference_softmax_rows` bit for
+bit below K = 8, where numpy also sums in order, and that of
+`oracles.reference_softmax_rows_in_order` bit for bit (and numpy's to
+1e-14) for K from 8 up to 200, on stacks of fits, and so does
+`softmax_rows`; each fit of the stacked eta search,
 which shares one closed set's components, equals a standalone fit at its
 weight, and the search equals the sequential search of
 `oracles.reference_eta_search`; and the array set-up of `plan_queries`
@@ -62,7 +64,7 @@ from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
                              ResponseMatrix, expected_logs,
                              paper_default_priors)
 from crowdfuse.numerics import (digamma, digamma_vec, softmax_planes,
-                                softmax_rows, softmax_scratch_rows)
+                                softmax_rows)
 from crowdfuse.selection import plan_queries
 from crowdfuse.synth import diag_dominant_spec, generate
 
@@ -71,7 +73,7 @@ from oracles import (reference_close, reference_derive_from_labels,
                      reference_pair_penalty, reference_partner_sums,
                      reference_plan_queries, reference_read_responses,
                      reference_response_matrix, reference_softmax_rows,
-                     response_triples)
+                     reference_softmax_rows_in_order, response_triples)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -521,10 +523,19 @@ class TestSoftmaxRows:
         float, st.tuples(st.integers(0, 30), st.just(k)),
         elements=st.floats(-1e3, 1e3))))
     def test_equals_row_max_form(self, logits):
+        # Below 8 classes numpy sums a row in order, as the kernel does, so
+        # the two agree bit for bit; from 8 on numpy sums pairwise, and
+        # the kernel agrees bit for bit with an in-order oracle instead.
         shifted = logits - logits.max(axis=1, keepdims=True)
         expected = np.exp(shifted)
         expected /= expected.sum(axis=1, keepdims=True)
-        np.testing.assert_array_equal(softmax_rows(logits), expected)
+        out = softmax_rows(logits)
+        if logits.shape[1] < 8:
+            np.testing.assert_array_equal(out, expected)
+        else:
+            np.testing.assert_array_equal(
+                out, reference_softmax_rows_in_order(logits))
+            np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0)
 
 
     @SETTINGS
@@ -535,18 +546,23 @@ class TestSoftmaxRows:
                                      given_scratch):
         # Each fit's class rows (K, N) in a stack (G, K, N), as the fit loop
         # keeps them, softmax to the row softmax of their transpose, bit for
-        # bit: the pairwise sum's lanes (K >= 8) and halves (K > 128) add
-        # in numpy's order. Scratch that holds garbage changes nothing.
+        # bit: numpy's own below K = 8, where numpy sums a row in order,
+        # and the in-order oracle's from 8 on, where numpy sums pairwise
+        # and the two agree to 1e-14. Scratch that holds garbage changes
+        # nothing.
         logits = scale * np.random.default_rng(seed).standard_normal(
             (n_fits, k, n_items))
-        expected = [reference_softmax_rows(fit.T) for fit in logits]
+        numpy_order = [reference_softmax_rows(fit.T) for fit in logits]
+        expected = numpy_order if k < 8 else [
+            reference_softmax_rows_in_order(fit.T) for fit in logits]
         scratch = None
         if given_scratch:
-            scratch = np.full((softmax_scratch_rows(k), n_fits, n_items),
-                              np.nan)
+            scratch = np.full((2, n_fits, n_items), np.nan)
         out = softmax_planes(logits.copy(), np.empty_like(logits), scratch)
         for g in range(n_fits):
             np.testing.assert_array_equal(out[g].T, expected[g])
+            np.testing.assert_allclose(out[g].T, numpy_order[g], rtol=1e-14,
+                                       atol=0)
         np.testing.assert_array_equal(softmax_rows(logits[0].T),
                                       expected[0])
 
