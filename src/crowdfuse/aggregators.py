@@ -14,7 +14,9 @@ other fit is a stack of one. Each E-step and M-step sum over the responses
 is one product of a sparse incidence matrix, built once per loop, with the
 stack's posteriors or log confusion arrays. The whole stack shares that
 response-indexed storage, so only the posteriors and the loop's arrays,
-G * K * N entries each, grow with the number of fits G.
+G * K * N entries each, grow with the number of fits G. The constraint
+penalty's per-iteration arrays hold only the constrained items' rows, so
+they are O(constrained items * G * K), whatever N is.
 
 The label update works on class rows (G, K, N), each fit's K rows over the
 items contiguous, allocated once per loop and again only when the stack
@@ -267,7 +269,9 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     The fits share the crowd, the initial posterior and the constraints;
     only eta differs. `pinned` maps items to known classes. `cs` adds each
     fit's eta times the signed sum of its must-link and cannot-link
-    partners' posteriors (`ConstraintSet.partner_sums`) to its logits.
+    partners' posteriors (`ConstraintSet.partner_sums`) to its logits, on
+    the constrained items only, so the penalty's per-iteration arrays are
+    O(constrained items * G * K).
 
     A fit whose largest posterior change drops below `opts.tol` stops
     there, and its result is final; the fits still running are compacted
@@ -296,14 +300,10 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
                   .transpose(1, 2, 0))
         logits += log_pi[:, :, None]
         if cs is not None and etas[running].any():
-            must, cannot = cs.partner_sums(stack.items)
+            items, must, cannot = cs.partner_sums(stack.items)
             must -= cannot
-            # q_new is free until the softmax writes it.
-            logits += np.multiply(must.transpose(1, 2, 0),
-                                  etas[running, None, None], out=stack.q_new)
-            # Freed here, the sums are not held through the next
-            # iteration's, which would add two stacks to the peak.
-            del must, cannot
+            must *= etas[running, None]
+            logits[:, :, items] += must.transpose(1, 2, 0)
         softmax_planes(logits, stack.q_new, stack.scratch)
         _pin(stack.q_new, pin_items, pin_classes0)
         deltas = stack.advance()

@@ -110,8 +110,10 @@ def constraint_counts(cs, truth: GroundTruth, n_items: int,
     that class."""
     n_ml, n_cl = cs.per_item_counts(n_items)
     one_hot = truth.labels[:, None] == np.arange(1, n_classes + 1)
-    _, by_class = cs.partner_sums(one_hot)
-    return n_ml, n_cl, by_class.astype(np.intp)
+    items, _, cannot = cs.partner_sums(one_hot)
+    by_class = np.zeros(one_hot.shape, dtype=np.intp)
+    by_class[items] = cannot
+    return n_ml, n_cl, by_class
 
 
 def exponent_u(inputs: BoundInputs) -> float:

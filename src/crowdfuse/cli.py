@@ -109,8 +109,24 @@ def _params_doc(fit) -> dict | None:
     return None
 
 
+@contextlib.contextmanager
+def _conflicts_named(item_ids):
+    """Re-raise a constraint conflict with its items named by their ids in
+    the input files, not by their indices."""
+    try:
+        yield
+    except ConstraintConflictError as exc:
+        raise ConstraintConflictError(exc.pair, exc.classes,
+                                      item_ids) from None
+
+
 def cmd_aggregate(args) -> int:
     rm = fileio.read_responses(args.responses, n_classes=args.k)
+    with _conflicts_named(rm.item_ids):
+        return _aggregate(args, rm)
+
+
+def _aggregate(args, rm) -> int:
     priors = _load_priors(args, rm.n_annotators, rm.n_classes)
     truth = (fileio.read_truth(args.truth, rm.item_ids, rm.n_classes)
              if args.truth else None)
@@ -260,9 +276,10 @@ def cmd_bounds(args) -> int:
 
     n_ml = n_cl = by_class = None
     if args.constraints:
-        cs = constraints.join_labels(
-            *fileio.read_constraints(args.constraints, rm_ids),
-            spec.n_items, spec.n_classes)
+        with _conflicts_named(rm_ids):
+            cs = constraints.join_labels(
+                *fileio.read_constraints(args.constraints, rm_ids),
+                spec.n_items, spec.n_classes)
         n_ml, n_cl, by_class = bounds.constraint_counts(
             cs, truth, spec.n_items, spec.n_classes)
     inputs = bounds.BoundInputs(

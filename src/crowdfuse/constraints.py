@@ -13,12 +13,22 @@ from .numerics import sum_matrix
 
 class ConstraintConflictError(ValueError):
     """A pair is required to both share and not share a class, or an item
-    (the pair (item, item)) is given two classes."""
+    (the pair (item, item)) is given the two `classes`.
 
-    def __init__(self, pair, message=None):
+    `pair` holds item indices. The message names the items by
+    `item_ids[index]` when item_ids is given (the ids of the input files),
+    and by their indices when it is not."""
+
+    def __init__(self, pair, classes=None, item_ids=None):
         self.pair = tuple(sorted(pair))
-        super().__init__(message
-                         or f"conflicting constraints on pair {self.pair}")
+        self.classes = classes
+        a, b = (map(str, self.pair) if item_ids is None
+                else (repr(item_ids[i]) for i in self.pair))
+        super().__init__(
+            f"conflicting constraints on pair ({a}, {b})"
+            if classes is None else
+            f"conflicting label constraints on item {a}: classes "
+            f"{classes[0]} and {classes[1]}")
 
 
 def _canonical(pairs) -> frozenset:
@@ -128,7 +138,7 @@ class ConstraintSet:
 
     @functools.cached_property
     def _item_array(self) -> np.ndarray:
-        return np.unique(self._groups[0])
+        return _read_only(np.unique(self._groups[0]))[0]
 
     def check_range(self, n_items: int) -> None:
         """Raise ValueError, naming the smallest, if a constrained item is
@@ -141,14 +151,19 @@ class ConstraintSet:
 
     def per_item_counts(self, n_items: int) -> tuple[np.ndarray, np.ndarray]:
         """(must-link degree, cannot-link degree) per item index."""
-        must, cannot = self.partner_sums(np.ones(n_items))
-        return must.astype(np.intp), cannot.astype(np.intp)
+        items, must, cannot = self.partner_sums(np.ones(n_items))
+        ml, cl = np.zeros(n_items, np.intp), np.zeros(n_items, np.intp)
+        ml[items], cl[items] = must, cannot
+        return ml, cl
 
-    def partner_sums(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """(must, cannot): for each item index i, the sum of values[j] over
-        the must-link partners j of i, and over its cannot-link partners,
-        as float arrays of the shape of `values`, whose axis 0 indexes the
-        items.
+    def partner_sums(self, values) -> tuple[np.ndarray, ...]:
+        """(items, must, cannot): each constrained item once, and for each
+        of them the sum of values[j] over its must-link partners j, and
+        over its cannot-link partners. `values`' axis 0 indexes the items;
+        `must` and `cannot` are float arrays of shape
+        (items.size,) + values.shape[1:], row r for item items[r]. An item
+        outside `items` has no partner, so both its sums are zero; the
+        arrays grow with the constrained items, not with len(values).
 
         An item's must-link partners are the rest of each group it is a
         member of, and its cannot-link partners are the members of every
@@ -173,15 +188,12 @@ class ConstraintSet:
         joined = along_edges @ per_group[edge_ends]
         # Each membership's terms: the rest of its group, and the groups
         # joined to it.
-        must_terms, cannot_terms = per_group[group] - rows, joined[group]
+        must, cannot = per_group[group] - rows, joined[group]
         if to_items is not None:
-            both = to_items @ np.concatenate([must_terms, cannot_terms],
-                                             axis=1)
-            must_terms, cannot_terms = both[:, :width], both[:, width:]
-        must, cannot = np.zeros(values.shape), np.zeros(values.shape)
-        must.reshape(n_items, width)[items] = must_terms
-        cannot.reshape(n_items, width)[items] = cannot_terms
-        return must, cannot
+            both = to_items @ np.concatenate([must, cannot], axis=1)
+            must, cannot = both[:, :width], both[:, width:]
+        shape = (items.size,) + values.shape[1:]
+        return items, must.reshape(shape), cannot.reshape(shape)
 
     @functools.cached_property
     def _sum_operators(self):
@@ -342,9 +354,8 @@ def _class_by_item(label_constraints) -> dict:
     by_item = {}
     for item, cls in label_constraints:
         if by_item.setdefault(item, cls) != cls:
-            raise ConstraintConflictError(
-                (item, item), f"conflicting label constraints on item "
-                              f"{item}: classes {by_item[item]} and {cls}")
+            raise ConstraintConflictError((item, item),
+                                          (by_item[item], cls))
     return by_item
 
 

@@ -23,7 +23,16 @@ CONSTRAINTS_HEADER = ["kind", "a", "b"]
 
 def _open_reader(path):
     handle = open(path, newline="", encoding="utf-8")
-    return handle, csv.reader(handle)
+    return handle, _rows(csv.reader(handle), path)
+
+
+def _rows(reader, path):
+    """The CSV reader's rows; a row it cannot read (a field over the csv
+    module's size limit, say) raises InputFormatError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _check_header(row, expected, path):

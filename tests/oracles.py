@@ -6,7 +6,9 @@ functions so it shares no code paths with the package under test, except
 stacked eta search replaced, and the two kernels the fit loop replaced,
 `reference_softmax_rows` and `reference_partner_sums`, kept as the exact
 oracles of their replacements (the softmax's from K = 8 on is
-`reference_softmax_rows_in_order`).
+`reference_softmax_rows_in_order`). `placed_partner_sums` is no reference:
+it puts the rows that `ConstraintSet.partner_sums` gives for the
+constrained items into zeros, the every-item form the references give.
 """
 
 import csv
@@ -313,6 +315,15 @@ def reference_partner_sums(cs, values):
                      per_group[np.concatenate([edge_b, edge_a])], n_groups)
     return (scatter(member, per_group[group] - rows, n_items),
             scatter(member, joined[group], n_items))
+
+
+def placed_partner_sums(cs, values):
+    """(must, cannot) of `cs.partner_sums(values)`, each of the shape of
+    `values`: its rows at their items, zeros elsewhere."""
+    items, *sums = cs.partner_sums(values)
+    placed = np.zeros((2,) + np.shape(values))
+    placed[0][items], placed[1][items] = sums
+    return placed[0], placed[1]
 
 
 def reference_eta_search(rm, priors, cs, candidate_etas, opts):

@@ -16,7 +16,7 @@ from crowdfuse.model import paper_default_priors
 from crowdfuse.synth import diag_dominant_spec, generate
 
 
-from oracles import brute_force_closure
+from oracles import brute_force_closure, placed_partner_sums
 
 
 class TestConstraintSet:
@@ -33,6 +33,29 @@ class TestConstraintSet:
             ConstraintSet(must_link=frozenset({(1, 2)}),
                           cannot_link=frozenset({(2, 1)}))
 
+    def test_conflict_names_items_by_index_or_id(self):
+        # Library callers get the indices in `pair`; the CLI names the
+        # items by their ids in the input files.
+        with pytest.raises(ConstraintConflictError) as raised:
+            close(ConstraintSet(must_link={(2, 0), (1, 2)},
+                                cannot_link={(1, 0)}))
+        assert raised.value.pair == (0, 1)
+        assert str(raised.value) == "conflicting constraints on pair (0, 1)"
+        named = ConstraintConflictError(raised.value.pair,
+                                        item_ids=["x", "y", "z"])
+        assert named.pair == (0, 1)
+        assert str(named) == "conflicting constraints on pair ('x', 'y')"
+        with pytest.raises(ConstraintConflictError) as raised:
+            check_label_constraints([(2, 1), (2, 3)], 3, 3)
+        assert raised.value.pair == (2, 2)
+        assert raised.value.classes == (1, 3)
+        assert str(raised.value) == \
+            "conflicting label constraints on item 2: classes 1 and 3"
+        named = ConstraintConflictError(raised.value.pair,
+                                        raised.value.classes, ["x", "y", "z"])
+        assert str(named) == \
+            "conflicting label constraints on item 'z': classes 1 and 3"
+
     def test_items_and_counts(self):
         cs = ConstraintSet(must_link=frozenset({(0, 1)}),
                            cannot_link=frozenset({(1, 2)}))
@@ -48,27 +71,67 @@ class TestConstraintSet:
                               cannot_link=cannot_link)
         cs = close(given)
         values = np.array([1.0, 2.0, 4.0, 8.0])
-        sums = cs.partner_sums(values)
-        for arr in (*given._groups, *cs._groups):
+        items = cs.partner_sums(values)[0]
+        sums = placed_partner_sums(cs, values)
+        # The set's items come back as they are cached, so they too are
+        # read-only.
+        for arr in (*given._groups, *cs._groups, items):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
+        np.testing.assert_array_equal(items,
+                                      [0, 1, 2] if cannot_link else [0, 1])
         # The closure adds the cannot-link (0, 2).
         np.testing.assert_array_equal(sums[0], [2, 1, 0, 0])
         np.testing.assert_array_equal(
             sums[1], [4, 4, 3, 0] if cannot_link else [0, 0, 0, 0])
-        for arr, again in zip(sums, cs.partner_sums(values)):
+        for arr, again in zip(sums, placed_partner_sums(cs, values)):
             np.testing.assert_array_equal(arr, again)
         assert count_violations(cs, np.array([1, 1, 2, 2])) == 0
 
     @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 2, 3)])
     def test_empty_set_partner_sums_are_float_zeros(self, shape):
-        # No member and no edge: both sums are float zeros of the values'
-        # shape, also for a stack (N, G, K), not the integers an empty
-        # np.bincount gives.
-        for sums in close(ConstraintSet()).partner_sums(np.ones(shape)):
-            assert sums.dtype == np.float64 and sums.shape == shape
-            assert not sums.any()
+        # No member and no edge: no item, and both sums are floats with no
+        # row, also for a stack (N, G, K), not the integers an empty
+        # np.bincount gives; placed, they are zeros of the values' shape.
+        cs = close(ConstraintSet())
+        items, *rows = cs.partner_sums(np.ones(shape))
+        assert items.size == 0
+        for sums in rows:
+            assert sums.dtype == np.float64 and sums.shape == (0, *shape[1:])
+        for sums in placed_partner_sums(cs, np.ones(shape)):
+            assert sums.shape == shape and not sums.any()
+
+    def test_partner_sums_allocate_per_constrained_item(self):
+        # 300 constrained items of a (20,000, 12, 3) stack: the sums hold
+        # the constrained items' rows, so one call's traced peak is bounded
+        # by a few arrays of those rows, not by the two (N, G, K) arrays,
+        # 11.5 MB, it would take to give every item its sums.
+        rng = np.random.default_rng(5)
+        n_items, n_fits, n_classes = 20000, 12, 3
+        chosen = rng.choice(n_items, 300, replace=False)
+        classes = dict(zip(chosen.tolist(), rng.integers(3, size=300)))
+        pairs = {tuple(pair) for pair in
+                 rng.choice(chosen, (400, 2)).tolist() if pair[0] != pair[1]}
+        cs = close(ConstraintSet(
+            must_link={p for p in pairs if classes[p[0]] == classes[p[1]]},
+            cannot_link={p for p in pairs if classes[p[0]] != classes[p[1]]}))
+        values = rng.random((n_items, n_fits, n_classes))
+        cs.partner_sums(values)  # builds the set's operators, once
+        row_bytes = n_fits * n_classes * values.itemsize
+        # Stated before measuring: eight arrays of the constrained items'
+        # rows plus 64 KiB for the sparse products' bookkeeping.
+        bound = 8 * len(cs.items) * row_bytes + 2**16
+        assert bound < n_items * row_bytes / 4
+        tracemalloc.start()
+        try:
+            items, must, cannot = cs.partner_sums(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+        assert items.size == len(cs.items)
+        assert must.shape == cannot.shape == (items.size, n_fits, n_classes)
 
     def test_counts_reject_item_out_of_range(self):
         cs = ConstraintSet(cannot_link=frozenset({(0, 2)}))

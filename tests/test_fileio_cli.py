@@ -185,6 +185,27 @@ class TestTruthAndConstraintsFormat:
             assert labels == [(1, 2)]
 
 
+class TestOversizedField:
+    # A field longer than the csv module's limit (131,072 characters) is a
+    # fault of its file and line, exit 2, in each file the CLI reads.
+    @pytest.mark.parametrize("flag, text", [
+        ("--responses", "item,annotator,label\n{0},a,1\n{big},a,1\n"),
+        ("--truth", "item,label\n{0},1\n{big},2\n"),
+        ("--constraints", "kind,a,b\nML,{0},{1}\nCL,{0},{big}\n"),
+    ], ids=["responses", "truth", "constraints"])
+    def test_exit_2_naming_line(self, dataset, capsys, flag, text):
+        path = dataset["dir"] / "big.csv"
+        path.write_text(text.format(*dataset["rm"].item_ids,
+                                    big="x" * 200_000))
+        files = {"--responses": str(dataset["responses"]), flag: str(path)}
+        assert cli.main(["aggregate", *itertools.chain(*files.items()),
+                         "--method", "mv", "--k", "3", "--output",
+                         str(dataset["dir"] / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: ")
+        assert "field larger than field limit" in err
+
+
 class TestConstraintsFile:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -331,7 +352,7 @@ class TestCliAggregate:
 
     @pytest.mark.parametrize("method", ["vb-lc", "vb-ilc"])
     @pytest.mark.parametrize("labels, code, message", [
-        ([(0, 1), (0, 2)], 3, "item 0: classes 1 and 2"),
+        ([(0, 1), (0, 2)], 3, "item '0': classes 1 and 2"),
         ([(0, 1), (1, 7)], 4, "class 7 outside 1..3"),
         ([(0, 0)], 4, "class 0 outside 1..3"),
     ])
@@ -391,7 +412,7 @@ class TestCliAggregate:
                          str(dataset["responses"]), "--method", "vb-ilc",
                          "--constraints", str(cons), "--k", "3",
                          "--output", str(dataset["dir"] / "o.json")]) == 3
-        assert f"pair ({a}, {b})" in capsys.readouterr().err
+        assert f"pair ({ids[a]!r}, {ids[b]!r})" in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, dataset, tmp_path):
         priors = tmp_path / "priors.json"
@@ -677,7 +698,56 @@ class TestCliConstraintConflict:
                              str(tmp_path / "o.json")]) == 3
             messages.add(capsys.readouterr().err)
         assert messages == {"error: conflicting constraints on pair "
-                            "(0, 6)\n"}
+                            "('0', '6')\n"}
+
+    @staticmethod
+    def crowd(tmp_path):
+        """A crowd of three items whose ids are not their positions: the
+        responses, truth and spec files, and a vb result on them."""
+        r, t = tmp_path / "r.csv", tmp_path / "t.csv"
+        r.write_text("item,annotator,label\nzeta,a,1\nalpha,a,2\nmid,a,1\n"
+                     "zeta,b,1\nalpha,b,2\nmid,b,2\n")
+        t.write_text("item,label\nzeta,1\nalpha,2\nmid,1\n")
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(
+            diag_dominant_spec(3, 2, 2, 0.8, seed=1).to_dict()))
+        vb = tmp_path / "vb.json"
+        assert cli.main(["aggregate", "--responses", str(r), "--method",
+                         "vb", "--output", str(vb)]) == 0
+        return r, t, spec, vb
+
+    # Items 0, 1, 2 of the crowd are zeta, alpha, mid.
+    DIRECT = ([("ML", "alpha", "mid"), ("CL", "mid", "alpha")],
+              "conflicting constraints on pair ('alpha', 'mid')")
+    LABEL = ([("LABEL", "mid", 1), ("LABEL", "mid", 2)],
+             "conflicting label constraints on item 'mid': classes 1 and 2")
+    CLOSURE = ([("ML", "zeta", "alpha"), ("ML", "alpha", "mid"),
+                ("CL", "mid", "zeta")],
+               "conflicting constraints on pair ('zeta', 'mid')")
+
+    @pytest.mark.parametrize("method, rows, message", [
+        ("vb-ilc", *DIRECT), ("vb-ilc", *LABEL), ("vb-ilc", *CLOSURE),
+        ("vb-lc", *LABEL)])
+    def test_aggregate_names_item_ids(self, tmp_path, capsys, method, rows,
+                                      message):
+        r, *_ = self.crowd(tmp_path)
+        cons = tmp_path / "c.csv"
+        write_constraints(cons, rows)
+        assert cli.main(["aggregate", "--responses", str(r), "--method",
+                         method, "--constraints", str(cons), "--output",
+                         str(tmp_path / "o.json")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rows, message", [DIRECT, LABEL])
+    def test_bounds_names_item_ids(self, tmp_path, capsys, rows, message):
+        r, t, spec, vb = self.crowd(tmp_path)
+        cons = tmp_path / "c.csv"
+        write_constraints(cons, rows)
+        assert cli.main(["bounds", "--spec-json", str(spec), "--result",
+                         str(vb), "--truth", str(t), "--constraints",
+                         str(cons), "--eta", "1", "--output",
+                         str(tmp_path / "b.json")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCliSynthExperimentBounds:
@@ -793,7 +863,7 @@ class TestCliBoundsConstraints:
         assert np.count_nonzero(n_ml + n_cl) == len(labelled)
 
     @pytest.mark.parametrize("labels, code, message", [
-        ([(0, 1), (0, 2)], 3, "item 0: classes 1 and 2"),
+        ([(0, 1), (0, 2)], 3, "item '0': classes 1 and 2"),
         ([(0, 7)], 4, "constraint class 7 outside 1..3")])
     def test_label_rows_checked_as_under_aggregate(
             self, dataset, monkeypatch, capsys, labels, code, message):

@@ -68,7 +68,8 @@ from crowdfuse.numerics import (digamma, digamma_vec, softmax_planes,
 from crowdfuse.selection import plan_queries
 from crowdfuse.synth import diag_dominant_spec, generate
 
-from oracles import (reference_close, reference_derive_from_labels,
+from oracles import (placed_partner_sums, reference_close,
+                     reference_derive_from_labels,
                      reference_eta_search, reference_label_union,
                      reference_pair_penalty, reference_partner_sums,
                      reference_plan_queries, reference_read_responses,
@@ -666,7 +667,7 @@ class TestConstraintPenalty:
         rng = np.random.default_rng(seed)
         q = np.stack([random_posterior(rng, rm.n_items, rm.n_classes)
                       for _ in range(n_fits)])
-        must, cannot = cs.partner_sums(q.transpose(1, 0, 2))
+        must, cannot = placed_partner_sums(cs, q.transpose(1, 0, 2))
         penalty = (must - cannot).transpose(1, 0, 2)
         free = [n for n in range(rm.n_items) if n not in cs.items]
         for g in range(n_fits):
@@ -675,7 +676,7 @@ class TestConstraintPenalty:
                 reference_pair_penalty(cs.must_link, cs.cannot_link, q[g]),
                 rtol=0, atol=1e-12)
             assert np.all(penalty[g][free] == 0.0)
-            must_g, cannot_g = cs.partner_sums(q[g])
+            must_g, cannot_g = placed_partner_sums(cs, q[g])
             np.testing.assert_array_equal(penalty[g], must_g - cannot_g)
 
 
@@ -704,22 +705,30 @@ class TestConstraintPenalty:
         cs = join_labels(ConstraintSet(must_link={(0, 1)},
                                        cannot_link={(3, 4)}),
                          [(4, 2), (1, 2), (2, 1)], 5, 3)
-        must, cannot = cs.partner_sums(np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
+        must, cannot = placed_partner_sums(
+            cs, np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
         np.testing.assert_array_equal(must, [2, 1 + 16, 0, 0, 2])
         np.testing.assert_array_equal(cannot, [0, 4, 2 + 16, 16, 8 + 4])
         assert_partner_sums_equal_oracle(cs, 5)
 
 
 def assert_partner_sums_equal_oracle(cs, n_items):
-    """`cs.partner_sums` of random 1-D, (N, K) and (N, G, K) values equals
-    `oracles.reference_partner_sums`, bit for bit, as floats."""
+    """`cs.partner_sums` of random 1-D, (N, K) and (N, G, K) values gives
+    each constrained item once, in rows that, placed at their items,
+    equal `oracles.reference_partner_sums`, bit for bit, as floats; the
+    oracle is zero at every other item."""
     rng = np.random.default_rng(n_items)
     for shape in ((n_items,), (n_items, 3), (n_items, 2, 3)):
         values = rng.standard_normal(shape)
-        for got, want in zip(cs.partner_sums(values),
-                             reference_partner_sums(cs, values)):
+        items, *rows = cs.partner_sums(values)
+        assert sorted(items.tolist()) == sorted(cs.items)
+        free = np.setdiff1d(np.arange(n_items), items)
+        for got, placed, want in zip(rows, placed_partner_sums(cs, values),
+                                     reference_partner_sums(cs, values)):
             assert got.dtype == np.float64
-            np.testing.assert_array_equal(got, want)
+            assert got.shape == (items.size, *shape[1:])
+            np.testing.assert_array_equal(placed, want)
+            assert not want[free].any()
 
 
 class TestConstraintSetProperties:
@@ -854,7 +863,7 @@ class TestConstraintSetProperties:
         assert cs.items == set()
         for degree in cs.per_item_counts(3):
             np.testing.assert_array_equal(degree, [0, 0, 0])
-        for sums in cs.partner_sums(np.ones((3, 2))):
+        for sums in placed_partner_sums(cs, np.ones((3, 2))):
             np.testing.assert_array_equal(sums, np.zeros((3, 2)))
         for sums in cs.partner_sums(np.ones(0)):
             assert sums.shape == (0,)
@@ -883,7 +892,7 @@ def assert_queries_equal_pair_loops(cs, n_items, labels):
     rng = np.random.default_rng(n_items)
     for shape in ((n_items,), (n_items, 3), (n_items, 2, 3)):
         values = rng.random(shape)
-        sums = cs.partner_sums(values)
+        sums = placed_partner_sums(cs, values)
         for got, pairs in zip(sums, (cs.must_link, cs.cannot_link)):
             expected = np.zeros(shape)
             for a, b in pairs:
@@ -892,7 +901,8 @@ def assert_queries_equal_pair_loops(cs, n_items, labels):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         if len(shape) == 3:
             for g in range(shape[1]):
-                for got, alone in zip(sums, cs.partner_sums(values[:, g])):
+                for got, alone in zip(
+                        sums, placed_partner_sums(cs, values[:, g])):
                     np.testing.assert_array_equal(got[:, g], alone)
 
 
