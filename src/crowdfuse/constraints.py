@@ -31,44 +31,36 @@ class ConstraintConflictError(ValueError):
             f"{classes[0]} and {classes[1]}")
 
 
-def _canonical(pairs) -> frozenset:
-    out = set()
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"self-pair ({a}, {a}) is not a valid constraint")
-        out.add((a, b) if a < b else (b, a))
-    return frozenset(out)
-
-
 class ConstraintSet:
     """Unordered must-link and cannot-link item pairs, stored as groups:
     every pair inside a group is a must-link, and every pair across the two
     groups of an edge is a cannot-link. The groups are read-only arrays of
     each member's item and group and each edge's two groups.
 
-    A set built from pairs has a group per must-link and a one-item group
-    at each end of a cannot-link (edges in `cannot_link` order), and keeps
-    its pairs, each as (i, j) with i < j. A closed set has a group per
-    must-link component, numbered in the order of the components' smallest
-    items, its sorted items as members and sorted edges. Other sets expand
-    their pairs on first access.
+    A set built from pairs (for each kind, an iterable of (a, b) or an
+    (n, 2) integer array) has a group per must-link and a one-item group at
+    each end of a cannot-link, in sorted pair order. A closed set has a
+    group per must-link component, numbered in the order of the
+    components' smallest items, its sorted items as members and sorted
+    edges. A set keeps the pair arrays it is built from; other sets expand
+    theirs from the groups on first access. `must_link` and `cannot_link`
+    are the arrays as frozensets of (i, j) with i < j.
     """
 
     _closed = False
     closed = property(lambda self: self._closed)  # whether `close` built it
 
-    def __init__(self, must_link=frozenset(), cannot_link=frozenset()):
-        ml = _canonical(must_link)
-        cl = _canonical(cannot_link)
-        overlap = ml & cl
-        if overlap:
-            raise ConstraintConflictError(min(overlap))
-        self._pairs = (ml, cl)
+    def __init__(self, must_link=(), cannot_link=()):
+        ml, cl = _pair_array(must_link), _pair_array(cannot_link)
+        both = np.concatenate([ml, cl])
+        if len(_pair_array(both)) < len(both):
+            rows, counts = np.unique(both, axis=0, return_counts=True)
+            raise ConstraintConflictError(rows[counts > 1][0].tolist())
+        self._pairs = ml, cl
         n_ml, n_cl = len(ml), len(cl)
         ends = n_ml + np.arange(0, 2 * n_cl, 2)  # each cannot-link's first end
         self._groups = _read_only(
-            np.fromiter(itertools.chain.from_iterable(itertools.chain(ml, cl)),
-                        dtype=np.intp, count=2 * (n_ml + n_cl)),
+            np.concatenate([ml.ravel(), cl.ravel()]),
             np.concatenate([np.repeat(np.arange(n_ml), 2),
                             n_ml + np.arange(2 * n_cl)]),
             ends, ends + 1)
@@ -80,26 +72,26 @@ class ConstraintSet:
         cs._closed = closed
         return cs
 
-    @property
+    @functools.cached_property
     def must_link(self) -> frozenset:
-        return self._pairs[0]
-
-    @property
-    def cannot_link(self) -> frozenset:
-        return self._pairs[1]
+        return frozenset(zip(*self._pairs[0].T.tolist()))
 
     @functools.cached_property
-    def _pairs(self) -> tuple[frozenset, frozenset]:
-        # __init__ sets a set's pairs if it is built from them. Each group
-        # lists its members in item order, so its pairs have i < j.
+    def cannot_link(self) -> frozenset:
+        return frozenset(zip(*self._pairs[1].T.tolist()))
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(must-link pairs, cannot-link pairs) as `_pair_array`s. __init__
+        sets a set's pairs if it is built from them."""
         member, group, edge_a, edge_b = self._groups
         groups = [members.tolist() for members in np.split(
             member[np.lexsort((member, group))], np.cumsum(self._sizes)[:-1])]
-        return (frozenset(pair for members in groups
-                          for pair in itertools.combinations(members, 2)),
-                _canonical(pair for a, b in zip(edge_a, edge_b)
-                           for pair in itertools.product(groups[a],
-                                                         groups[b])))
+        return (_pair_array([pair for members in groups
+                             for pair in itertools.combinations(members, 2)]),
+                _pair_array([pair for a, b in zip(edge_a, edge_b)
+                             for pair in itertools.product(groups[a],
+                                                           groups[b])]))
 
     @functools.cached_property
     def _sizes(self) -> np.ndarray:
@@ -110,7 +102,8 @@ class ConstraintSet:
             return NotImplemented
         if self.closed and other.closed:
             return all(map(np.array_equal, self._groups, other._groups))
-        return not (self.closed or other.closed) and self._pairs == other._pairs
+        return not (self.closed or other.closed) and all(
+            map(np.array_equal, self._pairs, other._pairs))
 
     def __hash__(self):
         return hash((self.closed, len(self), self.items))
@@ -226,6 +219,27 @@ def _n_pairs(sizes: np.ndarray) -> int:
     return int((sizes * (sizes - 1) // 2).sum())
 
 
+def _pair_array(pairs) -> np.ndarray:
+    """`pairs`, an iterable of (a, b) or an (n, 2) integer array, as a
+    read-only (n, 2) intp array of the distinct pairs, each as (i, j) with
+    i < j, in sorted order. A self-pair raises ValueError naming the
+    smallest."""
+    pairs = np.asarray(pairs if isinstance(pairs, np.ndarray)
+                       else list(pairs), dtype=np.intp)
+    if pairs.size and pairs.shape[1:] != (2,):
+        raise ValueError("a constraint is a pair of items")
+    pairs = np.sort(pairs.reshape(-1, 2), axis=1)
+    self_paired = pairs[pairs[:, 0] == pairs[:, 1], 0]
+    if self_paired.size:
+        item = self_paired.min()
+        raise ValueError(f"self-pair ({item}, {item}) is not a valid "
+                         "constraint")
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    first = np.ones(len(pairs), bool)  # each pair's first occurrence
+    first[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    return _read_only(pairs[first])[0]
+
+
 def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.flags.writeable = False
@@ -268,7 +282,8 @@ def close(cs: ConstraintSet, binary_cl_rule: bool = False) -> ConstraintSet:
     by default).
 
     A cannot-link inside a must-link component raises
-    ConstraintConflictError naming the first such pair of `cs.cannot_link`.
+    ConstraintConflictError naming the smallest such pair of
+    `cs.cannot_link`, whatever the order the set was built in.
     """
     if cs.closed and not binary_cl_rule:
         return cs
@@ -278,22 +293,23 @@ def close(cs: ConstraintSet, binary_cl_rule: bool = False) -> ConstraintSet:
 def _close_groups(member, group, edge_a, edge_b,
                  binary_cl_rule: bool) -> ConstraintSet:
     """The closed set of groups 0..G-1 (see `ConstraintSet`), spanned by a
-    must-link from each member to its group's first member and a
-    cannot-link between the first members of each edge's groups. A conflict
-    names the first edge whose groups fall in one component."""
+    must-link from each member to its group's smallest member and a
+    cannot-link between the smallest members of each edge's groups, which
+    is the smallest pair the edge implies. A conflict names the smallest
+    of these among the edges whose groups fall in one component."""
     # Work on positions in the sorted item list, so the smallest position
     # in a component is its smallest item.
     items, ml_a = np.unique(member, return_inverse=True)
-    lead = ml_a[np.unique(group, return_index=True)[1]]
+    lead = np.full(group.max(initial=-1) + 1, items.size)
+    np.minimum.at(lead, group, ml_a)
     ml_b, cl_a, cl_b = lead[group], lead[edge_a], lead[edge_b]
 
     def cannot_link_components(comp):
         ca, cb = comp[cl_a], comp[cl_b]
-        inside = np.flatnonzero(ca == cb)
-        if inside.size:
-            first = inside[0]
-            raise ConstraintConflictError((int(items[cl_a[first]]),
-                                           int(items[cl_b[first]])))
+        inside = ca == cb
+        if inside.any():
+            ends = np.sort([items[cl_a[inside]], items[cl_b[inside]]], axis=0)
+            raise ConstraintConflictError(min(zip(*ends.tolist())))
         return ca, cb
 
     comp = _component_ids(items.size, ml_a, ml_b)
@@ -385,21 +401,24 @@ def join_labels(cs: ConstraintSet, label_constraints, n_items: int,
                 n_classes: int) -> ConstraintSet:
     """`cs`'s pairs and the pairs that (item, class) constraints, checked by
     `check_label_constraints`, imply (see `derive_from_labels`), the labels
-    joined as groups, not pairs; the set is not closed. A pair of `cs`
-    between two labelled items is left out if their classes agree with it;
-    if not, ConstraintConflictError names the smallest such pair."""
+    joined as groups, not pairs; the set is not closed. A pair item outside
+    0..n_items-1 raises ValueError. A pair of `cs` between two labelled
+    items is left out if their classes agree with it; if not,
+    ConstraintConflictError names the smallest such pair."""
     by_item = check_label_constraints(label_constraints, n_items, n_classes)
-    ml, cl, contradicted = set(), set(), []
-    for pairs, kept, same_class in ((cs.must_link, ml, True),
-                                    (cs.cannot_link, cl, False)):
-        for a, b in pairs:
-            if a not in by_item or b not in by_item:
-                kept.add((a, b))
-            elif (by_item[a] == by_item[b]) != same_class:
-                contradicted.append((a, b))
+    cs.check_range(n_items)
+    class_of = np.zeros(n_items, np.intp)  # 0 for an item without a class
+    class_of[list(by_item)] = list(by_item.values())
+    kept, contradicted = [], []
+    for pairs, same_class in zip(cs._pairs, (True, False)):
+        classes = class_of[pairs]
+        labelled = classes.all(axis=1)
+        kept.append(pairs[~labelled])
+        contradicted += pairs[labelled & ((classes[:, 0] == classes[:, 1])
+                                          != same_class)][:1].tolist()
     if contradicted:
         raise ConstraintConflictError(min(contradicted))
-    given = ConstraintSet(ml, cl)
+    given = ConstraintSet(*kept)
     labels = _label_groups(by_item, first=given._sizes.size)
     return ConstraintSet._from_groups(*map(np.concatenate,
                                            zip(given._groups, labels)))

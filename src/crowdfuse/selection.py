@@ -47,7 +47,8 @@ def _sequential_draw(rng: np.random.Generator, weights: np.ndarray,
     for _ in range(count):
         total = w.sum()
         if total <= 0:
-            w = np.where([i not in chosen for i in range(w.size)], 1.0, 0.0)
+            w = np.ones(w.size)
+            w[chosen] = 0.0
             total = w.sum()
             fallback = True
         idx = int(rng.choice(w.size, p=w / total))
@@ -102,13 +103,15 @@ def answer_pairs(pairs, truth: GroundTruth) -> constraints_mod.ConstraintSet:
     """Resolve item pairs against known truth: equal labels become
     must-links, differing labels cannot-links. The set is not closed. An
     item of unknown truth raises ValueError."""
-    labels = truth.labels
-    pairs = frozenset((a, b) if a < b else (b, a) for a, b in pairs)
-    unknown = sorted({n for pair in pairs for n in pair if labels[n] == 0})
-    if unknown:
-        raise ValueError(f"queried items with unknown truth: {unknown}")
-    ml = frozenset(p for p in pairs if labels[p[0]] == labels[p[1]])
-    return constraints_mod.ConstraintSet(must_link=ml, cannot_link=pairs - ml)
+    pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+    labels = truth.labels[pairs]
+    unknown = np.unique(pairs[labels == 0])
+    if unknown.size:
+        raise ValueError(f"queried items with unknown truth: "
+                         f"{unknown.tolist()}")
+    same = labels[:, 0] == labels[:, 1]
+    return constraints_mod.ConstraintSet(must_link=pairs[same],
+                                         cannot_link=pairs[~same])
 
 
 def answer_queries(plan: QueryPlan,

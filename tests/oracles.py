@@ -168,7 +168,7 @@ class _UnionFind:
 def reference_close(cs, binary_cl_rule=False):
     """`close` as a dict union-find with a Python fixpoint loop for the
     binary cannot-link rule, returning the closed pairs as (must_link,
-    cannot_link). A conflict names the first cannot-link of
+    cannot_link). A conflict names the smallest cannot-link of
     `cs.cannot_link` that lies inside a must-link component."""
     uf = _UnionFind()
     for a, b in cs.must_link:
@@ -179,7 +179,7 @@ def reference_close(cs, binary_cl_rule=False):
 
     # Cannot-link edges between must-link components.
     comp_cl = set()
-    for a, b in cs.cannot_link:
+    for a, b in sorted(cs.cannot_link):
         ra, rb = uf.find(a), uf.find(b)
         if ra == rb:
             raise ConstraintConflictError((a, b))
@@ -256,7 +256,7 @@ def _expand(groups, group_pairs):
 
 
 def _witness_pair(cs, uf, root):
-    for a, b in cs.cannot_link:
+    for a, b in sorted(cs.cannot_link):
         if uf.find(a) == uf.find(b):
             return (a, b)
     return (root, root)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -163,6 +164,28 @@ class TestClosure:
                            cannot_link=frozenset({(1, 3)}))
         with pytest.raises(ConstraintConflictError):
             close(cs)
+
+    def test_conflict_names_smallest_cannot_link_in_any_order(self):
+        # A must-link chain through items 0..40 puts every cannot-link
+        # inside one component; (0, 15) is the smallest of them.
+        ml = [(i, i + 1) for i in range(40)]
+        cl = [(0, 15), (3, 7), (5, 19), (2, 11), (30, 33), (1, 39)]
+        named = set()
+        for order in itertools.permutations(cl):
+            with pytest.raises(ConstraintConflictError) as raised:
+                close(ConstraintSet(ml, list(order)))
+            named.add(raised.value.pair)
+        assert named == {(0, 15)}
+
+    def test_joined_conflict_names_smallest_pair(self):
+        # Items 3 and 5 have class 1 and item 0 class 2; the must-links
+        # 3-2-0 join the classes, so (0, 3) and (0, 5) are contradicted.
+        for labels in ([(5, 1), (0, 2), (3, 1)], [(3, 1), (0, 2), (5, 1)]):
+            joined = join_labels(ConstraintSet([(3, 2), (2, 0)]), labels, 6,
+                                 2)
+            with pytest.raises(ConstraintConflictError) as raised:
+                close(joined)
+            assert raised.value.pair == (0, 3)
 
     def test_binary_rule_off_by_default(self):
         cs = close(ConstraintSet(cannot_link=frozenset({(1, 2), (2, 3)})))

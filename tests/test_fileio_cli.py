@@ -206,6 +206,16 @@ class TestOversizedField:
         assert "field larger than field limit" in err
 
 
+# One of each fault read_constraints names, with its message.
+CONSTRAINT_FAULTS = [(("ML", "a", "zzz"), "unknown item in pair ('a', 'zzz')"),
+                     (("CL", "b", "b"), "self-pair ('b', 'b')"),
+                     (("NOPE", "a", "b"), "unknown kind 'NOPE'"),
+                     (("LABEL", "a", "x"), "non-integer class 'x'"),
+                     (("ML", "a"), "expected 3 fields"),
+                     (("ML", "a", "x" * 131_073),
+                      "field larger than field limit (131072)")]
+
+
 class TestConstraintsFile:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -234,6 +244,21 @@ class TestConstraintsFile:
         path.write_text(f"kind,a,b\nML,a,b\n{kind},b,b\n")
         with pytest.raises(InputFormatError, match=r"c\.csv:3: self-pair"):
             read_constraints(path, ["a", "b"])
+
+    @pytest.mark.parametrize("order", [
+        CONSTRAINT_FAULTS[shift:] + CONSTRAINT_FAULTS[:shift]
+        for shift in range(len(CONSTRAINT_FAULTS))] + [
+        CONSTRAINT_FAULTS[shift::-1] + CONSTRAINT_FAULTS[:shift:-1]
+        for shift in range(len(CONSTRAINT_FAULTS))])
+    def test_first_fault_named_in_file_order(self, tmp_path, order):
+        # Good rows come before, between and after the faulty ones.
+        path = tmp_path / "c.csv"
+        good = "ML,a,b\nLABEL,b,2\n"
+        path.write_text("kind,a,b\n" + good + "".join(
+            ",".join(row) + "\n" + good for row, _ in order))
+        with pytest.raises(InputFormatError) as raised:
+            read_constraints(path, ["a", "b"])
+        assert str(raised.value) == f"{path}:4: {order[0][1]}"
 
 
 class TestResultSchema:
@@ -699,6 +724,30 @@ class TestCliConstraintConflict:
             messages.add(capsys.readouterr().err)
         assert messages == {"error: conflicting constraints on pair "
                             "('0', '6')\n"}
+
+    def test_closure_conflict_named_in_any_row_order(self, tmp_path,
+                                                      capsys):
+        # A must-link chain through items 0..40 puts every cannot-link
+        # inside one component; the smallest, (0, 15), is named whatever
+        # the rows' order.
+        r = tmp_path / "r.csv"
+        assert cli.main(["synth", "--n", "41", "--m", "3", "--k", "2",
+                         "--seed", "1", "--out-responses", str(r),
+                         "--out-truth", str(tmp_path / "t.csv")]) == 0
+        rows = [("ML", i, i + 1) for i in range(40)] + [
+            ("CL", a, b) for a, b in [(0, 15), (3, 7), (5, 19), (2, 11),
+                                      (30, 33), (1, 39)]]
+        messages = []
+        for ordered in (rows, rows[::-1]):
+            cons = tmp_path / "c.csv"
+            write_constraints(cons, ordered)
+            assert cli.main(["aggregate", "--responses", str(r),
+                             "--method", "vb-ilc", "--constraints",
+                             str(cons), "--output",
+                             str(tmp_path / "o.json")]) == 3
+            messages.append(capsys.readouterr().err)
+        assert messages == ["error: conflicting constraints on pair "
+                            "('0', '15')\n"] * 2
 
     @staticmethod
     def crowd(tmp_path):

@@ -731,7 +731,67 @@ def assert_partner_sums_equal_oracle(cs, n_items):
             assert not want[free].any()
 
 
+def build_outcome(build, *args):
+    """build(*args), or the type, message and named pair of the ValueError
+    it raises (a ConstraintConflictError is one)."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "pair", None)
+
+
+def rebuilt_pairs(data, pairs):
+    """`pairs` with some repeated, in another order, some flipped to
+    (b, a)."""
+    if pairs:
+        pairs = pairs + data.draw(st.lists(st.sampled_from(pairs),
+                                           max_size=3))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                               max_size=len(pairs)))
+    return [(b, a) if flip else (a, b) for (a, b), flip in zip(
+        data.draw(st.permutations(pairs)), flips)]
+
+
 class TestConstraintSetProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8),
+                              st.booleans()), max_size=14), st.data())
+    def test_canonical_construction(self, triples, data):
+        # Self-pairs, pairs listed as both kinds and closure conflicts all
+        # occur; negative ids too.
+        ml = [(a, b) for a, b, is_ml in triples if is_ml]
+        cl = [(a, b) for a, b, is_ml in triples if not is_ml]
+        canonical = {kind: {(min(p), max(p)) for p in pairs}
+                     for kind, pairs in (("ml", ml), ("cl", cl))}
+        selfs = (sorted(a for a, b in ml if a == b)
+                 or sorted(a for a, b in cl if a == b))
+        overlap = sorted(canonical["ml"] & canonical["cl"])
+        expected = build_outcome(ConstraintSet, ml, cl)
+        if selfs:
+            assert expected == (ValueError, f"self-pair ({selfs[0]}, "
+                                f"{selfs[0]}) is not a valid constraint",
+                                None)
+        elif overlap:
+            assert expected == (ConstraintConflictError,
+                                f"conflicting constraints on pair "
+                                f"{overlap[0]}", overlap[0])
+        else:
+            assert expected.must_link == canonical["ml"]
+            assert expected.cannot_link == canonical["cl"]
+        forms = (list, set,
+                 lambda pairs: np.array(pairs, np.int64).reshape(-1, 2))
+        for form in forms:
+            got = build_outcome(ConstraintSet,
+                                *(form(rebuilt_pairs(data, pairs))
+                                  for pairs in (ml, cl)))
+            assert got == expected
+            if isinstance(expected, ConstraintSet):
+                assert (got.must_link, got.cannot_link) == \
+                    (expected.must_link, expected.cannot_link)
+                for binary_cl_rule in (False, True):
+                    assert build_outcome(close, got, binary_cl_rule) == \
+                        build_outcome(close, expected, binary_cl_rule)
+
     @SETTINGS
     @given(SIZED_PAIR_LISTS, pair_lists(10), st.booleans())
     def test_close_idempotent_and_monotone(self, drawn, extra,
