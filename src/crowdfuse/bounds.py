@@ -123,30 +123,26 @@ def exponent_u(inputs: BoundInputs) -> float:
     lemma_form:   D_pi + 2*f_pi + M*(D_gamma/2 + 2*f_gamma).
     The two differ by factors of 2 on the f terms; both are exposed.
     """
-    return _exponent(inputs)[0]
-
-
-def _exponent(inputs: BoundInputs) -> tuple:
-    """(U, (D_pi, D_gamma, f_pi, f_gamma)): `exponent_u` and its terms."""
-    spec = inputs.spec
-    dp = d_pi(spec.pi_star)
-    dg = d_gamma(spec.gamma_star, spec.mu)
-    fp = f_pi(inputs.eps_pi, spec.rho_pi, spec.n_items, inputs.alpha0_bar)
-    fg = f_gamma(inputs.eps_gamma, spec.rho_gamma, inputs.beta0_bar_min)
-    m = spec.n_annotators
+    dp, dg, fp, fg = _terms(inputs)
+    m = inputs.spec.n_annotators
     if inputs.lemma_exponent == THEOREM_FORM:
-        u = dp + m * dg / 2.0 + fp + m * fg
-    else:
-        u = dp + 2.0 * fp + m * (dg / 2.0 + 2.0 * fg)
-    return u, (dp, dg, fp, fg)
+        return dp + m * dg / 2.0 + fp + m * fg
+    return dp + 2.0 * fp + m * (dg / 2.0 + 2.0 * fg)
+
+
+def _terms(inputs: BoundInputs) -> tuple[float, float, float, float]:
+    """(D_pi, D_gamma, f_pi, f_gamma), the terms of `exponent_u`."""
+    spec = inputs.spec
+    return (d_pi(spec.pi_star), d_gamma(spec.gamma_star, spec.mu),
+            f_pi(inputs.eps_pi, spec.rho_pi, spec.n_items, inputs.alpha0_bar),
+            f_gamma(inputs.eps_gamma, spec.rho_gamma, inputs.beta0_bar_min))
 
 
 def label_error_bound(inputs: BoundInputs) -> dict:
     """K*exp(-U) for every item, tightened to K*exp(-U - eta*W_n) for items
-    with constraints. Probability bounds above 1 are flagged vacuous.
-    "terms" holds (D_pi, D_gamma, f_pi, f_gamma), the terms of U."""
+    with constraints. Probability bounds above 1 are flagged vacuous."""
     spec = inputs.spec
-    u, terms = _exponent(inputs)
+    u = exponent_u(inputs)
     eps_q = spec.n_classes * math.exp(-u) if math.isfinite(u) else math.inf
 
     n = spec.n_items
@@ -173,7 +169,6 @@ def label_error_bound(inputs: BoundInputs) -> dict:
         "W_n": w_n,
         "tilde_eps_q": tilde,
         "eps_q_vacuous": not (eps_q < 1.0),
-        "terms": terms,
     }
 
 
@@ -226,12 +221,6 @@ def nu_probability(spec: CrowdSpec, t_params, r_params) -> dict:
     for the caller to inspect. The middle term is summed over every
     (annotator, true class, response class) triple.
     """
-    return _nu_probability(spec, d_gamma(spec.gamma_star, spec.mu), t_params,
-                           r_params)
-
-
-def _nu_probability(spec: CrowdSpec, dg: float, t_params, r_params) -> dict:
-    """`nu_probability`, given D_gamma."""
     t = np.asarray(t_params, dtype=float)
     r = np.asarray(r_params, dtype=float)
     m, k = spec.n_annotators, spec.n_classes
@@ -249,6 +238,7 @@ def _nu_probability(spec: CrowdSpec, dg: float, t_params, r_params) -> dict:
         raise ValueError(f"r exceeds pi at class index {int(bad_r[0][0])}")
 
     n = spec.n_items
+    dg = d_gamma(spec.gamma_star, spec.mu)
     term1 = k * n * math.exp(-m * dg / (33.0 * math.log(spec.rho_gamma)))
     with np.errstate(divide="ignore"):
         exponents = -n * t ** 2 / (3.0 * spec.pi_star[None, :, None]
@@ -336,9 +326,8 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
     params = parameter_error_bounds(inputs, g_pi, g_gamma, counts,
                                     tilde_eps_q=min(tilde_max, label["eps_q"])
                                     if math.isfinite(label["eps_q"]) else None)
-    dp, dg, fp, fg = label["terms"]
     report = BoundReport(
-        d_pi=dp, d_gamma=dg, f_pi=fp, f_gamma=fg,
+        *_terms(inputs),  # d_pi, d_gamma, f_pi, f_gamma
         u=label["U"],
         eps_q=label["eps_q"],
         w_n=label["W_n"],
@@ -351,7 +340,7 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
     report.statuses["eps_gamma"] = VACUOUS if params["eps_gamma_vacuous"] \
         else "finite"
     if nu_inputs is not None:
-        nu = _nu_probability(spec, dg, *nu_inputs)
+        nu = nu_probability(spec, *nu_inputs)
         report.nu = nu["nu"]
         report.nu_terms = nu["terms"]
         report.statuses["nu"] = VACUOUS if nu["vacuous"] else "finite"

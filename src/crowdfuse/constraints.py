@@ -229,11 +229,9 @@ def _pair_array(pairs) -> np.ndarray:
     if pairs.size and pairs.shape[1:] != (2,):
         raise ValueError("a constraint is a pair of items")
     pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-    self_paired = pairs[pairs[:, 0] == pairs[:, 1], 0]
-    if self_paired.size:
-        item = self_paired.min()
-        raise ValueError(f"self-pair ({item}, {item}) is not a valid "
-                         "constraint")
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        item = pairs[pairs[:, 0] == pairs[:, 1], 0].min()
+        raise ValueError(f"self-pair ({item}, {item}) is not a valid constraint")
     pairs = pairs[np.lexsort(pairs.T[::-1])]
     first = np.ones(len(pairs), bool)  # each pair's first occurrence
     first[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)

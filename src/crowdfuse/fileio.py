@@ -162,72 +162,45 @@ def write_truth(path, truth: GroundTruth, item_ids: list) -> None:
                 writer.writerow([item_id, int(label)])
 
 
-_KINDS = {"ML": 0, "CL": 1, "LABEL": 2}  # each kind's code
-
-
 def read_constraints(path, item_ids: list):
     """Read the `kind,a,b` CSV. Returns (ConstraintSet, label_constraints):
     ML/CL rows build the pairwise set, LABEL rows map an item to a class."""
     index = {item_id: i for i, item_id in enumerate(item_ids)}
-    kinds, ends, classes = [], [], []
+    cannot, ends, label_constraints = [], [], []
     handle, reader = _open_reader(path)
     with handle:
-        _check_header(next(reader, None), CONSTRAINTS_HEADER, path)
-        try:
-            for row in reader:
-                if len(row) != 3:
-                    if row:
-                        raise InputFormatError("expected 3 fields")
-                    continue
-                kind, a, b = map(str.strip, row)
-                kinds.append(_KINDS.get(kind, -1))
-                ends += index.get(a, -1), index.get(b, -1)
-                if kind == "LABEL":
-                    classes.append(int(b))
-        except ValueError:
-            # A row of the wrong width, a class that is not an integer or a
-            # row the csv module cannot read; an earlier row may be faulty.
-            raise _constraints_fault(path, index) from None
-    kinds = np.array(kinds, dtype=np.intp)
-    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
-    # An unknown kind or item, or a pair row's self-pair.
-    if np.any((kinds < 0) | (ends[:, 0] < 0) | ((kinds < 2) & (
-            (ends[:, 1] < 0) | (ends[:, 0] == ends[:, 1])))):
-        raise _constraints_fault(path, index)
-    return (ConstraintSet(ends[kinds == 0], ends[kinds == 1]),
-            list(zip(ends[kinds == 2, 0].tolist(), classes)))
-
-
-def _constraints_fault(path, index: dict) -> InputFormatError:
-    """The error for the first faulty row of the constraints file at
-    `path`, in file order, after its good header."""
-    handle, reader = _open_reader(path)
-    with handle:
-        next(reader)
+        header = next(reader, None)
+        _check_header(header, CONSTRAINTS_HEADER, path)
         for lineno, row in enumerate(reader, start=2):
-            fault = (_constraint_fault(*map(str.strip, row), index)
-                     if len(row) == 3 else row and "expected 3 fields")
-            if fault:
-                return InputFormatError(f"{path}:{lineno}: {fault}")
-    raise AssertionError("no faulty row")
-
-
-def _constraint_fault(kind, a, b, index: dict) -> str | None:
-    """What is wrong with a row of three stripped fields, or None."""
-    if kind == "LABEL":
-        if a not in index:
-            return f"unknown item {a!r}"
-        try:
-            int(b)
-        except ValueError:
-            return f"non-integer class {b!r}"
-    elif kind not in _KINDS:
-        return f"unknown kind {kind!r}"
-    elif a not in index or b not in index:
-        return f"unknown item in pair ({a!r}, {b!r})"
-    elif index[a] == index[b]:
-        return f"self-pair ({a!r}, {b!r})"
-    return None
+            if len(row) != 3:
+                if row:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: expected 3 fields")
+                continue
+            kind, a, b = map(str.strip, row)
+            i, j = index.get(a), index.get(b)
+            if kind == "LABEL":
+                if i is None:
+                    raise InputFormatError(f"{path}:{lineno}: unknown item {a!r}")
+                try:
+                    label_constraints.append((i, int(b)))
+                except ValueError:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: non-integer class {b!r}") from None
+            elif kind not in ("ML", "CL"):
+                raise InputFormatError(f"{path}:{lineno}: unknown kind {kind!r}")
+            elif i is None or j is None:
+                raise InputFormatError(
+                    f"{path}:{lineno}: unknown item in pair ({a!r}, {b!r})")
+            elif i == j:
+                raise InputFormatError(
+                    f"{path}:{lineno}: self-pair ({a!r}, {b!r})")
+            else:
+                cannot.append(kind == "CL")
+                ends += i, j
+    cannot = np.array(cannot, dtype=bool)
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    return ConstraintSet(ends[~cannot], ends[cannot]), label_constraints
 
 
 def write_constraints(path, rows) -> None:

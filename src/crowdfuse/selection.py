@@ -105,13 +105,11 @@ def answer_pairs(pairs, truth: GroundTruth) -> constraints_mod.ConstraintSet:
     item of unknown truth raises ValueError."""
     pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
     labels = truth.labels[pairs]
-    unknown = np.unique(pairs[labels == 0])
-    if unknown.size:
-        raise ValueError(f"queried items with unknown truth: "
-                         f"{unknown.tolist()}")
+    unknown = np.unique(pairs[labels == 0]).tolist()
+    if unknown:
+        raise ValueError(f"queried items with unknown truth: {unknown}")
     same = labels[:, 0] == labels[:, 1]
-    return constraints_mod.ConstraintSet(must_link=pairs[same],
-                                         cannot_link=pairs[~same])
+    return constraints_mod.ConstraintSet(pairs[same], pairs[~same])
 
 
 def answer_queries(plan: QueryPlan,
