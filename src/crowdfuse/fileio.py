@@ -21,24 +21,27 @@ TRUTH_HEADER = ["item", "label"]
 CONSTRAINTS_HEADER = ["kind", "a", "b"]
 
 
-def _open_reader(path):
-    handle = open(path, newline="", encoding="utf-8")
-    return handle, _rows(csv.reader(handle), path)
-
-
-def _rows(reader, path):
-    """The CSV reader's rows; a row it cannot read (a field over the csv
-    module's size limit, say) raises InputFormatError naming its line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _check_header(row, expected, path):
-    if row is None or [c.strip() for c in row] != expected:
-        raise InputFormatError(
-            f"{path}: expected header {','.join(expected)}")
+def _data_rows(path, header, width):
+    """(line number, row) of each non-blank row after the header of the CSV
+    at `path`, the header counting as line 1. A wrong header, a row of
+    another width, or a row the csv module cannot read (a field over its
+    size limit, say) raises InputFormatError naming its line."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            first = next(reader, None)
+            if first is None or [c.strip() for c in first] != header:
+                raise InputFormatError(
+                    f"{path}: expected header {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) == width:
+                    yield lineno, row
+                elif row:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: expected {width} fields")
+        except csv.Error as exc:
+            raise InputFormatError(
+                f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
@@ -48,32 +51,25 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     Duplicate (item, annotator) pairs are an error. Identifiers are
     arbitrary strings mapped to dense indices in first-seen order."""
     item_index, ann_index = {}, {}
-    anns, items, label_strs, linenos = [], [], [], []
-    handle, reader = _open_reader(path)
-    with handle:
-        header = next(reader, None)
-        _check_header(header, RESPONSES_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                if row:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: expected 3 fields")
-                continue
-            item = item_index.setdefault(row[0].strip(), len(item_index))
-            label_str = row[2].strip()
-            if label_str == "" or label_str == "0":
-                continue
-            items.append(item)
-            anns.append(ann_index.setdefault(row[1].strip(), len(ann_index)))
-            label_strs.append(label_str)
-            linenos.append(lineno)
-    try:
-        labels = np.array(list(map(int, label_strs)), dtype=np.intp)
-    except (ValueError, OverflowError):
-        raise _label_fault(path, label_strs, linenos, n_classes) from None
-    if labels.size and (labels.min() < 1 or (
-            n_classes is not None and labels.max() > n_classes)):
-        raise _label_fault(path, label_strs, linenos, n_classes)
+    anns, items, labels, linenos = [], [], [], []
+    top = np.iinfo(np.intp).max if n_classes is None else n_classes
+    for lineno, row in _data_rows(path, RESPONSES_HEADER, 3):
+        item = item_index.setdefault(row[0].strip(), len(item_index))
+        label_str = row[2].strip()
+        if label_str == "" or label_str == "0":
+            continue
+        try:
+            label = int(label_str)
+        except ValueError:
+            raise InputFormatError(
+                f"{path}:{lineno}: non-integer label {label_str!r}") from None
+        if not 1 <= label <= top:
+            raise InputFormatError(
+                f"{path}:{lineno}: label {label} out of range")
+        items.append(item)
+        anns.append(ann_index.setdefault(row[1].strip(), len(ann_index)))
+        labels.append(label)
+        linenos.append(lineno)
     anns, items = np.array(anns, dtype=np.intp), np.array(items, dtype=np.intp)
     _, repeat = pair_order(anns, items, len(item_index))
     if repeat is not None:
@@ -83,23 +79,8 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
             f"{item_ids[items[repeat]]!r} by annotator "
             f"{ann_ids[anns[repeat]]!r}")
     return ResponseMatrix(len(item_index), len(ann_index), anns, items,
-                          labels, n_classes, list(item_index), list(ann_index))
-
-
-def _label_fault(path, label_strs, linenos, n_classes) -> InputFormatError:
-    """The error for the first label, in file order, that is not an integer
-    in 1..n_classes (or, without a class count, a positive index)."""
-    top = np.iinfo(np.intp).max if n_classes is None else n_classes
-    for label_str, lineno in zip(label_strs, linenos):
-        try:
-            label = int(label_str)
-        except ValueError:
-            return InputFormatError(
-                f"{path}:{lineno}: non-integer label {label_str!r}")
-        if not 1 <= label <= top:
-            return InputFormatError(
-                f"{path}:{lineno}: label {label} out of range")
-    raise AssertionError("no faulty label")
+                          np.array(labels, dtype=np.intp), n_classes,
+                          list(item_index), list(ann_index))
 
 
 def write_responses(path, rm: ResponseMatrix) -> None:
@@ -124,32 +105,24 @@ def read_truth(path, item_ids: list, n_classes: int) -> GroundTruth:
     index = {item_id: i for i, item_id in enumerate(item_ids)}
     labels = np.zeros(len(item_ids), dtype=np.intp)
     seen = set()
-    handle, reader = _open_reader(path)
-    with handle:
-        header = next(reader, None)
-        _check_header(header, TRUTH_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputFormatError(f"{path}:{lineno}: expected 2 fields")
-            item_id, label_str = (c.strip() for c in row)
-            if item_id not in index:
-                raise InputFormatError(
-                    f"{path}:{lineno}: unknown item {item_id!r}")
-            try:
-                label = int(label_str)
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"{path}:{lineno}: non-integer label {label_str!r}") from exc
-            if not 0 <= label <= n_classes:
-                raise InputFormatError(f"{path}:{lineno}: label {label} "
-                                       f"outside 0..{n_classes}")
-            if item_id in seen:
-                raise InputFormatError(
-                    f"{path}:{lineno}: duplicate truth for item {item_id!r}")
-            seen.add(item_id)
-            labels[index[item_id]] = label
+    for lineno, row in _data_rows(path, TRUTH_HEADER, 2):
+        item_id, label_str = (c.strip() for c in row)
+        if item_id not in index:
+            raise InputFormatError(
+                f"{path}:{lineno}: unknown item {item_id!r}")
+        try:
+            label = int(label_str)
+        except ValueError as exc:
+            raise InputFormatError(
+                f"{path}:{lineno}: non-integer label {label_str!r}") from exc
+        if not 0 <= label <= n_classes:
+            raise InputFormatError(f"{path}:{lineno}: label {label} "
+                                   f"outside 0..{n_classes}")
+        if item_id in seen:
+            raise InputFormatError(
+                f"{path}:{lineno}: duplicate truth for item {item_id!r}")
+        seen.add(item_id)
+        labels[index[item_id]] = label
     return GroundTruth(labels=labels)
 
 
@@ -167,37 +140,28 @@ def read_constraints(path, item_ids: list):
     ML/CL rows build the pairwise set, LABEL rows map an item to a class."""
     index = {item_id: i for i, item_id in enumerate(item_ids)}
     cannot, ends, label_constraints = [], [], []
-    handle, reader = _open_reader(path)
-    with handle:
-        header = next(reader, None)
-        _check_header(header, CONSTRAINTS_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                if row:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: expected 3 fields")
-                continue
-            kind, a, b = map(str.strip, row)
-            i, j = index.get(a), index.get(b)
-            if kind == "LABEL":
-                if i is None:
-                    raise InputFormatError(f"{path}:{lineno}: unknown item {a!r}")
-                try:
-                    label_constraints.append((i, int(b)))
-                except ValueError:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: non-integer class {b!r}") from None
-            elif kind not in ("ML", "CL"):
-                raise InputFormatError(f"{path}:{lineno}: unknown kind {kind!r}")
-            elif i is None or j is None:
+    for lineno, row in _data_rows(path, CONSTRAINTS_HEADER, 3):
+        kind, a, b = map(str.strip, row)
+        i, j = index.get(a), index.get(b)
+        if kind == "LABEL":
+            if i is None:
+                raise InputFormatError(f"{path}:{lineno}: unknown item {a!r}")
+            try:
+                label_constraints.append((i, int(b)))
+            except ValueError:
                 raise InputFormatError(
-                    f"{path}:{lineno}: unknown item in pair ({a!r}, {b!r})")
-            elif i == j:
-                raise InputFormatError(
-                    f"{path}:{lineno}: self-pair ({a!r}, {b!r})")
-            else:
-                cannot.append(kind == "CL")
-                ends += i, j
+                    f"{path}:{lineno}: non-integer class {b!r}") from None
+        elif kind not in ("ML", "CL"):
+            raise InputFormatError(f"{path}:{lineno}: unknown kind {kind!r}")
+        elif i is None or j is None:
+            raise InputFormatError(
+                f"{path}:{lineno}: unknown item in pair ({a!r}, {b!r})")
+        elif i == j:
+            raise InputFormatError(
+                f"{path}:{lineno}: self-pair ({a!r}, {b!r})")
+        else:
+            cannot.append(kind == "CL")
+            ends += i, j
     cannot = np.array(cannot, dtype=bool)
     ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
     return ConstraintSet(ends[~cannot], ends[cannot]), label_constraints

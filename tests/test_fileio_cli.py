@@ -206,6 +206,33 @@ class TestOversizedField:
         assert "field larger than field limit" in err
 
 
+# One of each fault read_responses names at n_classes=3, with its message.
+RESPONSE_FAULTS = [(("f1", "x", "zz"), "non-integer label 'zz'"),
+                   (("f2", "x", "7"), "label 7 out of range"),
+                   (("f3", "x"), "expected 3 fields"),
+                   (("f4", "x", "x" * 131_073),
+                    "field larger than field limit (131072)")]
+
+
+class TestResponsesFile:
+    @pytest.mark.parametrize("order", [
+        RESPONSE_FAULTS[shift:] + RESPONSE_FAULTS[:shift]
+        for shift in range(len(RESPONSE_FAULTS))] + [
+        RESPONSE_FAULTS[shift::-1] + RESPONSE_FAULTS[:shift:-1]
+        for shift in range(len(RESPONSE_FAULTS))])
+    def test_first_fault_named_in_file_order(self, tmp_path, order):
+        # Good rows, each a new item, come before, between and after the
+        # faulty ones.
+        path = tmp_path / "r.csv"
+        good = [f"g{i},x,1\ng{i},y,2\n" for i in range(len(order) + 1)]
+        path.write_text("item,annotator,label\n" + good[0] + "".join(
+            ",".join(row) + "\n" + good[i + 1]
+            for i, (row, _) in enumerate(order)))
+        with pytest.raises(InputFormatError) as raised:
+            read_responses(path, n_classes=3)
+        assert str(raised.value) == f"{path}:4: {order[0][1]}"
+
+
 # One of each fault read_constraints names, with its message.
 CONSTRAINT_FAULTS = [(("ML", "a", "zzz"), "unknown item in pair ('a', 'zzz')"),
                      (("CL", "b", "b"), "self-pair ('b', 'b')"),

@@ -345,13 +345,11 @@ class TestScatterKernels:
         rm, _ = crowd
         incidence = _Incidence(rm)
         n, m, k = rm.n_items, rm.n_annotators, rm.n_classes
-        assert incidence.by_item.shape == (n, m * k)
-        assert incidence.by_count.shape == (m * k + 1, n)
-        assert incidence.by_item.nnz == rm.n_responses
-        assert incidence.by_count.nnz == rm.n_responses + n
-        for matrix in (incidence.by_item, incidence.by_count):
-            assert matrix.has_canonical_format
-            assert np.all(matrix.data == 1.0)
+        matrix = incidence.by_item
+        assert matrix.shape == (n, m * k)
+        assert matrix.nnz == rm.n_responses
+        assert matrix.has_canonical_format
+        assert np.all(matrix.data == 1.0)
 
     @SETTINGS
     @given(crowds(), st.integers(1, 3))
