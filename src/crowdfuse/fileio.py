@@ -53,19 +53,25 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     item_index, ann_index = {}, {}
     anns, items, labels, linenos = [], [], [], []
     top = np.iinfo(np.intp).max if n_classes is None else n_classes
+    # Each distinct label string is parsed and checked once: an int() per
+    # row made the reader about 10 % slower.
+    checked = {}
     for lineno, row in _data_rows(path, RESPONSES_HEADER, 3):
         item = item_index.setdefault(row[0].strip(), len(item_index))
         label_str = row[2].strip()
         if label_str == "" or label_str == "0":
             continue
-        try:
-            label = int(label_str)
-        except ValueError:
-            raise InputFormatError(
-                f"{path}:{lineno}: non-integer label {label_str!r}") from None
-        if not 1 <= label <= top:
-            raise InputFormatError(
-                f"{path}:{lineno}: label {label} out of range")
+        label = checked.get(label_str)
+        if label is None:
+            try:
+                label = int(label_str)
+            except ValueError:
+                raise InputFormatError(f"{path}:{lineno}: non-integer "
+                                       f"label {label_str!r}") from None
+            if not 1 <= label <= top:
+                raise InputFormatError(
+                    f"{path}:{lineno}: label {label} out of range")
+            checked[label_str] = label
         items.append(item)
         anns.append(ann_index.setdefault(row[1].strip(), len(ann_index)))
         labels.append(label)
