@@ -19,6 +19,7 @@ from .constraints import ConstraintConflictError, DEFAULT_ETA_GRID
 from .fileio import InputFormatError
 from .model import (GroundTruth, PosteriorParams, PriorConfig,
                     paper_default_priors, uniform_priors)
+from .numerics import check_finite
 from .synth import CrowdSpec, diag_dominant_spec, generate
 
 EXIT_INPUT = 2
@@ -162,11 +163,11 @@ def _aggregate(args, rm) -> int:
                                              rm.n_items, rm.n_classes)
             cs_fit = constraints.close(cs_all)
             # A fixed --eta is a one-candidate search, which makes one fit.
-            grid = _parse_eta_grid(args.eta_grid) if args.eta_grid else \
-                (args.eta,)
+            grid = (args.eta,) if args.eta_grid is None else \
+                _parse_eta_grid(args.eta_grid)
             eta, table, fit = constraints.eta_search(rm, priors, cs_fit, grid,
                                                      chain)
-            if args.eta_grid:
+            if args.eta_grid is not None:
                 eta_table = [list(row) for row in table]
             counted = cs_all if args.violations_on == "given" else cs_fit
             n_v = constraints.count_violations(counted, fit.hard_labels)
@@ -243,6 +244,7 @@ def cmd_bounds(args) -> int:
         if posterior.shape != (spec.n_items, spec.n_classes):
             raise InputFormatError("result posterior does not match the spec "
                                    "dimensions")
+        check_finite("posterior", posterior)
         params = None
         params_doc = _json_object(result.get("params") or {}, args.result,
                                   "params")

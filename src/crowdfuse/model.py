@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import check_finite
 # `digamma` is not used here, but perfbench/tracing.py patches
 # `model.digamma` by name, so the name stays bound.
 from .numerics import digamma, digamma_vec  # noqa: F401
@@ -134,9 +135,8 @@ class PriorConfig:
             raise ValueError("alpha0 must be 1-D and beta0 3-D (M, K, K)")
         # A NaN passes every comparison below, and an infinite prior makes
         # the expected logs NaN.
-        if not (np.isfinite(alpha0).all() and np.isfinite(beta0).all()):
-            raise ValueError("prior parameters must be finite, not NaN or "
-                             "infinite")
+        check_finite("prior parameters", alpha0)
+        check_finite("prior parameters", beta0)
         if np.any(alpha0 <= 0) or np.any(beta0 <= 0):
             raise ValueError("prior parameters must be strictly positive")
         if np.any(alpha0 < 0.5):
@@ -188,6 +188,8 @@ class PosteriorParams:
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
         beta = np.asarray(self.beta, dtype=float)
+        check_finite("posterior alpha", alpha)
+        check_finite("posterior beta", beta)
         if np.any(alpha <= 0) or np.any(beta <= 0):
             raise ValueError("posterior parameters must be strictly positive")
         object.__setattr__(self, "alpha", alpha)

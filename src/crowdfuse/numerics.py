@@ -101,16 +101,26 @@ def sum_matrix(rows: np.ndarray, cols: np.ndarray, shape):
         shape=shape)
 
 
-def validate_prob_vector(p, tol: float = 1e-12) -> np.ndarray:
-    """Check that p is a probability vector of length >= 2 and return it."""
+def validate_prob_vector(p, tol: float = 1e-12,
+                         name: str = "probability vector") -> np.ndarray:
+    """Check that p is a probability vector of length >= 2 and return it.
+    Messages call it `name`."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("probability vector must be 1-D with length >= 2")
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ValueError("probability vector entries must lie in [0, 1]")
+        raise ValueError(f"{name} must be 1-D with length >= 2")
+    # Written so that a NaN, which fails every comparison, fails it too.
+    if not np.all((arr >= 0) & (arr <= 1)):
+        raise ValueError(f"{name} entries must lie in [0, 1]")
     if abs(arr.sum() - 1.0) > max(tol, 1e-9):
-        raise ValueError(f"probability vector sums to {arr.sum()}, not 1")
+        raise ValueError(f"{name} sums to {arr.sum()}, not 1")
     return arr
+
+
+def check_finite(name: str, arr: np.ndarray) -> None:
+    """Raise ValueError naming `name` if `arr` holds a NaN or an infinity,
+    which pass range checks written as `np.any(arr < 0)`."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, not NaN or infinite")
 
 
 def kl_divergence(p, q) -> float:

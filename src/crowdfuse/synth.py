@@ -25,16 +25,18 @@ class CrowdSpec:
     seed: int = 0
 
     def __post_init__(self):
-        pi = validate_prob_vector(self.pi_star)
+        pi = validate_prob_vector(self.pi_star, name="pi_star")
         gamma = np.asarray(self.gamma_star, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
+        # Each check is written so that a NaN, which fails every
+        # comparison, fails the check.
         if gamma.shape != (self.n_annotators, self.n_classes, self.n_classes):
             raise ValueError("gamma_star must be (M, K, K)")
-        if np.any(np.abs(gamma.sum(axis=2) - 1.0) > 1e-9):
+        if not np.all(np.abs(gamma.sum(axis=2) - 1.0) <= 1e-9):
             raise ValueError("gamma_star rows must sum to 1")
-        if np.any(gamma < 0):
+        if not np.all(gamma >= 0):
             raise ValueError("gamma_star entries must be nonnegative")
-        if mu.shape != (self.n_annotators,) or np.any(mu <= 0) or np.any(mu > 1):
+        if mu.shape != (self.n_annotators,) or not np.all((mu > 0) & (mu <= 1)):
             raise ValueError("mu must be length M with entries in (0, 1]")
         object.__setattr__(self, "pi_star", pi)
         object.__setattr__(self, "gamma_star", gamma)

@@ -652,6 +652,46 @@ class TestCliAggregate:
         assert "expected a JSON array of strings at 'items'" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    @pytest.mark.parametrize("key", ["pi_star", "gamma_star", "mu"])
+    def test_spec_non_finite_field(self, dataset, tmp_path, capsys, command,
+                                   key):
+        # json reads NaN tokens back. A NaN mu or gamma_star passed the
+        # spec's range checks, and synth wrote a crowd with no responses
+        # or all labels 1.
+        spec = json.loads(dataset["spec_path"].read_text())
+        spec[key] = np.full(np.shape(spec[key]), np.nan).tolist()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.csv"
+        if command == "synth":
+            argv = ["synth", "--spec-json", str(spec_path),
+                    "--out-responses", str(out),
+                    "--out-truth", str(tmp_path / "t.csv")]
+        else:
+            argv = ["experiment", "--spec-json", str(spec_path), "--nc", "0",
+                    "--output", str(out)]
+        assert cli.main(argv) == 4
+        assert f"{key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, edit", [
+        ("posterior",
+         lambda doc: doc["posterior"][3].__setitem__(1, float("nan"))),
+        ("posterior alpha",
+         lambda doc: doc["params"]["alpha"].__setitem__(0, float("nan"))),
+        ("posterior beta",
+         lambda doc: doc["params"]["beta"][1][2].__setitem__(0,
+                                                             float("inf")))])
+    def test_result_non_finite_array(self, dataset, tmp_path, capsys, name,
+                                     edit):
+        # A NaN passed as a positive parameter or a probability, and
+        # bounds exited 0 with a "violated" or "nan" entry.
+        code, _ = self.bounds_on_edited_result(dataset, tmp_path, edit)
+        assert code == 4
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
+
     def test_internal_key_error_propagates(self, dataset, tmp_path,
                                            monkeypatch):
         def broken(rm):
@@ -705,6 +745,22 @@ class TestCliNonFiniteWeights:
         assert code == 4
         assert "eta must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["aggregate", "experiment"])
+def test_empty_eta_grid_rejected(dataset, capsys, command):
+    # aggregate took an empty --eta-grid for no grid and fitted --eta alone.
+    cons = dataset["dir"] / "c.csv"
+    write_constraints(cons, [("ML", *dataset["rm"].item_ids[:2])])
+    inputs = {"aggregate": ["--responses", str(dataset["responses"]),
+                            "--method", "vb-ilc", "--k", "3",
+                            "--constraints", str(cons)],
+              "experiment": ["--spec-json", str(dataset["spec_path"])]}
+    out = dataset["dir"] / "out"
+    assert cli.main([command, *inputs[command], "--eta-grid", "",
+                     "--output", str(out)]) == 2
+    assert "bad eta grid ''" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCliExperimentCounts:

@@ -129,6 +129,18 @@ class TestPriors:
             PriorConfig(**arrays)
 
 
+class TestPosteriorParams:
+    # Built once per VB M-step; a NaN count or prior must not pass as a
+    # positive parameter.
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, key, value):
+        arrays = {"alpha": np.ones(2), "beta": np.ones((1, 2, 2))}
+        arrays[key].flat[-1] = value
+        with pytest.raises(ValueError, match=f"posterior {key} must be finite"):
+            PosteriorParams(**arrays)
+
+
 class TestExpectedLogs:
     def test_symmetric_alpha(self):
         params = PosteriorParams(alpha=np.array([1.0, 1.0]),

@@ -85,6 +85,12 @@ class TestValidateProbVector:
         with pytest.raises(ValueError):
             validate_prob_vector([1.2, -0.2])
 
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [np.nan, 1.0],
+                                   [np.inf, 0.0]])
+    def test_rejects_non_finite(self, p):
+        with pytest.raises(ValueError, match="must lie in"):
+            validate_prob_vector(p)
+
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):
             validate_prob_vector([1.0])

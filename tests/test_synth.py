@@ -31,6 +31,18 @@ class TestCrowdSpec:
                       gamma_star=np.broadcast_to(np.eye(2), (1, 2, 2)).copy(),
                       mu=np.array([1.5]))
 
+    @pytest.mark.parametrize("key", ["pi_star", "gamma_star", "mu"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, key, value):
+        # A NaN fails no `<` or `>` test, so a range check written with
+        # them lets it through.
+        fields = diag_dominant_spec(5, 2, 2, 0.8).to_dict()
+        values = np.array(fields[key])
+        values[...] = value
+        fields[key] = values
+        with pytest.raises(ValueError, match=key):
+            CrowdSpec(**fields)
+
 
 class TestDiagDominantSpec:
     def test_row_construction(self):
