@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import json
 import sys
 
 import numpy as np
 
 from . import aggregators, bounds, constraints, experiment, fileio, metrics
 from .constraints import ConstraintConflictError, DEFAULT_ETA_GRID
-from .fileio import InputFormatError
+from .fileio import NUMBERS, InputFormatError, json_field, json_object
 from .model import (GroundTruth, PosteriorParams, PriorConfig,
                     paper_default_priors, uniform_priors)
 from .numerics import check_finite
@@ -42,52 +41,16 @@ def _parse_eta_grid(raw: str):
     return _parse_list(raw, float, "eta grid")
 
 
-@contextlib.contextmanager
-def _json_document(path):
-    """Yield the JSON object read from `path`. A document that is not an
-    object, or a key missing from it, is an input-format error. Wrap only
-    code that reads that document, so that no other KeyError is taken for
-    bad input."""
-    with open(path, encoding="utf-8") as handle:
-        data = _json_object(json.load(handle), path)
-    try:
-        yield data
-    except KeyError as exc:
-        raise InputFormatError(f"{path}: missing key {exc}") from None
-
-
-def _json_object(value, path, key=None):
-    """`value` if it is a JSON object; otherwise an input-format error
-    naming the file and, for a nested value, its key."""
-    if not isinstance(value, dict):
-        where = "" if key is None else f" at {key!r}"
-        raise InputFormatError(f"{path}: expected a JSON object{where}, "
-                               f"found {type(value).__name__}")
-    return value
-
-
-def _float_array(data, key, path, name=None) -> np.ndarray:
-    """`data[key]` as a float array. A value that numpy cannot read as
-    numbers is an input-format error naming the file and `name` (by
-    default `key`)."""
-    try:
-        return np.asarray(data[key], dtype=float)
-    except (ValueError, TypeError):
-        raise InputFormatError(f"{path}: {name or key!r} must be an array "
-                               "of numbers") from None
-
-
 def _load_spec(path) -> CrowdSpec:
-    with _json_document(path) as data:
+    with fileio.json_document(path) as data:
         return CrowdSpec.from_dict(data)
 
 
 def _load_priors(args, n_annotators: int, n_classes: int) -> PriorConfig:
     if args.priors_file:
-        with _json_document(args.priors_file) as data:
-            alpha0 = _float_array(data, "alpha0", args.priors_file)
-            beta0 = _float_array(data, "beta0", args.priors_file)
-        return PriorConfig(alpha0=alpha0, beta0=beta0)
+        with fileio.json_document(args.priors_file) as data:
+            return PriorConfig(alpha0=json_field(data, "alpha0", NUMBERS),
+                               beta0=json_field(data, "beta0", NUMBERS))
     if args.priors == "uniform":
         return uniform_priors(n_annotators, n_classes)
     return paper_default_priors(n_annotators, n_classes)
@@ -231,35 +194,29 @@ def cmd_synth(args) -> int:
     fileio.write_responses(args.out_responses, rm)
     fileio.write_truth(args.out_truth, truth, rm.item_ids)
     if args.out_spec:
-        with open(args.out_spec, "w", encoding="utf-8") as handle:
-            json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        fileio.write_json(args.out_spec, spec.to_dict())
     return 0
 
 
 def cmd_bounds(args) -> int:
     spec = _load_spec(args.spec_json)
-    with _json_document(args.result) as result:
-        posterior = _float_array(result, "posterior", args.result)
+    with fileio.json_document(args.result) as result:
+        posterior = json_field(result, "posterior", NUMBERS)
         if posterior.shape != (spec.n_items, spec.n_classes):
             raise InputFormatError("result posterior does not match the spec "
                                    "dimensions")
         check_finite("posterior", posterior)
         params = None
-        params_doc = _json_object(result.get("params") or {}, args.result,
-                                  "params")
+        params_doc = json_object(result.get("params") or {}, "params")
         if "alpha" in params_doc:
             params = PosteriorParams(
-                alpha=_float_array(params_doc, "alpha", args.result,
-                                   "params.alpha"),
-                beta=_float_array(params_doc, "beta", args.result,
-                                  "params.beta"))
-        rm_ids = _json_object(result["index_maps"], args.result,
-                              "index_maps")["items"]
+                alpha=json_field(params_doc, "alpha", NUMBERS, "params.alpha"),
+                beta=json_field(params_doc, "beta", NUMBERS, "params.beta"))
+        rm_ids = json_object(result["index_maps"], "index_maps")["items"]
         if not (isinstance(rm_ids, list)
                 and all(isinstance(i, str) for i in rm_ids)):
-            raise InputFormatError(f"{args.result}: expected a JSON array of "
-                                   "strings at 'items'")
+            raise InputFormatError("expected a JSON array of strings at "
+                                   "'items'")
     fit = aggregators.FitResult(
         posterior=posterior,
         hard_labels=aggregators.hard_labels_from(posterior),
@@ -300,10 +257,7 @@ def cmd_bounds(args) -> int:
     report = bounds.build_report(inputs, g_pi=args.g_pi, g_gamma=args.g_gamma,
                                  nu_inputs=nu_inputs)
     report = bounds.empirical_vs_bound(fit, truth, spec, report)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True,
-                  allow_nan=False)
-        handle.write("\n")
+    fileio.write_json(args.output, report.to_dict())
     return 0
 
 
@@ -401,8 +355,7 @@ def main(argv=None) -> int:
     except ConstraintConflictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFLICT
-    except (InputFormatError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (InputFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ArithmeticError) as exc:

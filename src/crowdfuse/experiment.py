@@ -6,12 +6,11 @@ ordered deterministically before writing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import aggregators, constraints, metrics, selection
+from . import aggregators, constraints, fileio, metrics, selection
 from .constraints import DEFAULT_ETA_GRID, ConstraintSet
 from .model import GroundTruth, PriorConfig, ResponseMatrix
 
@@ -181,9 +180,6 @@ def run_experiment(rm: ResponseMatrix, truth: GroundTruth,
 
 
 def write_rows_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row.get(k) is None else row[k])
-                             for k in CSV_COLUMNS})
+    fileio.write_rows(path, CSV_COLUMNS, (
+        ["" if row.get(k) is None else row[k] for k in CSV_COLUMNS]
+        for row in rows))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 from importlib import resources
 
@@ -95,13 +97,10 @@ def write_responses(path, rm: ResponseMatrix) -> None:
     ann, item, label0 = rm.coords
     order = np.lexsort((ann, item))
     item_ids, ann_ids = rm.item_ids, rm.annotator_ids
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RESPONSES_HEADER)
-        writer.writerows(
-            [item_ids[n], ann_ids[m], label + 1]
-            for m, n, label in zip(ann[order].tolist(), item[order].tolist(),
-                                   label0[order].tolist()))
+    write_rows(path, RESPONSES_HEADER, (
+        [item_ids[n], ann_ids[m], label + 1]
+        for m, n, label in zip(ann[order].tolist(), item[order].tolist(),
+                               label0[order].tolist())))
 
 
 def read_truth(path, item_ids: list, n_classes: int) -> GroundTruth:
@@ -133,12 +132,9 @@ def read_truth(path, item_ids: list, n_classes: int) -> GroundTruth:
 
 
 def write_truth(path, truth: GroundTruth, item_ids: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRUTH_HEADER)
-        for item_id, label in zip(item_ids, truth.labels):
-            if label:
-                writer.writerow([item_id, int(label)])
+    write_rows(path, TRUTH_HEADER, (
+        [item_id, int(label)]
+        for item_id, label in zip(item_ids, truth.labels) if label))
 
 
 def read_constraints(path, item_ids: list):
@@ -175,11 +171,71 @@ def read_constraints(path, item_ids: list):
 
 def write_constraints(path, rows) -> None:
     """Write (kind, a, b) rows in the constraint CSV format."""
+    write_rows(path, CONSTRAINTS_HEADER, rows)
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a CSV file: the `header` row, then each of `rows`."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CONSTRAINTS_HEADER)
-        for row in rows:
-            writer.writerow(list(row))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def json_document(path):
+    """Yield the JSON object read from `path`. Text that is not JSON (or not
+    UTF-8), a document that is not an object, and, in the body, a missing
+    key or any InputFormatError (from `json_object` or `json_field`, say)
+    are an InputFormatError naming the file. Wrap only code that reads the
+    document, so that no other KeyError is taken for bad input."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            document = json.load(handle)
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
+    try:
+        yield json_object(document)
+    except KeyError as exc:
+        raise InputFormatError(f"{path}: missing key {exc}") from None
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+
+
+def json_object(value, key=None) -> dict:
+    """`value` if it is a JSON object; otherwise an error naming `key`, if
+    the value is nested."""
+    if not isinstance(value, dict):
+        where = "" if key is None else f" at {key!r}"
+        raise InputFormatError(f"expected a JSON object{where}, found "
+                               f"{type(value).__name__}")
+    return value
+
+
+INTEGER = (int, "an integer")
+NUMBERS = (functools.partial(np.asarray, dtype=float), "an array of numbers")
+
+
+def json_field(data: dict, key: str, kind, name=None, default=None):
+    """`data[key]` converted by `kind`: INTEGER or NUMBERS, each a
+    (converter, what the value must be) pair. A value the converter rejects
+    is an error naming `name` (by default `key`). A missing key raises
+    KeyError unless a default is given."""
+    convert, description = kind
+    value = data[key] if default is None else data.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputFormatError(
+            f"{name or key!r} must be {description}") from None
+
+
+def write_json(path, document) -> None:
+    """Write `document` indented by 2, keys sorted, and a newline. NaN or an
+    infinity is not JSON: it raises ValueError, and no file is written."""
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text + "\n")
 
 
 def result_schema() -> dict:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import InputFormatError
+from .fileio import INTEGER, NUMBERS, json_field
 from .model import GroundTruth, ResponseMatrix
 from .numerics import validate_prob_vector
 
@@ -64,31 +64,14 @@ class CrowdSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CrowdSpec":
         return cls(
-            n_items=_field(data, "n_items", _INTEGER),
-            n_annotators=_field(data, "n_annotators", _INTEGER),
-            n_classes=_field(data, "n_classes", _INTEGER),
-            pi_star=_field(data, "pi_star", _NUMBERS),
-            gamma_star=_field(data, "gamma_star", _NUMBERS),
-            mu=_field(data, "mu", _NUMBERS),
-            seed=_field(data, "seed", _INTEGER, default=0),
+            n_items=json_field(data, "n_items", INTEGER),
+            n_annotators=json_field(data, "n_annotators", INTEGER),
+            n_classes=json_field(data, "n_classes", INTEGER),
+            pi_star=json_field(data, "pi_star", NUMBERS),
+            gamma_star=json_field(data, "gamma_star", NUMBERS),
+            mu=json_field(data, "mu", NUMBERS),
+            seed=json_field(data, "seed", INTEGER, default=0),
         )
-
-
-_INTEGER = (int, "an integer")
-_NUMBERS = (lambda value: np.asarray(value, dtype=float), "an array of numbers")
-
-
-def _field(data: dict, key: str, kind, default=None):
-    """`data[key]` converted by `kind`, a (converter, description) pair. A
-    value the converter rejects is an input-format error naming the key. A
-    missing key raises KeyError unless a default is given."""
-    convert, description = kind
-    value = data[key] if default is None else data.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise InputFormatError(f"spec field {key!r} must be {description}, "
-                               f"got {value!r}") from None
 
 
 def diag_dominant_spec(n_items: int, n_annotators: int, n_classes: int,
