@@ -58,26 +58,43 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     # Each distinct label string is parsed and checked once: an int() per
     # row made the reader 11-22 % slower on 2-3 * 10^4 rows.
     checked = {}
-    for lineno, row in _data_rows(path, RESPONSES_HEADER, 3):
-        item = item_index.setdefault(row[0].strip(), len(item_index))
-        label_str = row[2].strip()
-        if label_str == "" or label_str == "0":
-            continue
-        label = checked.get(label_str)
-        if label is None:
-            try:
-                label = int(label_str)
-            except ValueError:
-                raise InputFormatError(f"{path}:{lineno}: non-integer "
-                                       f"label {label_str!r}") from None
-            if not 1 <= label <= top:
-                raise InputFormatError(
-                    f"{path}:{lineno}: label {label} out of range")
-            checked[label_str] = label
-        items.append(item)
-        anns.append(ann_index.setdefault(row[1].strip(), len(ann_index)))
-        labels.append(label)
-        linenos.append(lineno)
+    try:
+        for lineno, row in _data_rows(path, RESPONSES_HEADER, 3):
+            item = item_index.setdefault(row[0].strip(), len(item_index))
+            label_str = row[2].strip()
+            if label_str == "" or label_str == "0":
+                continue
+            label = checked.get(label_str)
+            if label is None:
+                try:
+                    label = int(label_str)
+                except ValueError:
+                    raise InputFormatError(f"{path}:{lineno}: non-integer "
+                                           f"label {label_str!r}") from None
+                if not 1 <= label <= top:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: label {label} out of range")
+                checked[label_str] = label
+            items.append(item)
+            anns.append(ann_index.setdefault(row[1].strip(), len(ann_index)))
+            labels.append(label)
+            linenos.append(lineno)
+    except InputFormatError:
+        # Repeats are found after the loop, so one on an earlier line than
+        # this fault would otherwise go unnamed.
+        _pair_arrays(path, item_index, ann_index, anns, items, linenos)
+        raise
+    anns, items = _pair_arrays(path, item_index, ann_index, anns, items,
+                               linenos)
+    return ResponseMatrix(len(item_index), len(ann_index), anns, items,
+                          np.array(labels, dtype=np.intp), n_classes,
+                          list(item_index), list(ann_index))
+
+
+def _pair_arrays(path, item_index, ann_index, anns, items, linenos):
+    """The responses' annotator and item lists as arrays. A repeated
+    (item, annotator) pair is an InputFormatError naming its first
+    repeating line."""
     anns, items = np.array(anns, dtype=np.intp), np.array(items, dtype=np.intp)
     _, repeat = pair_order(anns, items, len(item_index))
     if repeat is not None:
@@ -85,10 +102,8 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
         raise InputFormatError(
             f"{path}:{linenos[repeat]}: duplicate response for item "
             f"{item_ids[items[repeat]]!r} by annotator "
-            f"{ann_ids[anns[repeat]]!r}")
-    return ResponseMatrix(len(item_index), len(ann_index), anns, items,
-                          np.array(labels, dtype=np.intp), n_classes,
-                          list(item_index), list(ann_index))
+            f"{ann_ids[anns[repeat]]!r}") from None
+    return anns, items
 
 
 def write_responses(path, rm: ResponseMatrix) -> None:

@@ -211,7 +211,9 @@ RESPONSE_FAULTS = [(("f1", "x", "zz"), "non-integer label 'zz'"),
                    (("f2", "x", "7"), "label 7 out of range"),
                    (("f3", "x"), "expected 3 fields"),
                    (("f4", "x", "x" * 131_073),
-                    "field larger than field limit (131072)")]
+                    "field larger than field limit (131072)"),
+                   (("g0", "x", "2"),
+                    "duplicate response for item 'g0' by annotator 'x'")]
 
 
 class TestResponsesFile:
@@ -570,7 +572,8 @@ class TestCliAggregate:
                          "--out-responses", str(tmp_path / "r.csv"),
                          "--out-truth", str(tmp_path / "t.csv")])
         assert code == 2
-        assert "'n_items' must be an integer" in capsys.readouterr().err
+        assert f"{spec_path}: 'n_items' must be an integer" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["pi_star", "gamma_star", "mu"])
     def test_spec_non_numeric_array_field(self, dataset, tmp_path, capsys,
@@ -645,12 +648,47 @@ class TestCliAggregate:
     @pytest.mark.parametrize("items", [5, [1, 2], [["a"]]])
     def test_result_item_ids_not_strings(self, dataset, tmp_path, capsys,
                                          items):
-        code, _ = self.bounds_on_edited_result(
+        code, result = self.bounds_on_edited_result(
             dataset, tmp_path,
             lambda doc: doc["index_maps"].update({"items": items}))
         assert code == 2
-        assert "expected a JSON array of strings at 'items'" in \
+        assert f"{result}: expected a JSON array of strings at 'items'" in \
             capsys.readouterr().err
+
+    def test_result_posterior_shape_names_file(self, dataset, tmp_path,
+                                               capsys):
+        code, result = self.bounds_on_edited_result(
+            dataset, tmp_path, lambda doc: doc["posterior"].pop())
+        assert code == 2
+        assert f"{result}: result posterior does not match the spec " \
+            "dimensions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"alpha0": [1, 2],', "Expecting property name"),
+        (b"[1, 2", "Expecting ',' delimiter"),
+        (b"", "Expecting value"),
+        (b'\xff{"a": 1}', "can't decode byte 0xff")])
+    @pytest.mark.parametrize("flag", ["--spec-json", "--result",
+                                      "--priors-file"])
+    def test_malformed_json_names_file(self, dataset, tmp_path, capsys, flag,
+                                       text, message):
+        # Malformed JSON printed the parser's message alone, without the
+        # file; bytes that are not UTF-8 exited 4.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        vb = tmp_path / "vb.json"
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--output", str(vb)]) == 0
+        inputs = {"--spec-json": dataset["spec_path"], "--result": vb,
+                  flag: bad}
+        assert cli.main(["bounds", "--truth", str(dataset["truth_path"]),
+                         "--output", str(tmp_path / "b.json"),
+                         *itertools.chain(*((key, str(path)) for key, path
+                                            in inputs.items()))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert not (tmp_path / "b.json").exists()
 
     @pytest.mark.parametrize("command", ["synth", "experiment"])
     @pytest.mark.parametrize("key", ["pi_star", "gamma_star", "mu"])
