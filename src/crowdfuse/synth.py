@@ -36,7 +36,8 @@ class CrowdSpec:
             raise ValueError("gamma_star rows must sum to 1")
         if not np.all(gamma >= 0):
             raise ValueError("gamma_star entries must be nonnegative")
-        if mu.shape != (self.n_annotators,) or not np.all((mu > 0) & (mu <= 1)):
+        if mu.shape != (self.n_annotators,) or \
+                not np.all((mu > 0) & (mu <= 1)):
             raise ValueError("mu must be length M with entries in (0, 1]")
         object.__setattr__(self, "pi_star", pi)
         object.__setattr__(self, "gamma_star", gamma)

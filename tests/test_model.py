@@ -137,7 +137,8 @@ class TestPosteriorParams:
     def test_non_finite_rejected(self, key, value):
         arrays = {"alpha": np.ones(2), "beta": np.ones((1, 2, 2))}
         arrays[key].flat[-1] = value
-        with pytest.raises(ValueError, match=f"posterior {key} must be finite"):
+        with pytest.raises(ValueError,
+                           match=f"posterior {key} must be finite"):
             PosteriorParams(**arrays)
 
 

@@ -2,7 +2,11 @@
 package module reads a set's pairs or its group arrays. Every other module
 asks the set for what it needs (`partner_sums`, `per_item_counts`, `items`,
 `count_violations`, `join_labels`, ...), so the storage can change in one
-file."""
+file.
+
+Only `fileio.py` opens files: no other package module calls `open`, reads
+or writes JSON, or makes a CSV reader or writer, so the file formats and
+their error messages live in one file."""
 
 import ast
 from pathlib import Path
@@ -38,3 +42,35 @@ def test_guard_sees_constraints_reads(tmp_path):
     found = {attr for path in (PACKAGE / "constraints.py", caller)
              for _, attr in attribute_reads(path)}
     assert found == PRIVATE
+
+
+FILE_CALLS = {"open", "json.load", "json.loads", "json.dump", "json.dumps",
+              "csv.reader", "csv.writer", "csv.DictReader", "csv.DictWriter"}
+
+
+def file_calls(path):
+    """(line, callee) of every call in the module at `path` to a name in
+    FILE_CALLS, or to any `.open` method."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [(node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    return [(line, name) for line, name in calls
+            if name in FILE_CALLS or name.endswith(".open")]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in PACKAGE.glob("*.py") if path.name != "fileio.py"))
+def test_no_module_but_fileio_opens_files(module):
+    assert file_calls(PACKAGE / module) == []
+
+
+def test_guard_sees_fileio_calls(tmp_path):
+    # The guard finds the calls fileio.py makes, and those it does not
+    # make when written in another module, as in `caller`.
+    caller = tmp_path / "caller.py"
+    caller.write_text("json.dump(doc, handle)\ncsv.DictReader(handle)\n"
+                      "csv.DictWriter(handle, fields)\n"
+                      "with path.open() as handle:\n    json.load(handle)\n")
+    found = {name for path in (PACKAGE / "fileio.py", caller)
+             for _, name in file_calls(path)}
+    assert found == FILE_CALLS | {"path.open"}
