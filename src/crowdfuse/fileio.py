@@ -1,4 +1,12 @@
-"""CSV and JSON formats: responses, truth, constraints, result documents."""
+"""CSV and JSON formats: responses, truth, constraints, result documents.
+
+Every file the package reads or writes is opened here. JSON inputs (a crowd
+spec, priors, a fit result) are read in `json_document`, through
+`json_object` and `json_field`, so each fault in them is an
+InputFormatError naming its file. `write_json` writes indented JSON (specs,
+bound reports), `write_result_json` a fit result, and `write_rows` every
+CSV (responses, truth, constraints, experiment rows).
+"""
 
 from __future__ import annotations
 
