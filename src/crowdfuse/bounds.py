@@ -7,7 +7,7 @@ with a "vacuous" status, never clamped away silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class BoundInputs:
     """Everything needed to evaluate the label and parameter error bounds.
 
     eps_pi, eps_gamma, eps_q are the error levels assumed for the previous
-    iterate. Per-item constraint counts are optional; without them only the
-    unconstrained bounds are produced.
+    iterate. A missing per-item constraint count is zero for every item,
+    which gives the unconstrained bounds.
     """
 
     spec: CrowdSpec
@@ -91,6 +91,12 @@ class BoundInputs:
             raise ValueError("error levels must be nonnegative")
         if self.lemma_exponent not in (THEOREM_FORM, LEMMA_FORM):
             raise ValueError(f"unknown exponent form {self.lemma_exponent}")
+        n, k = self.spec.n_items, self.spec.n_classes
+        for name, shape in (("n_ml_per_item", n), ("n_cl_per_item", n),
+                            ("n_cl_by_class", (n, k))):
+            counts = getattr(self, name)
+            setattr(self, name, np.zeros(shape) if counts is None
+                    else np.asarray(counts, dtype=float))
 
     @property
     def alpha0_bar(self) -> float:
@@ -145,24 +151,15 @@ def label_error_bound(inputs: BoundInputs) -> dict:
     u = exponent_u(inputs)
     eps_q = spec.n_classes * math.exp(-u) if math.isfinite(u) else math.inf
 
-    n = spec.n_items
-    if inputs.n_ml_per_item is None or inputs.eta == 0.0:
-        w_n = np.zeros(n)
-        tilde = np.full(n, eps_q)
-    else:
-        n_ml = np.asarray(inputs.n_ml_per_item, dtype=float)
-        n_cl = np.asarray(inputs.n_cl_per_item, dtype=float)
-        if inputs.n_cl_by_class is not None:
-            by_class = np.asarray(inputs.n_cl_by_class, dtype=float)
-            cl_min = by_class.min(axis=1)
-        else:
-            cl_min = np.zeros(n)
+    n_ml, n_cl = inputs.n_ml_per_item, inputs.n_cl_per_item
+    w_n = np.zeros(spec.n_items)
+    tilde = np.full(spec.n_items, eps_q)
+    if inputs.eta != 0.0:
         w_n = n_ml * (1.0 - 2.0 * inputs.eps_q) \
-            - 2.0 * n_cl * inputs.eps_q + cl_min
-        constrained = (n_ml + n_cl) > 0
+            - 2.0 * n_cl * inputs.eps_q + inputs.n_cl_by_class.min(axis=1)
         with np.errstate(over="ignore"):
             tightened = spec.n_classes * np.exp(-u - inputs.eta * w_n)
-        tilde = np.where(constrained, tightened, eps_q)
+        tilde = np.where(n_ml + n_cl > 0, tightened, eps_q)
     return {
         "U": u,
         "eps_q": eps_q,
@@ -173,14 +170,14 @@ def label_error_bound(inputs: BoundInputs) -> dict:
 
 
 def parameter_error_bounds(inputs: BoundInputs, g_pi: float, g_gamma: float,
-                           counts: dict, tilde_eps_q: float | None = None,
-                           beta_bar: np.ndarray | None = None) -> dict:
+                           counts: dict,
+                           tilde_eps_q: float | None = None) -> dict:
     """Error bounds on the expected class priors and confusion entries.
 
     `counts` holds n_tilde_c (items with at least one constraint) and
     n_bar_c (the rest); the unconstrained case is n_tilde_c = 0. g_pi and
-    g_gamma have no closed form and are explicit inputs. `beta_bar` (M, K)
-    defaults to the expected posterior row sums N*mu_m*pi_k + prior sums.
+    g_gamma have no closed form and are explicit inputs. beta_bar (M, K) is
+    the expected posterior row sums N*mu_m*pi_k + prior sums.
     """
     spec = inputs.spec
     priors = inputs.priors
@@ -196,8 +193,7 @@ def parameter_error_bounds(inputs: BoundInputs, g_pi: float, g_gamma: float,
                     + spec.rho_pi * alpha0_bar) / (n + alpha0_bar)
 
     beta0_bar = priors.beta0.sum(axis=2)
-    if beta_bar is None:
-        beta_bar = n * spec.mu[:, None] * spec.pi_star[None, :] + beta0_bar
+    beta_bar = n * spec.mu[:, None] * spec.pi_star[None, :] + beta0_bar
     numer = 2.0 * n * g_gamma + 2.0 * mixed + priors.beta0 + beta0_bar[:, :, None]
     denom = (n * spec.mu[:, None, None] * spec.pi_star[None, :, None]
              - n * g_gamma / spec.gamma_star
@@ -211,6 +207,13 @@ def parameter_error_bounds(inputs: BoundInputs, g_pi: float, g_gamma: float,
         "eps_gamma_vacuous": bool(np.any(~np.isfinite(eps_gamma_bound))
                                   or np.any(eps_gamma_bound >= 1.0)),
     }
+
+
+def _caps(spec: CrowdSpec) -> np.ndarray:
+    """The largest admissible t inputs of `nu_probability`: mu_m * pi_k *
+    gamma_kk', shape (M, K, K)."""
+    return spec.mu[:, None, None] * spec.pi_star[None, :, None] * \
+        spec.gamma_star
 
 
 def nu_probability(spec: CrowdSpec, t_params, r_params) -> dict:
@@ -228,8 +231,7 @@ def nu_probability(spec: CrowdSpec, t_params, r_params) -> dict:
         raise ValueError("t_params must be (M, K, K)")
     if r.shape != (k,):
         raise ValueError("r_params must be length K")
-    caps = spec.mu[:, None, None] * spec.pi_star[None, :, None] * spec.gamma_star
-    bad = np.argwhere(t > caps + 1e-15)
+    bad = np.argwhere(t > _caps(spec) + 1e-15)
     if bad.size:
         i = tuple(int(x) for x in bad[0])
         raise ValueError(f"t exceeds mu*pi*gamma at (m, k, k') = {i}")
@@ -280,47 +282,35 @@ class BoundReport:
                 x = x.tolist()
             if isinstance(x, (list, tuple)):
                 return [clean(v) for v in x]
+            if isinstance(x, dict):
+                return {k: clean(v) for k, v in x.items()}
             if isinstance(x, float) and not math.isfinite(x):
                 return str(x)
             return x
 
-        out = {
-            "D_pi": clean(self.d_pi),
-            "D_gamma": clean(self.d_gamma),
-            "f_pi": clean(self.f_pi),
-            "f_gamma": clean(self.f_gamma),
-            "U": clean(self.u),
-            "eps_q": clean(self.eps_q),
-            "W_n": clean(self.w_n),
-            "tilde_eps_q": clean(self.tilde_eps_q),
-            "eps_pi_bound": clean(self.eps_pi_bound),
-            "eps_gamma_bound": clean(self.eps_gamma_bound),
-            "nu": clean(self.nu),
-            "nu_terms": clean(self.nu_terms),
-            "empirical": {
-                "max_label_error": clean(self.empirical_label_error),
-                "max_pi_error": clean(self.empirical_pi_error),
-                "max_gamma_error": clean(self.empirical_gamma_error),
-            },
-            "statuses": dict(self.statuses),
-            "notes": list(self.notes),
-        }
+        out = {"empirical": {}}
+        for f in fields(self):
+            value = clean(getattr(self, f.name))
+            if f.name.startswith("empirical_"):
+                out["empirical"]["max" + f.name[len("empirical"):]] = value
+            else:
+                out[_REPORT_KEYS.get(f.name, f.name)] = value
         return out
 
 
+# BoundReport fields whose report key is the paper's symbol.
+_REPORT_KEYS = {"d_pi": "D_pi", "d_gamma": "D_gamma", "u": "U", "w_n": "W_n"}
+
+
 def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
-                 counts: dict | None = None,
-                 nu_inputs: tuple | None = None) -> BoundReport:
-    """Evaluate all bound quantities for the given inputs."""
+                 nu_scales: tuple | None = None) -> BoundReport:
+    """Evaluate all bound quantities for the given inputs. `nu_scales`,
+    (t_scale, r_scale), adds the nu probability at t and r inputs that are
+    those fractions of their caps: mu*pi*gamma and pi."""
     spec = inputs.spec
     label = label_error_bound(inputs)
-    if counts is None:
-        n_tilde = 0
-        if inputs.n_ml_per_item is not None:
-            degrees = (np.asarray(inputs.n_ml_per_item)
-                       + np.asarray(inputs.n_cl_per_item))
-            n_tilde = int(np.sum(degrees > 0))
-        counts = {"n_tilde_c": n_tilde, "n_bar_c": spec.n_items - n_tilde}
+    n_tilde = int(np.sum(inputs.n_ml_per_item + inputs.n_cl_per_item > 0))
+    counts = {"n_tilde_c": n_tilde, "n_bar_c": spec.n_items - n_tilde}
     tilde_max = float(np.max(label["tilde_eps_q"])) \
         if np.size(label["tilde_eps_q"]) else inputs.eps_q
     params = parameter_error_bounds(inputs, g_pi, g_gamma, counts,
@@ -335,18 +325,21 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
         eps_pi_bound=params["eps_pi_bound"],
         eps_gamma_bound=params["eps_gamma_bound"],
     )
-    report.statuses["eps_q"] = VACUOUS if label["eps_q_vacuous"] else "finite"
-    report.statuses["eps_pi"] = VACUOUS if params["eps_pi_vacuous"] else "finite"
-    report.statuses["eps_gamma"] = VACUOUS if params["eps_gamma_vacuous"] \
-        else "finite"
-    if nu_inputs is not None:
-        nu = nu_probability(spec, *nu_inputs)
+    vacuous = {"eps_q": label["eps_q_vacuous"],
+               "eps_pi": params["eps_pi_vacuous"],
+               "eps_gamma": params["eps_gamma_vacuous"]}
+    if nu_scales is not None:
+        t_scale, r_scale = nu_scales
+        nu = nu_probability(spec, t_scale * _caps(spec),
+                            r_scale * spec.pi_star)
         report.nu = nu["nu"]
         report.nu_terms = nu["terms"]
-        report.statuses["nu"] = VACUOUS if nu["vacuous"] else "finite"
+        vacuous["nu"] = nu["vacuous"]
         report.notes.append(
             "first nu term divides by ln(rho_gamma) < 0, making its exponent "
             "positive; evaluated verbatim")
+    for key, is_vacuous in vacuous.items():
+        report.statuses[key] = VACUOUS if is_vacuous else "finite"
     return report
 
 
@@ -373,26 +366,16 @@ def empirical_vs_bound(fit: FitResult, truth: GroundTruth, spec: CrowdSpec,
                        report: BoundReport) -> BoundReport:
     """Fill in the empirical errors of a fit and mark each bound as held,
     held-vacuously, or violated."""
-    label_err, pi_err, gamma_err = empirical_errors(fit, truth, spec)
-    report.empirical_label_error = label_err
-    if pi_err is not None:
-        report.empirical_pi_error = pi_err
-        report.empirical_gamma_error = gamma_err
-
-    def verdict(bound, observed):
-        if observed is None:
-            return None
-        if not (bound < 1.0):
-            return HELD_VACUOUSLY
-        return HELD if observed <= bound else VIOLATED
-
-    report.statuses["eps_q_vs_empirical"] = verdict(report.eps_q, label_err)
-    if report.eps_pi_bound is not None and report.empirical_pi_error is not None:
-        report.statuses["eps_pi_vs_empirical"] = verdict(
-            float(np.max(report.eps_pi_bound)), report.empirical_pi_error)
-    if report.eps_gamma_bound is not None and \
-            report.empirical_gamma_error is not None:
-        report.statuses["eps_gamma_vs_empirical"] = verdict(
-            float(np.max(report.eps_gamma_bound)),
-            report.empirical_gamma_error)
+    errors = empirical_errors(fit, truth, spec)
+    (report.empirical_label_error, report.empirical_pi_error,
+     report.empirical_gamma_error) = errors
+    for key, bound, observed in zip(
+            ("eps_q", "eps_pi", "eps_gamma"),
+            (report.eps_q, report.eps_pi_bound, report.eps_gamma_bound),
+            errors):
+        if bound is not None and observed is not None:
+            bound = float(np.max(bound))
+            report.statuses[f"{key}_vs_empirical"] = (
+                HELD_VACUOUSLY if not (bound < 1.0)
+                else HELD if observed <= bound else VIOLATED)
     return report

@@ -217,14 +217,10 @@ def cmd_bounds(args) -> int:
                 and all(isinstance(i, str) for i in rm_ids)):
             raise InputFormatError("expected a JSON array of strings at "
                                    "'items'")
+    # The bounds read only the posterior and the parameters of a fit.
     fit = aggregators.FitResult(
-        posterior=posterior,
-        hard_labels=aggregators.hard_labels_from(posterior),
-        iterations_run=result.get("iterations", 0),
-        converged=result.get("converged", True),
-        trace=[],
-        params=params,
-    )
+        posterior=posterior, params=params, trace=[], iterations_run=0,
+        converged=True, hard_labels=aggregators.hard_labels_from(posterior))
 
     truth = fileio.read_truth(args.truth, rm_ids, spec.n_classes)
     priors = _load_priors(args, spec.n_annotators, spec.n_classes)
@@ -233,29 +229,24 @@ def cmd_bounds(args) -> int:
     # bound hypotheses hold exactly for it.
     emp_q, emp_pi, emp_gamma = bounds.empirical_errors(fit, truth, spec)
 
-    n_ml = n_cl = by_class = None
+    counts = {}
     if args.constraints:
         with _conflicts_named(rm_ids):
             cs = constraints.join_labels(
                 *fileio.read_constraints(args.constraints, rm_ids),
                 spec.n_items, spec.n_classes)
-        n_ml, n_cl, by_class = bounds.constraint_counts(
-            cs, truth, spec.n_items, spec.n_classes)
+        counts = dict(zip(("n_ml_per_item", "n_cl_per_item", "n_cl_by_class"),
+                          bounds.constraint_counts(cs, truth, spec.n_items,
+                                                   spec.n_classes)))
     inputs = bounds.BoundInputs(
         spec=spec, priors=priors,
         eps_pi=args.eps_pi if args.eps_pi is not None else emp_pi or 0.0,
         eps_gamma=(args.eps_gamma if args.eps_gamma is not None
                    else emp_gamma or 0.0),
         eps_q=args.eps_q if args.eps_q is not None else emp_q,
-        eta=args.eta,
-        n_ml_per_item=n_ml, n_cl_per_item=n_cl, n_cl_by_class=by_class,
-        lemma_exponent=args.form,
-    )
-    caps = spec.mu[:, None, None] * spec.pi_star[None, :, None] * \
-        spec.gamma_star
-    nu_inputs = (args.t_scale * caps, args.r_scale * spec.pi_star)
+        eta=args.eta, lemma_exponent=args.form, **counts)
     report = bounds.build_report(inputs, g_pi=args.g_pi, g_gamma=args.g_gamma,
-                                 nu_inputs=nu_inputs)
+                                 nu_scales=(args.t_scale, args.r_scale))
     report = bounds.empirical_vs_bound(fit, truth, spec, report)
     fileio.write_json(args.output, report.to_dict())
     return 0
