@@ -35,6 +35,18 @@ def _parse_list(raw: str, convert, name: str):
         raise InputFormatError(f"bad {name} {raw!r}") from exc
 
 
+def _parse_entries(raw: str, convert, name: str, choices=None):
+    """`_parse_list`, with each entry once and, if `choices` is given, one
+    of them."""
+    values = _parse_list(raw, convert, name)
+    for i, value in enumerate(values):
+        if choices is not None and value not in choices:
+            raise InputFormatError(f"{name} {raw!r}: unknown entry {value!r}")
+        if value in values[:i]:
+            raise InputFormatError(f"{name} {raw!r}: repeated entry {value!r}")
+    return values
+
+
 def _parse_eta_grid(raw: str):
     if raw == "default":
         return DEFAULT_ETA_GRID
@@ -170,8 +182,9 @@ def cmd_experiment(args) -> int:
         truth = fileio.read_truth(args.truth, rm.item_ids, rm.n_classes)
     priors = _load_priors(args, rm.n_annotators, rm.n_classes)
     config = experiment.ExperimentConfig(
-        protocols=tuple(args.protocols.split(",")),
-        nc_list=_parse_list(args.nc, int, "N_C list"),
+        protocols=_parse_entries(args.protocols, str, "protocol list",
+                                 experiment.PROTOCOLS),
+        nc_list=_parse_entries(args.nc, int, "N_C list"),
         repeats=args.repeats,
         seed=args.seed,
         eta_grid=_parse_eta_grid(args.eta_grid),
@@ -346,7 +359,7 @@ def main(argv=None) -> int:
     except ConstraintConflictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFLICT
-    except (InputFormatError, FileNotFoundError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ArithmeticError) as exc:

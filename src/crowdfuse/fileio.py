@@ -14,6 +14,7 @@ import contextlib
 import csv
 import functools
 import json
+import operator
 from importlib import resources
 
 import numpy as np
@@ -35,7 +36,9 @@ def _data_rows(path, header, width):
     """(line number, row) of each non-blank row after the header of the CSV
     at `path`, the header counting as line 1. A wrong header, a row of
     another width, or a row the csv module cannot read (a field over its
-    size limit, say) raises InputFormatError naming its line."""
+    size limit, say) raises InputFormatError naming its line. Bytes that
+    are not UTF-8 raise it naming the file only: the decoder reads ahead
+    in blocks, so the reader's line is not theirs."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -52,6 +55,8 @@ def _data_rows(path, header, width):
         except csv.Error as exc:
             raise InputFormatError(
                 f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
 
 
 def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
@@ -235,7 +240,7 @@ def json_object(value, key=None) -> dict:
     return value
 
 
-INTEGER = (int, "an integer")
+INTEGER = (operator.index, "an integer")
 NUMBERS = (functools.partial(np.asarray, dtype=float), "an array of numbers")
 
 

@@ -154,6 +154,8 @@ class TestTruthAndConstraintsFormat:
         ("--truth", "item,label\n{0},1\n{1}\n", "t.csv:3: expected 2 fields"),
         ("--truth", "item,label\n\n{0},1,2\n", "t.csv:3: expected 2 fields"),
         ("--truth", "item,label\n\n{0},1\n\n{1},2\n", None),
+        ("--truth", "item,label\n{0},1\n{1},x\n",
+         "t.csv:3: non-integer label 'x'"),
         ("--constraints", "kind,i,j\nML,{0},{1}\n",
          "c.csv: expected header kind,a,b"),
         ("--constraints", "kind,a,b\nML,{0},{1}\nCL,{0}\n",
@@ -161,6 +163,8 @@ class TestTruthAndConstraintsFormat:
         ("--constraints", "kind,a,b\n\nML,{0},{1},x\n",
          "c.csv:3: expected 3 fields"),
         ("--constraints", "kind,a,b\n\nML,{0},{1}\n\nLABEL,{1},2\n", None),
+        ("--constraints", "kind,a,b\nML,{0},{1}\nLABEL,nobody,2\n",
+         "c.csv:3: unknown item 'nobody'"),
     ])
     def test_faults_and_blank_lines(self, dataset, capsys, flag, text,
                                     message):
@@ -204,6 +208,26 @@ class TestOversizedField:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:3: ")
         assert "field larger than field limit" in err
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--responses", b"item,annotator,label\n{0},a,1\n{0},b,\xff\n"),
+        ("--truth", b"item,label\n{0},1\n{1},\xff\n"),
+        ("--constraints", b"kind,a,b\nML,{0},{1}\nCL,\xff,{0}\n"),
+    ], ids=["responses", "truth", "constraints"])
+    def test_not_utf8_exit_2_naming_file(self, dataset, capsys, flag, text):
+        # The byte 0xff exited 4 with the decoder's message alone. The
+        # decoder reads ahead in blocks, so no line is named.
+        path = dataset["dir"] / "latin.csv"
+        ids = [i.encode() for i in dataset["rm"].item_ids]
+        path.write_bytes(text.replace(b"{0}", ids[0]).replace(b"{1}",
+                                                             ids[1]))
+        files = {"--responses": str(dataset["responses"]), flag: str(path)}
+        assert cli.main(["aggregate", *itertools.chain(*files.items()),
+                         "--method", "mv", "--k", "3", "--output",
+                         str(dataset["dir"] / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "can't decode byte 0xff" in err
 
 
 # One of each fault read_responses names at n_classes=3, with its message.
@@ -564,16 +588,19 @@ class TestCliAggregate:
         assert str(result) in err and "expected a JSON object" in err
 
     def test_spec_non_integer_field(self, dataset, tmp_path, capsys):
+        # 7.9 made a 7-item crowd and "12" a 12-item one, both exit 0.
         spec = json.loads(dataset["spec_path"].read_text())
-        spec["n_items"] = "abc"
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
-        code = cli.main(["synth", "--spec-json", str(spec_path),
-                         "--out-responses", str(tmp_path / "r.csv"),
-                         "--out-truth", str(tmp_path / "t.csv")])
-        assert code == 2
-        assert f"{spec_path}: 'n_items' must be an integer" in \
-            capsys.readouterr().err
+        for value in ("abc", 7.9, "12"):
+            spec["n_items"] = value
+            spec_path.write_text(json.dumps(spec))
+            code = cli.main(["synth", "--spec-json", str(spec_path),
+                             "--out-responses", str(tmp_path / "r.csv"),
+                             "--out-truth", str(tmp_path / "t.csv")])
+            assert code == 2, value
+            assert f"{spec_path}: 'n_items' must be an integer" in \
+                capsys.readouterr().err
+            assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("key", ["pi_star", "gamma_star", "mu"])
     def test_spec_non_numeric_array_field(self, dataset, tmp_path, capsys,
@@ -739,6 +766,70 @@ class TestCliAggregate:
             cli.main(["aggregate", "--responses", str(dataset["responses"]),
                       "--method", "mv", "--output", str(tmp_path / "o.json")])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["aggregate", "--method", "vb-lc"],
+         "vb-lc needs LABEL rows in a constraints file"),
+        (["aggregate", "--method", "vb-lc", "--constraints", "{pairs}"],
+         "vb-lc needs LABEL rows in a constraints file"),
+        (["aggregate", "--method", "vb-ilc"],
+         "vb-ilc needs a constraints file"),
+        (["experiment"],
+         "experiment needs --spec-json or --responses with --truth"),
+        (["experiment", "--responses", "{responses}"],
+         "experiment needs --spec-json or --responses with --truth"),
+    ], ids=["vb-lc-no-file", "vb-lc-no-labels", "vb-ilc-no-file",
+            "experiment-no-input", "experiment-no-truth"])
+    def test_missing_input_exit_2(self, dataset, tmp_path, capsys, argv,
+                                  message):
+        pairs = tmp_path / "pairs.csv"
+        write_constraints(pairs, [("ML", *dataset["rm"].item_ids[:2])])
+        if argv[0] == "aggregate":
+            argv = [*argv, "--responses", "{responses}", "--k", "3"]
+        out = tmp_path / "out"
+        argv = [a.format(pairs=pairs, responses=dataset["responses"])
+                for a in argv]
+        assert cli.main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--spec-json", "--responses",
+                                      "--output"])
+    def test_directory_path_exit_2(self, dataset, tmp_path, capsys, flag):
+        # A directory ended in an IsADirectoryError traceback.
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = {
+            "--spec-json": ["synth", "--spec-json", str(folder),
+                            "--out-responses", str(tmp_path / "r.csv"),
+                            "--out-truth", str(tmp_path / "t.csv")],
+            "--responses": ["aggregate", "--responses", str(folder),
+                            "--method", "mv", "--output",
+                            str(tmp_path / "o.json")],
+            "--output": ["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "mv",
+                         "--output", str(folder)],
+        }[flag]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+
+    def test_uniform_priors_are_a_file_of_ones(self, dataset, tmp_path):
+        ones = tmp_path / "ones.json"
+        ones.write_text(json.dumps({"alpha0": [1.0] * 3,
+                                    "beta0": np.ones((4, 3, 3)).tolist()}))
+        docs = {}
+        for name, flags in [("uniform", ["--priors", "uniform"]),
+                            ("ones", ["--priors-file", str(ones)]),
+                            ("default", [])]:
+            out = tmp_path / f"{name}.json"
+            assert cli.main(["aggregate", "--responses",
+                             str(dataset["responses"]), "--method", "vb",
+                             "--k", "3", *flags, "--output", str(out)]) == 0
+            docs[name] = json.loads(out.read_text())
+            del docs[name]["timestamp"]
+        assert docs["uniform"] == docs["ones"]
+        assert docs["uniform"] != docs["default"]
+
 
 class TestCliNonFiniteWeights:
     # A NaN or infinite weight, or a NaN tolerance, exits 4 before any
@@ -808,12 +899,19 @@ class TestCliExperimentCounts:
         (["--nc", "-3"], 4, "N_C must be >= 0, got -3"),
         (["--repeats", "0"], 4, "repeats must be >= 1, got 0"),
         (["--repeats", "-2"], 4, "repeats must be >= 1, got -2"),
+        (["--protocols", "label-derived,bogus"], 2,
+         "protocol list 'label-derived,bogus': unknown entry 'bogus'"),
+        (["--protocols", "label-derived,label-derived"], 2,
+         "protocol list 'label-derived,label-derived': repeated entry "
+         "'label-derived'"),
+        (["--nc", "0,3,03"], 2, "N_C list '0,3,03': repeated entry 3"),
     ])
     def test_rejected_before_any_cell(self, dataset, capsys, flags, code,
                                       message):
-        # A count that is not an integer is malformed input; a negative
-        # N_C or fewer than one repeat is a domain error. Either way no
-        # CSV is written, where a header-only CSV or numpy's own error was.
+        # A count that is not an integer, an unknown protocol or a
+        # repeated entry is malformed input; a negative N_C or fewer than
+        # one repeat is a domain error. Either way no CSV is written, where
+        # a header-only CSV, numpy's own error or each row twice was.
         out = dataset["dir"] / "exp.csv"
         assert cli.main(["experiment", "--spec-json",
                          str(dataset["spec_path"]), *flags,
