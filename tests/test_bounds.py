@@ -9,7 +9,8 @@ from crowdfuse.bounds import (HELD, LEMMA_FORM, THEOREM_FORM, VACUOUS,
                               f_gamma, f_pi, label_error_bound,
                               nu_probability, parameter_error_bounds)
 from crowdfuse.constraints import ConstraintSet
-from crowdfuse.model import GroundTruth, paper_default_priors
+from crowdfuse.model import (GroundTruth, PriorConfig,
+                             paper_default_priors)
 from crowdfuse.numerics import kl_divergence
 from crowdfuse.synth import CrowdSpec, diag_dominant_spec
 
@@ -371,6 +372,50 @@ class TestReport:
         np.testing.assert_array_equal(a.eps_pi_bound, b.eps_pi_bound)
         np.testing.assert_array_equal(a.eps_gamma_bound, b.eps_gamma_bound)
         np.testing.assert_allclose(b.tilde_eps_q, np.full(100, a.eps_q))
+
+    @staticmethod
+    def finite_inputs(eta, **counts):
+        """Inputs whose label bound is finite: 40 strong annotators and
+        confusion priors of 50."""
+        spec = desk_spec(n=100, m=40, k=2, diag=0.9)
+        priors = PriorConfig(alpha0=np.ones(2),
+                             beta0=np.full((40, 2, 2), 50.0))
+        return BoundInputs(spec=spec, priors=priors, eps_pi=0.001,
+                           eps_gamma=0.001, eps_q=0.05, eta=eta, **counts)
+
+    def test_every_item_constrained(self):
+        # Every item's tightened bound is below the plain one, so the
+        # parameter bounds take the largest tightened bound for all N items.
+        rng = np.random.default_rng(0)
+        by_class = rng.integers(0, 3, size=(100, 2))
+        inputs = self.finite_inputs(
+            eta=1.0, n_ml_per_item=rng.integers(1, 4, size=100),
+            n_cl_per_item=by_class.sum(axis=1), n_cl_by_class=by_class)
+        report = build_report(inputs, g_pi=0.001, g_gamma=0.0005)
+        assert report.eps_q < 1.0
+        assert np.all(report.tilde_eps_q < report.eps_q)
+        want = parameter_error_bounds(
+            inputs, 0.001, 0.0005, {"n_tilde_c": 100, "n_bar_c": 0},
+            tilde_eps_q=float(np.max(report.tilde_eps_q)))
+        np.testing.assert_array_equal(report.eps_pi_bound,
+                                      want["eps_pi_bound"])
+        np.testing.assert_array_equal(report.eps_gamma_bound,
+                                      want["eps_gamma_bound"])
+
+    def test_weight_without_counts_changes_nothing(self):
+        # Without counts no item is constrained, so the parameter bounds
+        # are the plain ones and the report is the same at any weight.
+        inputs = self.finite_inputs(eta=0.0)
+        at_zero = build_report(inputs)
+        assert at_zero.eps_q < 1.0
+        plain = parameter_error_bounds(inputs, 0.0, 0.0, {"n_tilde_c": 0})
+        np.testing.assert_array_equal(at_zero.eps_pi_bound,
+                                      plain["eps_pi_bound"])
+        np.testing.assert_array_equal(at_zero.eps_gamma_bound,
+                                      plain["eps_gamma_bound"])
+        for eta in (1.0, 2.0):
+            assert build_report(self.finite_inputs(eta=eta)).to_dict() == \
+                at_zero.to_dict()
 
 
 class TestStatuses:
