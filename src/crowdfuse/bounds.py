@@ -252,6 +252,10 @@ def nu_probability(spec: CrowdSpec, t_params, r_params) -> dict:
             "vacuous": not (nu < 1.0)}
 
 
+# BoundReport fields whose report key is the paper's symbol.
+_REPORT_KEYS = {"d_pi": "D_pi", "d_gamma": "D_gamma", "u": "U", "w_n": "W_n"}
+
+
 @dataclass
 class BoundReport:
     """Theoretical quantities alongside the empirical errors of a run."""
@@ -296,10 +300,6 @@ class BoundReport:
             else:
                 out[_REPORT_KEYS.get(f.name, f.name)] = value
         return out
-
-
-# BoundReport fields whose report key is the paper's symbol.
-_REPORT_KEYS = {"d_pi": "D_pi", "d_gamma": "D_gamma", "u": "U", "w_n": "W_n"}
 
 
 def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
