@@ -152,6 +152,8 @@ def label_error_bound(inputs: BoundInputs) -> dict:
     eps_q = spec.n_classes * math.exp(-u) if math.isfinite(u) else math.inf
 
     n_ml, n_cl = inputs.n_ml_per_item, inputs.n_cl_per_item
+    # At eta = 0 every item keeps eps_q itself: np.exp may differ from
+    # math.exp in the last bit.
     w_n = np.zeros(spec.n_items)
     tilde = np.full(spec.n_items, eps_q)
     if inputs.eta != 0.0:
