@@ -1,17 +1,17 @@
 """Monte-Carlo experiment driver: constraint protocols, sweeps, repeats.
 
 The driver owns repetition; library calls stay single-run. Result rows are
-ordered deterministically before writing.
+generated in a fixed order, whatever order the configuration lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import aggregators, constraints, fileio, metrics, selection
-from .constraints import DEFAULT_ETA_GRID, ConstraintSet
+from .constraints import DEFAULT_ETA_GRID
 from .model import GroundTruth, PriorConfig, ResponseMatrix
 
 PROTOCOLS = ("random-constraints", "bvsb-constraints", "label-derived")
@@ -42,7 +42,7 @@ class ExperimentConfig:
         for n_c in self.nc_list:
             if n_c < 0:
                 raise ValueError(f"N_C must be >= 0, got {n_c}")
-        # Checked here, since a cell without constraints never searches.
+        # Checked here, as an empty closed set searches only eta = 0.
         if not self.eta_grid:
             raise ValueError("candidate eta list is empty")
         for eta in self.eta_grid:
@@ -67,7 +67,6 @@ def _score_row(protocol, n_c, repeat, method, fit, truth, n_classes,
 
 def _random_pairs(rng, candidates, n_c):
     pairs = set()
-    candidates = list(candidates)
     while len(pairs) < n_c:
         a, b = rng.choice(len(candidates), size=2, replace=False)
         i, j = candidates[int(a)], candidates[int(b)]
@@ -87,21 +86,21 @@ def build_constraints(protocol: str, n_c: int, truth: GroundTruth,
 
     Returns (cs_given, cs_fit, label_constraints): the raw pairwise set, the
     closed set actually fed to the pairwise fit, and the label constraints
-    for the label-pinned fit (None when the protocol has none).
+    for the label-pinned fit (None when the protocol has none). N_C = 0
+    takes each protocol's own path and draws nothing: both sets are empty,
+    and the label constraints are [] or, for bvsb-constraints, None.
     """
     rng = np.random.default_rng(seed)
     known = [int(i) for i in np.flatnonzero(truth.known_mask)]
-    if n_c == 0:
-        empty = constraints.close(ConstraintSet())
-        return empty, empty, []
     if n_c > len(known) and protocol != "bvsb-constraints":
         raise ValueError(f"not enough ground truth for N_C = {n_c}")
 
     if protocol == "bvsb-constraints":
         # Only items of known truth can be queried.
-        plan = selection.plan_queries(vb_posterior[known], n_c, seed=seed)
+        queries = () if not n_c else selection.plan_queries(
+            vb_posterior[known], n_c, seed=seed).queries
         cs_given = selection.answer_pairs(
-            ((known[a], known[b]) for a, b in plan.queries), truth)
+            ((known[a], known[b]) for a, b in queries), truth)
         return cs_given, constraints.close(cs_given), None
 
     if protocol == "random-constraints":
@@ -143,12 +142,10 @@ def _run_cell(rm: ResponseMatrix, truth: GroundTruth, priors: PriorConfig,
         rows.append(_score_row(protocol, n_c, repeat, "vb-lc", lc_fit, truth,
                                rm.n_classes))
 
-    if len(cs_fit) == 0:
-        ilc_fit = aggregators.vbem_fit(rm, priors, chain_opts)
-        best_eta = 0.0
-    else:
-        best_eta, _, ilc_fit = constraints.eta_search(
-            rm, priors, cs_fit, config.eta_grid, chain_opts)
+    # An empty closed set adds no penalty at any weight: search eta = 0 only.
+    grid = config.eta_grid if len(cs_fit) else (0.0,)
+    best_eta, _, ilc_fit = constraints.eta_search(rm, priors, cs_fit, grid,
+                                                  chain_opts)
 
     counted = cs_given if config.violations_on == "given" else cs_fit
     n_v = constraints.count_violations(counted, ilc_fit.hard_labels)
@@ -160,23 +157,18 @@ def _run_cell(rm: ResponseMatrix, truth: GroundTruth, priors: PriorConfig,
 def run_experiment(rm: ResponseMatrix, truth: GroundTruth,
                    priors: PriorConfig, config: ExperimentConfig) -> list:
     """Run every (protocol, N_C, repeat) cell and return result rows ordered
-    by (protocol, N_C, repeat, method)."""
+    by (protocol in PROTOCOLS order, N_C, repeat, method)."""
     base_opts = aggregators.FitOptions(max_iters=config.max_iters,
                                        tol=config.tol, seed=config.seed)
     baselines = {"mv": aggregators.majority_vote(rm),
                  "ds": aggregators.ds_em_fit(rm, base_opts),
                  "vb": aggregators.vbem_fit(rm, priors, base_opts)}
-    rows = [row
-            for protocol in config.protocols
-            for n_c in config.nc_list
+    return [row
+            for protocol in sorted(config.protocols, key=PROTOCOLS.index)
+            for n_c in sorted(config.nc_list)
             for repeat in range(config.repeats)
             for row in _run_cell(rm, truth, priors, config, baselines,
                                  protocol, n_c, repeat)]
-    method_order = {m: i for i, m in enumerate(("mv", "ds", "vb", "vb-lc",
-                                                "vb-ilc"))}
-    rows.sort(key=lambda r: (PROTOCOLS.index(r["protocol"]), r["n_c"],
-                             r["repeat"], method_order[r["method"]]))
-    return rows
 
 
 def write_rows_csv(path, rows) -> None:

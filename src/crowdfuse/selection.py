@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,6 @@ def _sequential_draw(rng: np.random.Generator, weights: np.ndarray,
     weight; falls back to uniform if every weight is zero."""
     w = np.asarray(weights, dtype=float).copy()
     fallback = False
-    if w.sum() <= 0:
-        w = np.ones_like(w)
-        fallback = True
     chosen = []
     for _ in range(count):
         total = w.sum()
