@@ -16,8 +16,8 @@ import numpy as np
 from . import aggregators, bounds, constraints, experiment, fileio, metrics
 from .constraints import ConstraintConflictError, DEFAULT_ETA_GRID
 from .fileio import NUMBERS, InputFormatError, json_field, json_object
-from .model import (GroundTruth, PosteriorParams, PriorConfig,
-                    paper_default_priors, uniform_priors)
+from .model import (PosteriorParams, PriorConfig, paper_default_priors,
+                    uniform_priors)
 from .numerics import check_finite
 from .synth import CrowdSpec, diag_dominant_spec, generate
 
@@ -112,6 +112,15 @@ def _aggregate(args, rm) -> int:
     if args.constraints:
         cs, label_constraints = fileio.read_constraints(
             args.constraints, rm.item_ids)
+    # Checked before the VB fit, which can take long on a large crowd.
+    if args.method == "vb-lc" and not label_constraints:
+        raise InputFormatError("vb-lc needs LABEL rows in a constraints file")
+    if args.method == "vb-ilc":
+        if cs is None:
+            raise InputFormatError("vb-ilc needs a constraints file")
+        # A fixed --eta is a one-candidate search, which makes one fit.
+        grid = (args.eta,) if args.eta_grid is None else \
+            _parse_eta_grid(args.eta_grid)
 
     eta = None
     eta_table = None
@@ -127,19 +136,11 @@ def _aggregate(args, rm) -> int:
         chain = _fit_options(args, init="given_posterior",
                              init_posterior=vb_fit.posterior)
         if args.method == "vb-lc":
-            if not label_constraints:
-                raise InputFormatError(
-                    "vb-lc needs LABEL rows in a constraints file")
             fit = aggregators.vb_lc_fit(rm, priors, label_constraints, chain)
         else:
-            if cs is None:
-                raise InputFormatError("vb-ilc needs a constraints file")
             cs_all = constraints.join_labels(cs, label_constraints,
                                              rm.n_items, rm.n_classes)
             cs_fit = constraints.close(cs_all)
-            # A fixed --eta is a one-candidate search, which makes one fit.
-            grid = (args.eta,) if args.eta_grid is None else \
-                _parse_eta_grid(args.eta_grid)
             eta, table, fit = constraints.eta_search(rm, priors, cs_fit, grid,
                                                      chain)
             if args.eta_grid is not None:

@@ -20,6 +20,10 @@ from crowdfuse.synth import diag_dominant_spec, generate
 from oracles import reference_label_union, response_triples
 
 
+def fit_must_not_run(*args, **kwargs):
+    raise AssertionError("vbem_fit ran before the inputs were checked")
+
+
 def run_cli(args):
     return subprocess.run([sys.executable, "-m", "crowdfuse.cli", *args],
                           capture_output=True, text=True)
@@ -779,8 +783,11 @@ class TestCliAggregate:
          "experiment needs --spec-json or --responses with --truth"),
     ], ids=["vb-lc-no-file", "vb-lc-no-labels", "vb-ilc-no-file",
             "experiment-no-input", "experiment-no-truth"])
-    def test_missing_input_exit_2(self, dataset, tmp_path, capsys, argv,
-                                  message):
+    def test_missing_input_exit_2(self, dataset, tmp_path, capsys,
+                                  monkeypatch, argv, message):
+        # Raised before any VB fit: aggregate's vb-lc and vb-ilc faults
+        # used to exit only after a full vbem_fit.
+        monkeypatch.setattr(aggregators, "vbem_fit", fit_must_not_run)
         pairs = tmp_path / "pairs.csv"
         write_constraints(pairs, [("ML", *dataset["rm"].item_ids[:2])])
         if argv[0] == "aggregate":
@@ -877,8 +884,10 @@ class TestCliNonFiniteWeights:
 
 
 @pytest.mark.parametrize("command", ["aggregate", "experiment"])
-def test_empty_eta_grid_rejected(dataset, capsys, command):
+def test_empty_eta_grid_rejected(dataset, capsys, monkeypatch, command):
     # aggregate took an empty --eta-grid for no grid and fitted --eta alone.
+    # Both commands reject it before any VB fit.
+    monkeypatch.setattr(aggregators, "vbem_fit", fit_must_not_run)
     cons = dataset["dir"] / "c.csv"
     write_constraints(cons, [("ML", *dataset["rm"].item_ids[:2])])
     inputs = {"aggregate": ["--responses", str(dataset["responses"]),
