@@ -1072,6 +1072,40 @@ class TestCliSynthExperimentBounds:
         assert "U" in doc and "statuses" in doc
         assert doc["empirical"]["max_label_error"] is not None
 
+    @pytest.mark.parametrize("method", ["mv", "ds"])
+    def test_bounds_on_a_fit_without_dirichlet_parameters(self, dataset,
+                                                          method):
+        # An mv or ds result has no alpha or beta: only the label error is
+        # measured, and the parameter bounds are compared with nothing.
+        result = dataset["dir"] / f"{method}.json"
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", method,
+                         "--k", "3", "--output", str(result)]) == 0
+        report = dataset["dir"] / "bounds.json"
+        assert cli.main(["bounds", "--spec-json", str(dataset["spec_path"]),
+                         "--result", str(result), "--truth",
+                         str(dataset["truth_path"]),
+                         "--output", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        posterior = np.array(json.loads(result.read_text())["posterior"])
+        onehot = np.eye(3)[dataset["truth"].labels - 1]
+        assert doc["empirical"] == {
+            "max_label_error": float(np.max(np.abs(posterior - onehot))),
+            "max_pi_error": None, "max_gamma_error": None}
+        assert "eps_pi_vs_empirical" not in doc["statuses"]
+        assert "eps_gamma_vs_empirical" not in doc["statuses"]
+
+    def test_ds_result_carries_its_point_estimates(self, dataset):
+        result = dataset["dir"] / "ds.json"
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "ds",
+                         "--k", "3", "--output", str(result)]) == 0
+        fit = aggregators.ds_em_fit(read_responses(dataset["responses"],
+                                                   n_classes=3))
+        assert json.loads(result.read_text())["params"] == {
+            "pi_hat": fit.pi_hat.tolist(),
+            "gamma_hat": fit.gamma_hat.tolist()}
+
     def test_vacuous_bounds_are_strict_json(self, tmp_path):
         # This crowd's label and confusion bounds are infinite in places;
         # they are written as strings, never as bare Infinity or NaN.
