@@ -6,7 +6,10 @@ file.
 
 Only `fileio.py` opens files: no other package module calls `open`, reads
 or writes JSON, or makes a CSV reader or writer, so the file formats and
-their error messages live in one file."""
+their error messages live in one file.
+
+Every name a package module imports is used in that module, so an import
+says what the module depends on."""
 
 import ast
 from pathlib import Path
@@ -74,3 +77,50 @@ def test_guard_sees_fileio_calls(tmp_path):
     found = {name for path in (PACKAGE / "fileio.py", caller)
              for _, name in file_calls(path)}
     assert found == FILE_CALLS | {"path.open"}
+
+
+NOQA = "# noqa: F401"
+
+
+def unused_imports(path):
+    """(line, name) of every name an import in the module at `path` binds
+    and the module never reads. `from __future__` imports and imports on a
+    line marked NOQA are left out."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            and not any(NOQA in line
+                        for line in lines[node.lineno - 1:node.end_lineno])
+            for name in ((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+            if name not in read]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in PACKAGE.glob("*.py")
+    if path.name != "__init__.py"))  # __init__ imports to re-export
+def test_every_import_is_used(module):
+    assert unused_imports(PACKAGE / module) == []
+
+
+def test_guard_sees_unused_imports(tmp_path):
+    # The guard finds an unused name in each import form, reads a name used
+    # only as an attribute's base or an annotation, and finds model.py's
+    # NOQA import once its mark is gone.
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nimport numpy as np\n"
+        "from dataclasses import (dataclass,\n    field)\n"
+        "from .model import digamma  # noqa: F401\n"
+        "def f(x: np.ndarray) -> dataclass:\n    return os.path.join(x)\n")
+    assert unused_imports(caller) == [(3, "js"), (5, "field")]
+    unmarked = tmp_path / "model.py"
+    unmarked.write_text((PACKAGE / "model.py").read_text(encoding="utf-8")
+                        .replace(NOQA, ""), encoding="utf-8")
+    assert unused_imports(PACKAGE / "model.py") == []
+    assert {name for _, name in unused_imports(unmarked)} == {"digamma"}
