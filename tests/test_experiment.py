@@ -180,3 +180,67 @@ class TestBvsbQueriesItemsOfKnownTruth:
         plan = selection.plan_queries(posterior, 60, seed=3)
         assert cs_given == selection.answer_pairs(plan.queries, truth)
         assert close(cs_given) == selection.answer_queries(plan, truth)
+
+
+class TestOnePathPerCell:
+    """Every cell goes through its protocol's own builder and the eta
+    search, at N_C = 0 too, and rows come out in canonical order."""
+
+    MAX_ITERS = 30
+
+    @pytest.fixture(scope="class")
+    def crowd(self):
+        rm, truth = generate(diag_dominant_spec(80, 5, 3, 0.7, seed=2))
+        return rm, truth, paper_default_priors(5, 3)
+
+    def run(self, crowd, protocols, nc_list, repeats=1):
+        rm, truth, priors = crowd
+        return experiment.run_experiment(rm, truth, priors,
+                                         experiment.ExperimentConfig(
+            protocols=protocols, nc_list=nc_list, repeats=repeats, seed=4,
+            eta_grid=ETA_GRID, max_iters=self.MAX_ITERS))
+
+    def test_same_methods_at_every_nc(self, crowd):
+        # bvsb-constraints has no label constraints, so no vb-lc row; its
+        # N_C = 0 cell used to get one from a shortcut.
+        rows = self.run(crowd, experiment.PROTOCOLS, (0, 6, 9))
+        cells = {}
+        for row in rows:
+            key = (row["protocol"], row["n_c"], row["repeat"])
+            cells.setdefault(key, []).append(row["method"])
+        assert len(cells) == 9
+        for (protocol, _, _), methods in cells.items():
+            assert methods == (["mv", "ds", "vb", "vb-ilc"]
+                               if protocol == "bvsb-constraints" else
+                               ["mv", "ds", "vb", "vb-lc", "vb-ilc"])
+
+    @pytest.mark.parametrize("protocol, n_c", [
+        *((p, 0) for p in experiment.PROTOCOLS), ("label-derived", 1)])
+    def test_empty_set_row_is_the_plain_vb_fit(self, crowd, protocol, n_c):
+        # One label implies no pair, so label-derived N_C = 1 has an empty
+        # closed set, as every N_C = 0 cell has.
+        rm, truth, priors = crowd
+        vb_fit = vbem_fit(rm, priors, FitOptions(max_iters=self.MAX_ITERS,
+                                                 seed=4))
+        seed = experiment._cell_seed(4, protocol, n_c, 0)
+        _, cs_fit, _ = experiment.build_constraints(
+            protocol, n_c, truth, vb_fit.posterior, seed)
+        assert len(cs_fit) == 0
+        plain = vbem_fit(rm, priors, FitOptions(
+            max_iters=self.MAX_ITERS, seed=seed, init="given_posterior",
+            init_posterior=vb_fit.posterior))
+        [row] = [r for r in self.run(crowd, (protocol,), (n_c,))
+                 if r["method"] == "vb-ilc"]
+        assert row == experiment._score_row(protocol, n_c, 0, "vb-ilc",
+                                            plain, truth, rm.n_classes,
+                                            eta=0.0, n_v=0)
+
+    def test_rows_ordered_whatever_the_config_order(self, crowd):
+        canonical = self.run(crowd, experiment.PROTOCOLS, (0, 6, 9),
+                             repeats=2)
+        reversed_ = self.run(crowd, experiment.PROTOCOLS[::-1], (9, 6, 0),
+                             repeats=2)
+        assert reversed_ == canonical
+        keys = [(experiment.PROTOCOLS.index(r["protocol"]), r["n_c"],
+                 r["repeat"]) for r in canonical]
+        assert keys == sorted(keys)
