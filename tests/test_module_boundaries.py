@@ -90,14 +90,19 @@ def unused_imports(path):
     lines = source.splitlines()
     tree = ast.parse(source, filename=str(path))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [(node.lineno, name) for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            and getattr(node, "module", None) != "__future__"
-            and not any(NOQA in line
-                        for line in lines[node.lineno - 1:node.end_lineno])
-            for name in ((a.asname or a.name).split(".")[0]
-                         for a in node.names)
-            if name not in read]
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        marked = any(NOQA in line
+                     for line in lines[node.lineno - 1:node.end_lineno])
+        if marked or getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read:
+                found.append((node.lineno, name))
+    return found
 
 
 @pytest.mark.parametrize("module", sorted(
