@@ -10,9 +10,9 @@ and evaluates theoretical error bounds against actual runs.
 from .aggregators import (FitOptions, FitResult, ds_em_fit, hard_labels_from,
                           majority_vote, vb_ilc_fit, vb_lc_fit, vbem_fit)
 from .bounds import (BoundInputs, BoundReport, build_report, constraint_counts,
-                     d_gamma, d_pi, empirical_vs_bound, exponent_u, f_gamma,
-                     f_pi, label_error_bound, nu_probability,
-                     parameter_error_bounds)
+                     d_gamma, d_pi, empirical_errors, empirical_vs_bound,
+                     exponent_u, f_gamma, f_pi, label_error_bound,
+                     nu_probability, parameter_error_bounds)
 from .constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
                           ConstraintSet, close, count_violations,
                           derive_from_labels, eta_search)
@@ -33,8 +33,9 @@ __all__ = [
     "FitOptions", "FitResult", "ds_em_fit", "hard_labels_from",
     "majority_vote", "vb_ilc_fit", "vb_lc_fit", "vbem_fit",
     "BoundInputs", "BoundReport", "build_report", "constraint_counts",
-    "d_gamma", "d_pi", "empirical_vs_bound", "exponent_u", "f_gamma", "f_pi",
-    "label_error_bound", "nu_probability", "parameter_error_bounds",
+    "d_gamma", "d_pi", "empirical_errors", "empirical_vs_bound", "exponent_u",
+    "f_gamma", "f_pi", "label_error_bound", "nu_probability",
+    "parameter_error_bounds",
     "DEFAULT_ETA_GRID", "ConstraintConflictError", "ConstraintSet", "close",
     "count_violations", "derive_from_labels", "eta_search",
     "ExperimentConfig", "run_experiment", "write_rows_csv",

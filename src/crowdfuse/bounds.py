@@ -11,8 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .aggregators import FitResult
-from .model import GroundTruth, PriorConfig
+from .model import GroundTruth, PosteriorParams, PriorConfig
 from .numerics import kl_divergence
 from .synth import CrowdSpec
 
@@ -345,30 +344,29 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
     return report
 
 
-def empirical_errors(fit: FitResult, truth: GroundTruth, spec: CrowdSpec):
-    """(label error, pi error, gamma error) of a fit: the largest absolute
-    difference between the posterior and the one-hot truth over items of
-    known truth, and between the expected class priors and confusion rows
-    and the spec's. The last two are None when the fit has no Dirichlet
-    parameters."""
+def empirical_errors(posterior: np.ndarray, params: PosteriorParams | None,
+                     truth: GroundTruth, spec: CrowdSpec):
+    """(label error, pi error, gamma error) of a fit's posterior and its
+    Dirichlet parameters: the largest absolute difference between the
+    posterior and the one-hot truth over items of known truth, and between
+    the expected class priors and confusion rows and the spec's. The last
+    two are None when `params` is None."""
     mask = truth.known_mask
-    onehot = np.zeros_like(fit.posterior)
+    onehot = np.zeros_like(posterior)
     known = np.flatnonzero(mask)
     onehot[known, truth.labels[known] - 1] = 1.0
-    label_err = float(np.max(np.abs(fit.posterior[mask] - onehot[mask])))
-    if fit.params is None:
+    label_err = float(np.max(np.abs(posterior[mask] - onehot[mask])))
+    if params is None:
         return label_err, None, None
-    pi_err = float(np.max(np.abs(fit.params.expected_pi() - spec.pi_star)))
-    gamma_err = float(np.max(np.abs(fit.params.expected_gamma()
+    pi_err = float(np.max(np.abs(params.expected_pi() - spec.pi_star)))
+    gamma_err = float(np.max(np.abs(params.expected_gamma()
                                     - spec.gamma_star)))
     return label_err, pi_err, gamma_err
 
 
-def empirical_vs_bound(fit: FitResult, truth: GroundTruth, spec: CrowdSpec,
-                       report: BoundReport) -> BoundReport:
-    """Fill in the empirical errors of a fit and mark each bound as held,
+def empirical_vs_bound(report: BoundReport, errors) -> BoundReport:
+    """Fill in a fit's `empirical_errors` and mark each bound as held,
     held-vacuously, or violated."""
-    errors = empirical_errors(fit, truth, spec)
     (report.empirical_label_error, report.empirical_pi_error,
      report.empirical_gamma_error) = errors
     for key, bound, observed in zip(

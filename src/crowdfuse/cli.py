@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import sys
 
@@ -68,13 +69,6 @@ def _load_priors(args, n_annotators: int, n_classes: int) -> PriorConfig:
     return paper_default_priors(n_annotators, n_classes)
 
 
-def _fit_options(args, init="majority_vote",
-                 init_posterior=None) -> aggregators.FitOptions:
-    return aggregators.FitOptions(
-        max_iters=args.max_iters, tol=args.tol, seed=args.seed, init=init,
-        init_posterior=init_posterior)
-
-
 def _params_doc(fit) -> dict | None:
     if fit.params is not None:
         return {"alpha": fit.params.alpha.tolist(),
@@ -98,76 +92,67 @@ def _conflicts_named(item_ids):
 
 def cmd_aggregate(args) -> int:
     rm = fileio.read_responses(args.responses, n_classes=args.k)
-    with _conflicts_named(rm.item_ids):
-        return _aggregate(args, rm)
-
-
-def _aggregate(args, rm) -> int:
     priors = _load_priors(args, rm.n_annotators, rm.n_classes)
     truth = (fileio.read_truth(args.truth, rm.item_ids, rm.n_classes)
              if args.truth else None)
-
-    cs = None
-    label_constraints = None
-    if args.constraints:
-        cs, label_constraints = fileio.read_constraints(
-            args.constraints, rm.item_ids)
-    # Checked before the VB fit, which can take long on a large crowd.
-    if args.method == "vb-lc" and not label_constraints:
-        raise InputFormatError("vb-lc needs LABEL rows in a constraints file")
-    if args.method == "vb-ilc":
-        if cs is None:
-            raise InputFormatError("vb-ilc needs a constraints file")
-        # A fixed --eta is a one-candidate search, which makes one fit.
-        grid = (args.eta,) if args.eta_grid is None else \
-            _parse_eta_grid(args.eta_grid)
-
-    eta = None
-    eta_table = None
-    n_v = None
-    if args.method == "mv":
-        fit = aggregators.majority_vote(rm)
-    elif args.method == "ds":
-        fit = aggregators.ds_em_fit(rm, _fit_options(args))
-    elif args.method == "vb":
-        fit = aggregators.vbem_fit(rm, priors, _fit_options(args))
-    else:
-        vb_fit = aggregators.vbem_fit(rm, priors, _fit_options(args))
-        chain = _fit_options(args, init="given_posterior",
-                             init_posterior=vb_fit.posterior)
+    # Every input is checked before the first fit, which can take long on a
+    # large crowd.
+    with _conflicts_named(rm.item_ids):
+        cs, label_constraints = (
+            fileio.read_constraints(args.constraints, rm.item_ids)
+            if args.constraints else (None, []))
         if args.method == "vb-lc":
-            fit = aggregators.vb_lc_fit(rm, priors, label_constraints, chain)
-        else:
+            if not label_constraints:
+                raise InputFormatError(
+                    "vb-lc needs LABEL rows in a constraints file")
+            constraints.check_label_constraints(label_constraints,
+                                                rm.n_items, rm.n_classes)
+        if args.method == "vb-ilc":
+            if cs is None:
+                raise InputFormatError("vb-ilc needs a constraints file")
+            # A fixed --eta is a one-candidate search, which makes one fit.
+            grid = [aggregators._check_eta(eta) for eta in (
+                (args.eta,) if args.eta_grid is None
+                else _parse_eta_grid(args.eta_grid))]
             cs_all = constraints.join_labels(cs, label_constraints,
                                              rm.n_items, rm.n_classes)
             cs_fit = constraints.close(cs_all)
-            eta, table, fit = constraints.eta_search(rm, priors, cs_fit, grid,
-                                                     chain)
-            if args.eta_grid is not None:
-                eta_table = [list(row) for row in table]
-            counted = cs_all if args.violations_on == "given" else cs_fit
-            n_v = constraints.count_violations(counted, fit.hard_labels)
+    opts = aggregators.FitOptions(max_iters=args.max_iters, tol=args.tol,
+                                  seed=args.seed)
+
+    document = {"method": args.method, "seed": args.seed, "n_v": None,
+                "eta": None, "eta_table": None,
+                "index_maps": {"items": rm.item_ids,
+                               "annotators": rm.annotator_ids}}
+    if args.method == "mv":
+        fit = aggregators.majority_vote(rm)
+    elif args.method == "ds":
+        fit = aggregators.ds_em_fit(rm, opts)
+    else:
+        fit = aggregators.vbem_fit(rm, priors, opts)
+        # vb-lc and vb-ilc start from the VB posterior.
+        opts = dataclasses.replace(opts, init="given_posterior",
+                                   init_posterior=fit.posterior)
+    if args.method == "vb-lc":
+        fit = aggregators.vb_lc_fit(rm, priors, label_constraints, opts)
+    elif args.method == "vb-ilc":
+        document["eta"], table, fit = constraints.eta_search(
+            rm, priors, cs_fit, grid, opts)
+        if args.eta_grid is not None:
+            document["eta_table"] = [list(row) for row in table]
+        counted = cs_all if args.violations_on == "given" else cs_fit
+        document["n_v"] = constraints.count_violations(counted,
+                                                       fit.hard_labels)
 
     scores = None
     if truth is not None and np.any(truth.known_mask):
         scores = metrics.score(fit.hard_labels, truth,
                                n_classes=rm.n_classes).to_dict()
-
-    document = {
-        "method": args.method,
-        "labels": fit.hard_labels.tolist(),
-        "posterior": fit.posterior.tolist(),
-        "params": _params_doc(fit),
-        "n_v": n_v,
-        "scores": scores,
-        "iterations": fit.iterations_run,
-        "converged": fit.converged,
-        "seed": args.seed,
-        "index_maps": {"items": rm.item_ids, "annotators": rm.annotator_ids},
-        "eta": eta,
-        "eta_table": eta_table,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
+    document.update(
+        labels=fit.hard_labels.tolist(), posterior=fit.posterior.tolist(),
+        params=_params_doc(fit), scores=scores,
+        iterations=fit.iterations_run, converged=fit.converged,
+        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
     fileio.write_result_json(args.output, document)
     return 0
 
@@ -231,17 +216,13 @@ def cmd_bounds(args) -> int:
                 and all(isinstance(i, str) for i in rm_ids)):
             raise InputFormatError("expected a JSON array of strings at "
                                    "'items'")
-    # The bounds read only the posterior and the parameters of a fit.
-    fit = aggregators.FitResult(
-        posterior=posterior, params=params, trace=[], iterations_run=0,
-        converged=True, hard_labels=aggregators.hard_labels_from(posterior))
-
     truth = fileio.read_truth(args.truth, rm_ids, spec.n_classes)
     priors = _load_priors(args, spec.n_annotators, spec.n_classes)
 
     # Default error levels: the empirical errors of the supplied run, so the
     # bound hypotheses hold exactly for it.
-    emp_q, emp_pi, emp_gamma = bounds.empirical_errors(fit, truth, spec)
+    errors = bounds.empirical_errors(posterior, params, truth, spec)
+    emp_q, emp_pi, emp_gamma = errors
 
     counts = {}
     if args.constraints:
@@ -261,7 +242,7 @@ def cmd_bounds(args) -> int:
         eta=args.eta, lemma_exponent=args.form, **counts)
     report = bounds.build_report(inputs, g_pi=args.g_pi, g_gamma=args.g_gamma,
                                  nu_scales=(args.t_scale, args.r_scale))
-    report = bounds.empirical_vs_bound(fit, truth, spec, report)
+    report = bounds.empirical_vs_bound(report, errors)
     fileio.write_json(args.output, report.to_dict())
     return 0
 

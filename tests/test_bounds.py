@@ -5,9 +5,10 @@ import pytest
 
 from crowdfuse.bounds import (HELD, LEMMA_FORM, THEOREM_FORM, VACUOUS,
                               BoundInputs, build_report, constraint_counts,
-                              d_gamma, d_pi, empirical_vs_bound, exponent_u,
-                              f_gamma, f_pi, label_error_bound,
-                              nu_probability, parameter_error_bounds)
+                              d_gamma, d_pi, empirical_errors,
+                              empirical_vs_bound, exponent_u, f_gamma, f_pi,
+                              label_error_bound, nu_probability,
+                              parameter_error_bounds)
 from crowdfuse.constraints import ConstraintSet
 from crowdfuse.model import (GroundTruth, PriorConfig,
                              paper_default_priors)
@@ -349,7 +350,8 @@ class TestReport:
         fit = vbem_fit(rm, priors)
         inputs = BoundInputs(spec=spec, priors=priors, eps_pi=0.05,
                              eps_gamma=0.05, eps_q=0.05)
-        report = empirical_vs_bound(fit, truth, spec, build_report(inputs))
+        report = empirical_vs_bound(build_report(inputs), empirical_errors(
+            fit.posterior, fit.params, truth, spec))
         assert report.empirical_label_error is not None
         assert report.statuses["eps_q_vs_empirical"] in (
             HELD, "held-vacuously", "violated")
