@@ -438,8 +438,11 @@ class TestCliAggregate:
         ([(0, 1), (1, 7)], 4, "class 7 outside 1..3"),
         ([(0, 0)], 4, "class 0 outside 1..3"),
     ])
-    def test_label_constraints_checked_alike(self, dataset, capsys, method,
-                                             labels, code, message):
+    def test_label_constraints_checked_alike(self, dataset, capsys,
+                                             monkeypatch, method, labels,
+                                             code, message):
+        # Checked before the VB fit, under vb-lc as under vb-ilc.
+        monkeypatch.setattr(aggregators, "vbem_fit", fit_must_not_run)
         cons = dataset["dir"] / "labels.csv"
         ids = dataset["rm"].item_ids
         write_constraints(cons, [("LABEL", ids[i], c) for i, c in labels])
@@ -850,7 +853,10 @@ class TestCliNonFiniteWeights:
         ("experiment", ["--eta-grid", "nan"], "eta must be finite"),
         ("experiment", ["--tol", "nan"], "tol must be >= 0"),
     ])
-    def test_exit_4(self, dataset, capsys, command, flags, message):
+    def test_exit_4(self, dataset, capsys, monkeypatch, command, flags,
+                    message):
+        # Both commands check their weights before any VB fit.
+        monkeypatch.setattr(aggregators, "vbem_fit", fit_must_not_run)
         ids, labels = dataset["rm"].item_ids, dataset["truth"].labels
         cons = dataset["dir"] / "labels.csv"
         write_constraints(cons, [("LABEL", ids[i], int(labels[i]))
@@ -1005,9 +1011,11 @@ class TestCliConstraintConflict:
     @pytest.mark.parametrize("method, rows, message", [
         ("vb-ilc", *DIRECT), ("vb-ilc", *LABEL), ("vb-ilc", *CLOSURE),
         ("vb-lc", *LABEL)])
-    def test_aggregate_names_item_ids(self, tmp_path, capsys, method, rows,
-                                      message):
+    def test_aggregate_names_item_ids(self, tmp_path, capsys, monkeypatch,
+                                      method, rows, message):
         r, *_ = self.crowd(tmp_path)
+        # Every conflict, the closure's included, is found before the fit.
+        monkeypatch.setattr(aggregators, "vbem_fit", fit_must_not_run)
         cons = tmp_path / "c.csv"
         write_constraints(cons, rows)
         assert cli.main(["aggregate", "--responses", str(r), "--method",
@@ -1194,6 +1202,35 @@ class TestCliBoundsConstraints:
                       "--truth", str(dataset["truth_path"]), *flag,
                       "--output", str(dataset["dir"] / "b.json")])
         assert exited.value.code == 2
+
+
+class TestCliBoundsInputs:
+    @staticmethod
+    def bounds_argv(dataset, *extra):
+        vb = dataset["dir"] / "vb.json"
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--output", str(vb)]) == 0
+        return ["bounds", "--spec-json", str(dataset["spec_path"]),
+                "--result", str(vb), "--truth", str(dataset["truth_path"]),
+                *extra, "--output", str(dataset["dir"] / "b.json")]
+
+    def test_observed_errors_evaluated_once(self, dataset, monkeypatch):
+        # The default error levels and the report's comparison share one
+        # evaluation of the result's errors.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        real = bounds.empirical_errors
+        monkeypatch.setattr(bounds, "empirical_errors", counted)
+        assert cli.main(self.bounds_argv(dataset)) == 0
+        assert len(calls) == 1
+        report = json.loads((dataset["dir"] / "b.json").read_text())
+        assert report["empirical"] == dict(zip(
+            ("max_label_error", "max_pi_error", "max_gamma_error"),
+            real(*calls[0])))
 
 
 class TestCliTruthLabelRange:

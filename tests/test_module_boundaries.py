@@ -9,7 +9,11 @@ or writes JSON, or makes a CSV reader or writer, so the file formats and
 their error messages live in one file.
 
 Every name a package module imports is used in that module, so an import
-says what the module depends on."""
+says what the module depends on.
+
+`bounds.py` evaluates the bounds from a posterior, parameters and a spec,
+so of the package it imports only `model`, `numerics` and `synth`, not the
+fits in `aggregators`."""
 
 import ast
 from pathlib import Path
@@ -129,3 +133,49 @@ def test_guard_sees_unused_imports(tmp_path):
                         .replace(NOQA, ""), encoding="utf-8")
     assert unused_imports(PACKAGE / "model.py") == []
     assert {name for _, name in unused_imports(unmarked)} == {"digamma"}
+
+
+BOUNDS_IMPORTS = {"model", "numerics", "synth"}
+
+
+def package_imports(path):
+    """The package modules that the module at `path` imports, relatively
+    (`from .x import y`, `from . import x`) or by the package's name, at
+    module level or inside a function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("crowdfuse."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "crowdfuse":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_bounds_imports_no_fit():
+    assert package_imports(PACKAGE / "bounds.py") <= BOUNDS_IMPORTS
+
+
+def test_guard_sees_package_imports(tmp_path):
+    # Each import form names its package module, whether it imports the
+    # module or a name from it; other packages are left out.
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "import numpy as np\nfrom dataclasses import field\n"
+        "from .aggregators import FitResult\nfrom . import constraints, model\n"
+        "import crowdfuse.experiment\nfrom crowdfuse import fileio\n"
+        "from crowdfuse.metrics import score\n"
+        "def f():\n    from .selection import bvsb\n")
+    assert package_imports(caller) == {
+        "aggregators", "constraints", "model", "experiment", "fileio",
+        "metrics", "selection"}
+    assert "aggregators" in package_imports(PACKAGE / "cli.py")
