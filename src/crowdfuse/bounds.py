@@ -65,13 +65,23 @@ def f_gamma(eps: float, rho_gamma: float, beta0_bar: float) -> float:
     return math.log(arg) if arg > 0 else NEG_INF
 
 
+def _check_nonnegative(**values) -> None:
+    """Raise ValueError naming the first of `values` that is NaN, infinite
+    or negative; a NaN passes a test written as `value < 0`."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass
 class BoundInputs:
     """Everything needed to evaluate the label and parameter error bounds.
 
     eps_pi, eps_gamma, eps_q are the error levels assumed for the previous
     iterate. A missing per-item constraint count is zero for every item,
-    which gives the unconstrained bounds.
+    which gives the unconstrained bounds. An error level or eta that is NaN,
+    infinite or negative, or priors for another M or K than the spec's,
+    raise ValueError naming them.
     """
 
     spec: CrowdSpec
@@ -86,11 +96,16 @@ class BoundInputs:
     lemma_exponent: str = THEOREM_FORM
 
     def __post_init__(self):
-        if min(self.eps_pi, self.eps_gamma, self.eps_q) < 0:
-            raise ValueError("error levels must be nonnegative")
+        _check_nonnegative(eps_pi=self.eps_pi, eps_gamma=self.eps_gamma,
+                           eps_q=self.eps_q, eta=self.eta)
         if self.lemma_exponent not in (THEOREM_FORM, LEMMA_FORM):
             raise ValueError(f"unknown exponent form {self.lemma_exponent}")
         n, k = self.spec.n_items, self.spec.n_classes
+        m = self.spec.n_annotators
+        if (self.priors.n_annotators, self.priors.n_classes) != (m, k):
+            raise ValueError(
+                f"priors are for {self.priors.n_annotators} annotators and "
+                f"{self.priors.n_classes} classes, the spec for {m} and {k}")
         for name, shape in (("n_ml_per_item", n), ("n_cl_per_item", n),
                             ("n_cl_by_class", (n, k))):
             counts = getattr(self, name)
@@ -307,7 +322,9 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
                  nu_scales: tuple | None = None) -> BoundReport:
     """Evaluate all bound quantities for the given inputs. `nu_scales`,
     (t_scale, r_scale), adds the nu probability at t and r inputs that are
-    those fractions of their caps: mu*pi*gamma and pi."""
+    those fractions of their caps: mu*pi*gamma and pi. A g or a scale that
+    is NaN, infinite or negative raises ValueError naming it."""
+    _check_nonnegative(g_pi=g_pi, g_gamma=g_gamma)
     spec = inputs.spec
     label = label_error_bound(inputs)
     n_tilde = int(np.sum(inputs.n_ml_per_item + inputs.n_cl_per_item > 0))
@@ -331,6 +348,7 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
                "eps_gamma": params["eps_gamma_vacuous"]}
     if nu_scales is not None:
         t_scale, r_scale = nu_scales
+        _check_nonnegative(t_scale=t_scale, r_scale=r_scale)
         nu = nu_probability(spec, t_scale * _caps(spec),
                             r_scale * spec.pi_star)
         report.nu = nu["nu"]

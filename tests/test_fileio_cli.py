@@ -1215,6 +1215,40 @@ class TestCliBoundsInputs:
                 "--result", str(vb), "--truth", str(dataset["truth_path"]),
                 *extra, "--output", str(dataset["dir"] / "b.json")]
 
+    # A NaN passed the error levels' `min(...) < 0` test, and no other
+    # number was checked: each of these exited 0, as `--eps-pi nan` with
+    # `eps_pi_vs_empirical: held`.
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--eps-pi", "nan", "eps_pi"), ("--eps-gamma", "nan", "eps_gamma"),
+        ("--eps-q", "nan", "eps_q"), ("--eps-q", "inf", "eps_q"),
+        ("--eta", "nan", "eta"), ("--eta", "-1", "eta"),
+        ("--g-pi", "nan", "g_pi"), ("--g-gamma", "nan", "g_gamma"),
+        ("--t-scale", "nan", "t_scale"), ("--r-scale", "nan", "r_scale"),
+        ("--r-scale", "-0.5", "r_scale"),
+    ])
+    def test_exit_4_naming_the_input(self, dataset, capsys, flag, value,
+                                     name):
+        argv = self.bounds_argv(dataset, flag, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 4
+        assert capsys.readouterr().err == \
+            f"error: {name} must be finite and >= 0, got {float(value)}\n"
+        assert not (dataset["dir"] / "b.json").exists()
+
+    def test_priors_of_another_shape_exit_4(self, dataset, tmp_path, capsys):
+        # The crowd has 4 annotators and 3 classes; numpy's broadcast error
+        # was the message.
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({"alpha0": [1.0] * 2,
+                                      "beta0": np.ones((4, 2, 2)).tolist()}))
+        argv = self.bounds_argv(dataset, "--priors-file", str(priors))
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: priors are for 4 annotators and 2 classes, the spec "
+            "for 4 and 3\n")
+        assert not (dataset["dir"] / "b.json").exists()
+
     def test_observed_errors_evaluated_once(self, dataset, monkeypatch):
         # The default error levels and the report's comparison share one
         # evaluation of the result's errors.
