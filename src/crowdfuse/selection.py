@@ -10,17 +10,19 @@ from . import constraints as constraints_mod
 from .model import GroundTruth
 
 
-def bvsb(posterior_row) -> float:
-    """Margin between the largest and second-largest posterior entries.
+def bvsb(posterior):
+    """Margin between the largest and second-largest entries of each row of
+    a (..., K) posterior: a float for one row, an array for more.
 
     Large margin means the crowd is confident about the item.
     """
-    row = np.asarray(posterior_row, dtype=float)
-    if row.size < 2:
+    posterior = np.asarray(posterior, dtype=float)
+    if posterior.ndim == 0 or posterior.shape[-1] < 2:
         raise ValueError("need at least two classes for a best-versus-second-"
                          "best margin")
-    top2 = np.partition(row, -2)[-2:]
-    return float(top2[1] - top2[0])
+    top2 = np.partition(posterior, -2, axis=-1)
+    margin = top2[..., -1] - top2[..., -2]
+    return float(margin) if margin.ndim == 0 else margin
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,7 @@ def plan_queries(posterior: np.ndarray, n_constraints: int,
     if n_items < n_uncertain + n_classes:
         raise ValueError("not enough items for the requested plan")
 
-    if n_classes < 2:
-        raise ValueError("need at least two classes for a best-versus-second-"
-                         "best margin")
-    # Each row's bvsb margin: the same subtraction of the same two entries.
-    top2 = np.partition(posterior, -2, axis=1)[:, -2:]
-    margins = top2[:, 1] - top2[:, 0]
+    margins = bvsb(posterior)
     rng = np.random.default_rng(seed)
     uncertain, fb_u = _sequential_draw(rng, 1.0 - margins, n_uncertain)
 

@@ -18,6 +18,21 @@ class TestBvsb:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
             bvsb([1.0])
+        with pytest.raises(ValueError, match="at least two classes"):
+            bvsb(np.ones((3, 1)))
+
+    @pytest.mark.parametrize("shape", [(20, 2), (20, 5), (4, 3, 6)])
+    def test_stack_equals_row_by_row(self, shape):
+        # Ties included: every fourth row is uniform.
+        posterior = np.random.default_rng(0).dirichlet(np.ones(shape[-1]),
+                                                       size=shape[:-1])
+        posterior[..., ::4, :] = 1.0 / shape[-1]
+        margins = bvsb(posterior)
+        assert margins.shape == shape[:-1]
+        rows = posterior.reshape(-1, shape[-1])
+        np.testing.assert_array_equal(margins.ravel(),
+                                      [bvsb(row) for row in rows])
+        assert isinstance(bvsb(rows[0]), float)
 
 
 class TestPlanQueries:
