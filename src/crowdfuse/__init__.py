@@ -9,10 +9,10 @@ and evaluates theoretical error bounds against actual runs.
 
 from .aggregators import (FitOptions, FitResult, ds_em_fit, hard_labels_from,
                           majority_vote, vb_ilc_fit, vb_lc_fit, vbem_fit)
-from .bounds import (BoundInputs, BoundReport, build_report, constraint_counts,
-                     d_gamma, d_pi, empirical_errors, empirical_vs_bound,
-                     exponent_u, f_gamma, f_pi, label_error_bound,
-                     nu_probability, parameter_error_bounds)
+from .bounds import (BoundInputs, build_report, constraint_counts, d_gamma,
+                     d_pi, empirical_errors, empirical_vs_bound, exponent_u,
+                     f_gamma, f_pi, label_error_bound, nu_probability,
+                     parameter_error_bounds, report_json)
 from .constraints import (DEFAULT_ETA_GRID, ConstraintConflictError,
                           ConstraintSet, close, count_violations,
                           derive_from_labels, eta_search)
@@ -32,10 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "FitOptions", "FitResult", "ds_em_fit", "hard_labels_from",
     "majority_vote", "vb_ilc_fit", "vb_lc_fit", "vbem_fit",
-    "BoundInputs", "BoundReport", "build_report", "constraint_counts",
-    "d_gamma", "d_pi", "empirical_errors", "empirical_vs_bound", "exponent_u",
-    "f_gamma", "f_pi", "label_error_bound", "nu_probability",
-    "parameter_error_bounds",
+    "BoundInputs", "build_report", "constraint_counts", "d_gamma", "d_pi",
+    "empirical_errors", "empirical_vs_bound", "exponent_u", "f_gamma",
+    "f_pi", "label_error_bound", "nu_probability", "parameter_error_bounds",
+    "report_json",
     "DEFAULT_ETA_GRID", "ConstraintConflictError", "ConstraintSet", "close",
     "count_violations", "derive_from_labels", "eta_search",
     "ExperimentConfig", "run_experiment", "write_rows_csv",

@@ -7,7 +7,7 @@ with a "vacuous" status, never clamped away silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ VACUOUS = "vacuous"
 
 THEOREM_FORM = "theorem_form"
 LEMMA_FORM = "lemma_form"
+
+# The observed errors of a report, under its "empirical" key.
+_EMPIRICAL_KEYS = ("max_label_error", "max_pi_error", "max_gamma_error")
 
 
 def d_pi(pi_star) -> float:
@@ -186,23 +189,23 @@ def label_error_bound(inputs: BoundInputs) -> dict:
 
 
 def parameter_error_bounds(inputs: BoundInputs, g_pi: float, g_gamma: float,
-                           counts: dict,
                            tilde_eps_q: float | None = None) -> dict:
     """Error bounds on the expected class priors and confusion entries.
 
-    `counts` holds n_tilde_c (items with at least one constraint) and
-    n_bar_c (the rest); the unconstrained case is n_tilde_c = 0. g_pi and
-    g_gamma have no closed form and are explicit inputs. beta_bar (M, K) is
-    the expected posterior row sums N*mu_m*pi_k + prior sums.
+    Items with at least one constraint take the label error `tilde_eps_q`
+    (eps_q when None), the rest eps_q; with no constrained item these are
+    the unconstrained bounds. g_pi and g_gamma have no closed form and are
+    explicit inputs. beta_bar (M, K) is the expected posterior row sums
+    N*mu_m*pi_k + prior sums.
     """
     spec = inputs.spec
     priors = inputs.priors
     n = spec.n_items
-    n_tilde = float(counts.get("n_tilde_c", 0))
-    n_bar = float(counts.get("n_bar_c", n - n_tilde))
+    n_tilde = float(np.count_nonzero(
+        inputs.n_ml_per_item + inputs.n_cl_per_item > 0))
     if tilde_eps_q is None:
         tilde_eps_q = inputs.eps_q
-    mixed = n_tilde * tilde_eps_q + n_bar * inputs.eps_q
+    mixed = n_tilde * tilde_eps_q + (n - n_tilde) * inputs.eps_q
 
     alpha0_bar = inputs.alpha0_bar
     eps_pi_bound = (mixed + n * g_pi + priors.alpha0
@@ -268,81 +271,30 @@ def nu_probability(spec: CrowdSpec, t_params, r_params) -> dict:
             "vacuous": not (nu < 1.0)}
 
 
-# BoundReport fields whose report key is the paper's symbol.
-_REPORT_KEYS = {"d_pi": "D_pi", "d_gamma": "D_gamma", "u": "U", "w_n": "W_n"}
-
-
-@dataclass
-class BoundReport:
-    """Theoretical quantities alongside the empirical errors of a run."""
-
-    d_pi: float
-    d_gamma: float
-    f_pi: float
-    f_gamma: float
-    u: float
-    eps_q: float
-    w_n: np.ndarray
-    tilde_eps_q: np.ndarray
-    eps_pi_bound: np.ndarray | None = None
-    eps_gamma_bound: np.ndarray | None = None
-    nu: float | None = None
-    nu_terms: tuple | None = None
-    empirical_label_error: float | None = None
-    empirical_pi_error: float | None = None
-    empirical_gamma_error: float | None = None
-    statuses: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        def clean(x):
-            # A non-finite number, alone or in an array, becomes its string
-            # ("inf", "nan"), which strict JSON can hold.
-            if isinstance(x, np.ndarray):
-                x = x.tolist()
-            if isinstance(x, (list, tuple)):
-                return [clean(v) for v in x]
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, float) and not math.isfinite(x):
-                return str(x)
-            return x
-
-        out = {"empirical": {}}
-        for f in fields(self):
-            value = clean(getattr(self, f.name))
-            if f.name.startswith("empirical_"):
-                out["empirical"]["max" + f.name[len("empirical"):]] = value
-            else:
-                out[_REPORT_KEYS.get(f.name, f.name)] = value
-        return out
-
-
 def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
-                 nu_scales: tuple | None = None) -> BoundReport:
-    """Evaluate all bound quantities for the given inputs. `nu_scales`,
-    (t_scale, r_scale), adds the nu probability at t and r inputs that are
-    those fractions of their caps: mu*pi*gamma and pi. A g or a scale that
-    is NaN, infinite or negative raises ValueError naming it."""
+                 nu_scales: tuple | None = None) -> dict:
+    """Evaluate all bound quantities for the given inputs, keyed as the
+    `bounds` JSON report; arrays stay arrays until `report_json`. The
+    observed errors under "empirical" are None until `empirical_vs_bound`.
+    `nu_scales`, (t_scale, r_scale), adds the nu probability at t and r
+    inputs that are those fractions of their caps: mu*pi*gamma and pi. A g
+    or a scale that is NaN, infinite or negative raises ValueError naming
+    it."""
     _check_nonnegative(g_pi=g_pi, g_gamma=g_gamma)
     spec = inputs.spec
     label = label_error_bound(inputs)
-    n_tilde = int(np.sum(inputs.n_ml_per_item + inputs.n_cl_per_item > 0))
-    counts = {"n_tilde_c": n_tilde, "n_bar_c": spec.n_items - n_tilde}
     tilde_max = float(np.max(label["tilde_eps_q"])) \
         if np.size(label["tilde_eps_q"]) else inputs.eps_q
-    params = parameter_error_bounds(inputs, g_pi, g_gamma, counts,
+    params = parameter_error_bounds(inputs, g_pi, g_gamma,
                                     tilde_eps_q=min(tilde_max, label["eps_q"])
                                     if math.isfinite(label["eps_q"]) else None)
-    report = BoundReport(
-        *_terms(inputs),  # d_pi, d_gamma, f_pi, f_gamma
-        u=label["U"],
-        eps_q=label["eps_q"],
-        w_n=label["W_n"],
-        tilde_eps_q=label["tilde_eps_q"],
+    report = dict(zip(("D_pi", "D_gamma", "f_pi", "f_gamma"), _terms(inputs)))
+    for key in ("U", "eps_q", "W_n", "tilde_eps_q"):
+        report[key] = label[key]
+    report.update(
         eps_pi_bound=params["eps_pi_bound"],
-        eps_gamma_bound=params["eps_gamma_bound"],
-    )
+        eps_gamma_bound=params["eps_gamma_bound"], nu=None, nu_terms=None,
+        empirical=dict.fromkeys(_EMPIRICAL_KEYS), statuses={}, notes=[])
     vacuous = {"eps_q": label["eps_q_vacuous"],
                "eps_pi": params["eps_pi_vacuous"],
                "eps_gamma": params["eps_gamma_vacuous"]}
@@ -351,14 +303,29 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
         _check_nonnegative(t_scale=t_scale, r_scale=r_scale)
         nu = nu_probability(spec, t_scale * _caps(spec),
                             r_scale * spec.pi_star)
-        report.nu = nu["nu"]
-        report.nu_terms = nu["terms"]
+        report["nu"] = nu["nu"]
+        report["nu_terms"] = nu["terms"]
         vacuous["nu"] = nu["vacuous"]
-        report.notes.append(
+        report["notes"].append(
             "first nu term divides by ln(rho_gamma) < 0, making its exponent "
             "positive; evaluated verbatim")
     for key, is_vacuous in vacuous.items():
-        report.statuses[key] = VACUOUS if is_vacuous else "finite"
+        report["statuses"][key] = VACUOUS if is_vacuous else "finite"
+    return report
+
+
+def report_json(report):
+    """`report`, or any value in it, as strict JSON holds it: an array or a
+    tuple becomes a list, and a non-finite number, alone or in an array,
+    becomes its string ("inf", "nan")."""
+    if isinstance(report, np.ndarray):
+        report = report.tolist()
+    if isinstance(report, (list, tuple)):
+        return [report_json(v) for v in report]
+    if isinstance(report, dict):
+        return {k: report_json(v) for k, v in report.items()}
+    if isinstance(report, float) and not math.isfinite(report):
+        return str(report)
     return report
 
 
@@ -382,18 +349,17 @@ def empirical_errors(posterior: np.ndarray, params: PosteriorParams | None,
     return label_err, pi_err, gamma_err
 
 
-def empirical_vs_bound(report: BoundReport, errors) -> BoundReport:
+def empirical_vs_bound(report: dict, errors) -> dict:
     """Fill in a fit's `empirical_errors` and mark each bound as held,
     held-vacuously, or violated."""
-    (report.empirical_label_error, report.empirical_pi_error,
-     report.empirical_gamma_error) = errors
+    report["empirical"] = dict(zip(_EMPIRICAL_KEYS, errors))
     for key, bound, observed in zip(
             ("eps_q", "eps_pi", "eps_gamma"),
-            (report.eps_q, report.eps_pi_bound, report.eps_gamma_bound),
-            errors):
-        if bound is not None and observed is not None:
+            (report["eps_q"], report["eps_pi_bound"],
+             report["eps_gamma_bound"]), errors):
+        if observed is not None:
             bound = float(np.max(bound))
-            report.statuses[f"{key}_vs_empirical"] = (
+            report["statuses"][f"{key}_vs_empirical"] = (
                 HELD_VACUOUSLY if not (bound < 1.0)
                 else HELD if observed <= bound else VIOLATED)
     return report

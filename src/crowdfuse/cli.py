@@ -243,7 +243,7 @@ def cmd_bounds(args) -> int:
     report = bounds.build_report(inputs, g_pi=args.g_pi, g_gamma=args.g_gamma,
                                  nu_scales=(args.t_scale, args.r_scale))
     report = bounds.empirical_vs_bound(report, errors)
-    fileio.write_json(args.output, report.to_dict())
+    fileio.write_json(args.output, bounds.report_json(report))
     return 0
 
 

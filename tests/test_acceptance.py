@@ -96,9 +96,9 @@ def test_criterion_02_reduction_identities(capsys):
 
     inputs = cf.BoundInputs(spec=spec, priors=priors, eps_pi=0.02,
                             eps_gamma=0.02, eps_q=0.04)
-    base = cf.parameter_error_bounds(inputs, 0.0, 0.0, {"n_tilde_c": 0})
-    constrained = cf.parameter_error_bounds(
-        inputs, 0.0, 0.0, {"n_tilde_c": 0, "n_bar_c": 80}, tilde_eps_q=0.04)
+    base = cf.parameter_error_bounds(inputs, 0.0, 0.0)
+    constrained = cf.parameter_error_bounds(inputs, 0.0, 0.0,
+                                            tilde_eps_q=0.04)
     pi_equal = np.array_equal(base["eps_pi_bound"],
                               constrained["eps_pi_bound"])
     gamma_equal = np.array_equal(base["eps_gamma_bound"],

@@ -8,7 +8,7 @@ from crowdfuse.bounds import (HELD, LEMMA_FORM, THEOREM_FORM, VACUOUS,
                               d_gamma, d_pi, empirical_errors,
                               empirical_vs_bound, exponent_u, f_gamma, f_pi,
                               label_error_bound, nu_probability,
-                              parameter_error_bounds)
+                              parameter_error_bounds, report_json)
 from crowdfuse.constraints import ConstraintSet
 from crowdfuse.model import (GroundTruth, PriorConfig,
                              paper_default_priors)
@@ -211,8 +211,7 @@ class TestParameterBounds:
         priors = paper_default_priors(spec.n_annotators, spec.n_classes)
         inputs = BoundInputs(spec=spec, priors=priors, eps_pi=0.0,
                              eps_gamma=0.0, eps_q=0.0)
-        out = parameter_error_bounds(inputs, g_pi=0.0, g_gamma=0.0,
-                                     counts={"n_tilde_c": 0})
+        out = parameter_error_bounds(inputs, g_pi=0.0, g_gamma=0.0)
         n, a0bar = spec.n_items, inputs.alpha0_bar
         expected = (priors.alpha0 + spec.rho_pi * a0bar) / (n + a0bar)
         np.testing.assert_allclose(out["eps_pi_bound"], expected, atol=1e-12)
@@ -222,10 +221,12 @@ class TestParameterBounds:
         priors = paper_default_priors(spec.n_annotators, spec.n_classes)
         inputs = BoundInputs(spec=spec, priors=priors, eps_pi=0.01,
                              eps_gamma=0.01, eps_q=0.05)
-        plain = parameter_error_bounds(inputs, 0.0, 0.0,
-                                       {"n_tilde_c": 0})
-        mixed = parameter_error_bounds(inputs, 0.0, 0.0,
-                                       {"n_tilde_c": 40, "n_bar_c": 60},
+        plain = parameter_error_bounds(inputs, 0.0, 0.0)
+        # 40 of the 100 items have a must-link partner.
+        constrained = BoundInputs(spec=spec, priors=priors, eps_pi=0.01,
+                                  eps_gamma=0.01, eps_q=0.05,
+                                  n_ml_per_item=np.arange(100) < 40)
+        mixed = parameter_error_bounds(constrained, 0.0, 0.0,
                                        tilde_eps_q=0.05)
         np.testing.assert_allclose(plain["eps_pi_bound"],
                                    mixed["eps_pi_bound"], atol=1e-15)
@@ -238,7 +239,7 @@ class TestParameterBounds:
         inputs = BoundInputs(spec=spec, priors=priors, eps_pi=0.01,
                              eps_gamma=0.01, eps_q=0.05)
         g_pi, g_gamma = 0.001, 0.0005
-        out = parameter_error_bounds(inputs, g_pi, g_gamma, {"n_tilde_c": 0})
+        out = parameter_error_bounds(inputs, g_pi, g_gamma)
         n, a0bar = spec.n_items, inputs.alpha0_bar
         mixed = n * 0.05
         pi_expected = (mixed + n * g_pi + priors.alpha0
@@ -334,8 +335,7 @@ class TestReport:
         priors = paper_default_priors(spec.n_annotators, spec.n_classes)
         inputs = BoundInputs(spec=spec, priors=priors, eps_pi=0.01,
                              eps_gamma=0.01, eps_q=0.01)
-        report = build_report(inputs)
-        doc = report.to_dict()
+        doc = report_json(build_report(inputs))
         for key in ("D_pi", "D_gamma", "f_pi", "f_gamma", "U", "eps_q",
                     "W_n", "tilde_eps_q", "statuses", "empirical"):
             assert key in doc
@@ -352,10 +352,10 @@ class TestReport:
                              eps_gamma=0.05, eps_q=0.05)
         report = empirical_vs_bound(build_report(inputs), empirical_errors(
             fit.posterior, fit.params, truth, spec))
-        assert report.empirical_label_error is not None
-        assert report.statuses["eps_q_vs_empirical"] in (
+        assert report["empirical"]["max_label_error"] is not None
+        assert report["statuses"]["eps_q_vs_empirical"] in (
             HELD, "held-vacuously", "violated")
-        assert report.empirical_pi_error >= 0.0
+        assert report["empirical"]["max_pi_error"] >= 0.0
 
     def test_theorem_reduces_to_unconstrained(self):
         # With no constrained items the mixed error term collapses, so the
@@ -371,9 +371,10 @@ class TestReport:
             n_cl_per_item=np.zeros(100, dtype=int))
         a = build_report(base)
         b = build_report(with_counts)
-        np.testing.assert_array_equal(a.eps_pi_bound, b.eps_pi_bound)
-        np.testing.assert_array_equal(a.eps_gamma_bound, b.eps_gamma_bound)
-        np.testing.assert_allclose(b.tilde_eps_q, np.full(100, a.eps_q))
+        np.testing.assert_array_equal(a["eps_pi_bound"], b["eps_pi_bound"])
+        np.testing.assert_array_equal(a["eps_gamma_bound"],
+                                      b["eps_gamma_bound"])
+        np.testing.assert_allclose(b["tilde_eps_q"], np.full(100, a["eps_q"]))
 
     @staticmethod
     def finite_inputs(eta, **counts):
@@ -394,14 +395,14 @@ class TestReport:
             eta=1.0, n_ml_per_item=rng.integers(1, 4, size=100),
             n_cl_per_item=by_class.sum(axis=1), n_cl_by_class=by_class)
         report = build_report(inputs, g_pi=0.001, g_gamma=0.0005)
-        assert report.eps_q < 1.0
-        assert np.all(report.tilde_eps_q < report.eps_q)
+        assert report["eps_q"] < 1.0
+        assert np.all(report["tilde_eps_q"] < report["eps_q"])
         want = parameter_error_bounds(
-            inputs, 0.001, 0.0005, {"n_tilde_c": 100, "n_bar_c": 0},
-            tilde_eps_q=float(np.max(report.tilde_eps_q)))
-        np.testing.assert_array_equal(report.eps_pi_bound,
+            inputs, 0.001, 0.0005,
+            tilde_eps_q=float(np.max(report["tilde_eps_q"])))
+        np.testing.assert_array_equal(report["eps_pi_bound"],
                                       want["eps_pi_bound"])
-        np.testing.assert_array_equal(report.eps_gamma_bound,
+        np.testing.assert_array_equal(report["eps_gamma_bound"],
                                       want["eps_gamma_bound"])
 
     def test_weight_without_counts_changes_nothing(self):
@@ -409,15 +410,15 @@ class TestReport:
         # are the plain ones and the report is the same at any weight.
         inputs = self.finite_inputs(eta=0.0)
         at_zero = build_report(inputs)
-        assert at_zero.eps_q < 1.0
-        plain = parameter_error_bounds(inputs, 0.0, 0.0, {"n_tilde_c": 0})
-        np.testing.assert_array_equal(at_zero.eps_pi_bound,
+        assert at_zero["eps_q"] < 1.0
+        plain = parameter_error_bounds(inputs, 0.0, 0.0)
+        np.testing.assert_array_equal(at_zero["eps_pi_bound"],
                                       plain["eps_pi_bound"])
-        np.testing.assert_array_equal(at_zero.eps_gamma_bound,
+        np.testing.assert_array_equal(at_zero["eps_gamma_bound"],
                                       plain["eps_gamma_bound"])
         for eta in (1.0, 2.0):
-            assert build_report(self.finite_inputs(eta=eta)).to_dict() == \
-                at_zero.to_dict()
+            assert report_json(build_report(self.finite_inputs(eta=eta))) \
+                == report_json(at_zero)
 
 
 class TestStatuses:
@@ -427,4 +428,4 @@ class TestStatuses:
         inputs = BoundInputs(spec=spec, priors=priors, eps_pi=0.4,
                              eps_gamma=0.4, eps_q=0.5)
         report = build_report(inputs)
-        assert report.statuses["eps_q"] == VACUOUS
+        assert report["statuses"]["eps_q"] == VACUOUS
