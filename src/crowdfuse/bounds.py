@@ -83,7 +83,8 @@ class BoundInputs:
     eps_pi, eps_gamma, eps_q are the error levels assumed for the previous
     iterate. A missing per-item constraint count is zero for every item,
     which gives the unconstrained bounds. An error level or eta that is NaN,
-    infinite or negative, or priors for another M or K than the spec's,
+    infinite or negative, priors for another M or K than the spec's, or a
+    zero gamma_star entry (f_gamma divides by rho_gamma, its smallest)
     raise ValueError naming them.
     """
 
@@ -103,6 +104,11 @@ class BoundInputs:
                            eps_q=self.eps_q, eta=self.eta)
         if self.lemma_exponent not in (THEOREM_FORM, LEMMA_FORM):
             raise ValueError(f"unknown exponent form {self.lemma_exponent}")
+        if self.spec.rho_gamma <= 0:
+            zero = np.argwhere(self.spec.gamma_star == 0)[0]
+            at = tuple(int(i) for i in zero)
+            raise ValueError("the bounds need every gamma_star entry > 0, "
+                             f"and (m, k, k') = {at} is 0")
         n, k = self.spec.n_items, self.spec.n_classes
         m = self.spec.n_annotators
         if (self.priors.n_annotators, self.priors.n_classes) != (m, k):
@@ -335,8 +341,11 @@ def empirical_errors(posterior: np.ndarray, params: PosteriorParams | None,
     Dirichlet parameters: the largest absolute difference between the
     posterior and the one-hot truth over items of known truth, and between
     the expected class priors and confusion rows and the spec's. The last
-    two are None when `params` is None."""
+    two are None when `params` is None. Raises ValueError when no item has
+    known truth."""
     mask = truth.known_mask
+    if not mask.any():
+        raise ValueError("no item has known truth")
     onehot = np.zeros_like(posterior)
     known = np.flatnonzero(mask)
     onehot[known, truth.labels[known] - 1] = 1.0

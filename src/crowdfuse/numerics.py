@@ -101,17 +101,16 @@ def sum_matrix(rows: np.ndarray, cols: np.ndarray, shape):
         shape=shape)
 
 
-def validate_prob_vector(p, tol: float = 1e-12,
-                         name: str = "probability vector") -> np.ndarray:
-    """Check that p is a probability vector of length >= 2 and return it.
-    Messages call it `name`."""
+def validate_prob_vector(p, name: str = "probability vector") -> np.ndarray:
+    """Check that p is a probability vector of length >= 2 whose sum is
+    within 1e-9 of 1, and return it. Messages call it `name`."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"{name} must be 1-D with length >= 2")
     # Written so that a NaN, which fails every comparison, fails it too.
     if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError(f"{name} entries must lie in [0, 1]")
-    if abs(arr.sum() - 1.0) > max(tol, 1e-9):
+    if abs(arr.sum() - 1.0) > 1e-9:
         raise ValueError(f"{name} sums to {arr.sum()}, not 1")
     return arr
 

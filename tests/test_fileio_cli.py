@@ -14,8 +14,8 @@ from crowdfuse.fileio import (InputFormatError, read_constraints,
                               read_responses, read_truth, result_schema,
                               write_constraints, write_responses,
                               write_truth)
-from crowdfuse.model import GroundTruth
-from crowdfuse.synth import diag_dominant_spec, generate
+from crowdfuse.model import GroundTruth, PosteriorParams, paper_default_priors
+from crowdfuse.synth import CrowdSpec, diag_dominant_spec, generate
 
 from oracles import reference_label_union, response_triples
 
@@ -1265,6 +1265,83 @@ class TestCliBoundsInputs:
         assert report["empirical"] == dict(zip(
             ("max_label_error", "max_pi_error", "max_gamma_error"),
             real(*calls[0])))
+
+
+    def test_no_known_truth_exit_4(self, dataset, capsys):
+        # A header-only truth file gives no item a label; numpy's
+        # "zero-size array to reduction operation maximum" was the message.
+        truth = dataset["dir"] / "no_truth.csv"
+        truth.write_text("item,label\n")
+        argv = self.bounds_argv(dataset)
+        argv[argv.index("--truth") + 1] = str(truth)
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == "error: no item has known truth\n"
+        assert not (dataset["dir"] / "b.json").exists()
+
+    def test_zero_confusion_entry_exit_4(self, tmp_path, capsys):
+        # Perfect annotators: gamma_star has zeros off the diagonal, and
+        # f_gamma's division by rho_gamma = 0 was the message.
+        r, t, s, vb = (tmp_path / name
+                       for name in ("r.csv", "t.csv", "s.json", "vb.json"))
+        assert cli.main(["synth", "--n", "60", "--m", "4", "--k", "2",
+                         "--diag", "1.0", "--seed", "1", "--out-responses",
+                         str(r), "--out-truth", str(t),
+                         "--out-spec", str(s)]) == 0
+        assert cli.main(["aggregate", "--responses", str(r), "--k", "2",
+                         "--method", "vb", "--output", str(vb)]) == 0
+        out = tmp_path / "b.json"
+        assert cli.main(["bounds", "--spec-json", str(s), "--result",
+                         str(vb), "--truth", str(t),
+                         "--output", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: the bounds need every gamma_star entry > 0, and "
+            "(m, k, k') = (0, 0, 1) is 0\n")
+        assert not out.exists()
+
+
+class TestCliWritesLibraryReport:
+    @pytest.mark.parametrize("with_constraints", [False, True])
+    def test_written_json_is_report_json(self, dataset, with_constraints):
+        # The CLI writes the library's report as it stands: no second
+        # spelling or reshaping between build_report and the file.
+        vb, out = dataset["dir"] / "vb.json", dataset["dir"] / "b.json"
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "vb",
+                         "--k", "3", "--output", str(vb)]) == 0
+        argv = ["bounds", "--spec-json", str(dataset["spec_path"]),
+                "--result", str(vb), "--truth", str(dataset["truth_path"]),
+                "--output", str(out)]
+        ids, labels = dataset["rm"].item_ids, dataset["truth"].labels
+        counts = {}
+        if with_constraints:
+            cons = dataset["dir"] / "cons.csv"
+            write_constraints(cons, [("ML", ids[0], ids[1]),
+                                     ("CL", ids[2], ids[3]),
+                                     *[("LABEL", ids[i], int(labels[i]))
+                                       for i in (4, 5, 6)]])
+            argv += ["--constraints", str(cons), "--eta", "2"]
+        assert cli.main(argv) == 0
+
+        spec = CrowdSpec.from_dict(json.loads(
+            dataset["spec_path"].read_text()))
+        doc = json.loads(vb.read_text())
+        params = PosteriorParams(alpha=np.array(doc["params"]["alpha"]),
+                                 beta=np.array(doc["params"]["beta"]))
+        truth = read_truth(dataset["truth_path"], ids, 3)
+        errors = bounds.empirical_errors(np.array(doc["posterior"]), params,
+                                         truth, spec)
+        if with_constraints:
+            cs = constraints.join_labels(*read_constraints(cons, ids), 60, 3)
+            counts = dict(zip(
+                ("n_ml_per_item", "n_cl_per_item", "n_cl_by_class"),
+                bounds.constraint_counts(cs, truth, 60, 3)))
+        inputs = bounds.BoundInputs(
+            spec=spec, priors=paper_default_priors(4, 3), eps_q=errors[0],
+            eps_pi=errors[1], eps_gamma=errors[2],
+            eta=2.0 if with_constraints else 0.0, **counts)
+        report = bounds.empirical_vs_bound(
+            bounds.build_report(inputs, nu_scales=(0.5, 0.5)), errors)
+        assert json.loads(out.read_text()) == bounds.report_json(report)
 
 
 class TestCliTruthLabelRange:
