@@ -1312,7 +1312,6 @@ class TestCliWritesLibraryReport:
                 "--result", str(vb), "--truth", str(dataset["truth_path"]),
                 "--output", str(out)]
         ids, labels = dataset["rm"].item_ids, dataset["truth"].labels
-        counts = {}
         if with_constraints:
             cons = dataset["dir"] / "cons.csv"
             write_constraints(cons, [("ML", ids[0], ids[1]),
@@ -1330,6 +1329,7 @@ class TestCliWritesLibraryReport:
         truth = read_truth(dataset["truth_path"], ids, 3)
         errors = bounds.empirical_errors(np.array(doc["posterior"]), params,
                                          truth, spec)
+        counts = {}
         if with_constraints:
             cs = constraints.join_labels(*read_constraints(cons, ids), 60, 3)
             counts = dict(zip(
