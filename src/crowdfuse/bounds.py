@@ -27,6 +27,16 @@ LEMMA_FORM = "lemma_form"
 
 # The observed errors of a report, under its "empirical" key.
 _EMPIRICAL_KEYS = ("max_label_error", "max_pi_error", "max_gamma_error")
+# Each status of a report and the report key of the bound it judges; the
+# first three in the order of `_EMPIRICAL_KEYS`.
+_BOUND_KEYS = {"eps_q": "eps_q", "eps_pi": "eps_pi_bound",
+               "eps_gamma": "eps_gamma_bound", "nu": "nu"}
+
+
+def _vacuous(bound) -> bool:
+    """Whether a bound, or the largest entry of an array of bounds, is not
+    below 1, the trivial bound on what it bounds; so inf or NaN is."""
+    return not np.max(bound) < 1.0
 
 
 def d_pi(pi_star) -> float:
@@ -44,26 +54,21 @@ def d_gamma(gamma_star, mu) -> float:
     gamma = np.asarray(gamma_star, dtype=float)
     mu = np.asarray(mu, dtype=float)
     n_ann, n_classes, _ = gamma.shape
-    best = math.inf
-    for k in range(n_classes):
-        for kp in range(n_classes):
-            if k == kp:
-                continue
-            total = sum(mu[m] * kl_divergence(gamma[m, k], gamma[m, kp])
-                        for m in range(n_ann))
-            best = min(best, total / n_ann)
-    return float(best)
+    # kl[m, k, k'] = KL(gamma[m, k] || gamma[m, k']), summed over m in order.
+    kl = kl_divergence(gamma[:, :, None], gamma[:, None])
+    mean = (mu[:, None, None] * kl).sum(axis=0) / n_ann
+    return float(mean[~np.eye(n_classes, dtype=bool)].min())
 
 
 def f_pi(eps: float, rho_pi: float, n_items: int, alpha0_bar: float) -> float:
-    """ln((rho - eps)/rho - 1/(2*rho*(N + alpha0_bar))); -inf when the
-    argument is nonpositive (vacuous regime)."""
-    arg = (rho_pi - eps) / rho_pi - 1.0 / (2.0 * rho_pi * (n_items + alpha0_bar))
-    return math.log(arg) if arg > 0 else NEG_INF
+    """ln((rho - eps)/rho - 1/(2*rho*(N + alpha0_bar))): `f_gamma` with
+    N + alpha0_bar as its prior sum."""
+    return f_gamma(eps, rho_pi, n_items + alpha0_bar)
 
 
 def f_gamma(eps: float, rho_gamma: float, beta0_bar: float) -> float:
-    """ln((rho - eps)/rho - 1/(2*rho*beta0_bar)); -inf when nonpositive."""
+    """ln((rho - eps)/rho - 1/(2*rho*beta0_bar)); -inf when the argument
+    is nonpositive (vacuous regime)."""
     arg = (rho_gamma - eps) / rho_gamma - 1.0 / (2.0 * rho_gamma * beta0_bar)
     return math.log(arg) if arg > 0 else NEG_INF
 
@@ -169,7 +174,7 @@ def _terms(inputs: BoundInputs) -> tuple[float, float, float, float]:
 
 def label_error_bound(inputs: BoundInputs) -> dict:
     """K*exp(-U) for every item, tightened to K*exp(-U - eta*W_n) for items
-    with constraints. Probability bounds above 1 are flagged vacuous."""
+    with constraints."""
     spec = inputs.spec
     u = exponent_u(inputs)
     eps_q = spec.n_classes * math.exp(-u) if math.isfinite(u) else math.inf
@@ -185,13 +190,7 @@ def label_error_bound(inputs: BoundInputs) -> dict:
         with np.errstate(over="ignore"):
             tightened = spec.n_classes * np.exp(-u - inputs.eta * w_n)
         tilde = np.where(n_ml + n_cl > 0, tightened, eps_q)
-    return {
-        "U": u,
-        "eps_q": eps_q,
-        "W_n": w_n,
-        "tilde_eps_q": tilde,
-        "eps_q_vacuous": not (eps_q < 1.0),
-    }
+    return {"U": u, "eps_q": eps_q, "W_n": w_n, "tilde_eps_q": tilde}
 
 
 def parameter_error_bounds(inputs: BoundInputs, g_pi: float, g_gamma: float,
@@ -225,13 +224,7 @@ def parameter_error_bounds(inputs: BoundInputs, g_pi: float, g_gamma: float,
              - mixed + beta_bar[:, :, None])
     eps_gamma_bound = np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0),
                                math.inf)
-    return {
-        "eps_pi_bound": eps_pi_bound,
-        "eps_gamma_bound": eps_gamma_bound,
-        "eps_pi_vacuous": bool(np.any(eps_pi_bound >= 1.0)),
-        "eps_gamma_vacuous": bool(np.any(~np.isfinite(eps_gamma_bound))
-                                  or np.any(eps_gamma_bound >= 1.0)),
-    }
+    return {"eps_pi_bound": eps_pi_bound, "eps_gamma_bound": eps_gamma_bound}
 
 
 def _caps(spec: CrowdSpec) -> np.ndarray:
@@ -272,9 +265,7 @@ def nu_probability(spec: CrowdSpec, t_params, r_params) -> dict:
                                    * spec.mu[:, None, None] * spec.gamma_star)
     term2 = float(np.sum(4.0 * np.exp(exponents)))
     term3 = float(np.sum(2.0 * np.exp(-n * r ** 2 / (3.0 * spec.pi_star))))
-    nu = term1 + term2 + term3
-    return {"nu": nu, "terms": (term1, term2, term3),
-            "vacuous": not (nu < 1.0)}
+    return {"nu": term1 + term2 + term3, "nu_terms": (term1, term2, term3)}
 
 
 def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
@@ -295,28 +286,20 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
                                     tilde_eps_q=min(tilde_max, label["eps_q"])
                                     if math.isfinite(label["eps_q"]) else None)
     report = dict(zip(("D_pi", "D_gamma", "f_pi", "f_gamma"), _terms(inputs)))
-    for key in ("U", "eps_q", "W_n", "tilde_eps_q"):
-        report[key] = label[key]
-    report.update(
-        eps_pi_bound=params["eps_pi_bound"],
-        eps_gamma_bound=params["eps_gamma_bound"], nu=None, nu_terms=None,
-        empirical=dict.fromkeys(_EMPIRICAL_KEYS), statuses={}, notes=[])
-    vacuous = {"eps_q": label["eps_q_vacuous"],
-               "eps_pi": params["eps_pi_vacuous"],
-               "eps_gamma": params["eps_gamma_vacuous"]}
+    report.update(label, **params, nu=None, nu_terms=None,
+                  empirical=dict.fromkeys(_EMPIRICAL_KEYS), statuses={},
+                  notes=[])
     if nu_scales is not None:
         t_scale, r_scale = nu_scales
         _check_nonnegative(t_scale=t_scale, r_scale=r_scale)
-        nu = nu_probability(spec, t_scale * _caps(spec),
-                            r_scale * spec.pi_star)
-        report["nu"] = nu["nu"]
-        report["nu_terms"] = nu["terms"]
-        vacuous["nu"] = nu["vacuous"]
+        report.update(nu_probability(spec, t_scale * _caps(spec),
+                                     r_scale * spec.pi_star))
         report["notes"].append(
             "first nu term divides by ln(rho_gamma) < 0, making its exponent "
             "positive; evaluated verbatim")
-    for key, is_vacuous in vacuous.items():
-        report["statuses"][key] = VACUOUS if is_vacuous else "finite"
+    report["statuses"] = {key: VACUOUS if _vacuous(report[b]) else "finite"
+                          for key, b in _BOUND_KEYS.items()
+                          if report[b] is not None}
     return report
 
 
@@ -362,13 +345,10 @@ def empirical_vs_bound(report: dict, errors) -> dict:
     """Fill in a fit's `empirical_errors` and mark each bound as held,
     held-vacuously, or violated."""
     report["empirical"] = dict(zip(_EMPIRICAL_KEYS, errors))
-    for key, bound, observed in zip(
-            ("eps_q", "eps_pi", "eps_gamma"),
-            (report["eps_q"], report["eps_pi_bound"],
-             report["eps_gamma_bound"]), errors):
+    for (key, bound_key), observed in zip(_BOUND_KEYS.items(), errors):
         if observed is not None:
-            bound = float(np.max(bound))
+            bound = report[bound_key]
             report["statuses"][f"{key}_vs_empirical"] = (
-                HELD_VACUOUSLY if not (bound < 1.0)
-                else HELD if observed <= bound else VIOLATED)
+                HELD_VACUOUSLY if _vacuous(bound)
+                else HELD if observed <= np.max(bound) else VIOLATED)
     return report

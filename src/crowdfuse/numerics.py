@@ -7,8 +7,6 @@ arrays it is given.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # KL terms with zero in the second argument on the support of the first are
@@ -122,21 +120,27 @@ def check_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite, not NaN or infinite")
 
 
-def kl_divergence(p, q) -> float:
-    """sum(p * ln(p/q)) with the 0*ln(0/x) = 0 convention.
+def kl_divergence(p, q):
+    """sum(p * ln(p/q)) along the last axis of broadcastable `p` and `q`,
+    with the 0*ln(0/x) = 0 convention and the terms added in order: a float
+    for 1-D inputs, else an array of the broadcast shape less that axis.
 
-    If q has a zero where p is positive the result is the KL_INFINITY
+    Where q has a zero on the support of p the result is the KL_INFINITY
     sentinel rather than an exception.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.shape[-1:] != q.shape[-1:]:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return KL_INFINITY
-        total += pi * math.log(pi / qi)
-    return max(total, 0.0)
+    p, q = np.broadcast_arrays(p, q)
+    # Written so that a NaN entry of p stays in the sum, as it fails `<=`.
+    support = ~(p <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(support, p * np.log(p / q), 0.0)
+    # An explicit loop: np.add.reduce over the last axis may sum pairwise.
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total += terms[..., j]
+    np.maximum(total, 0.0, out=total)
+    total[np.any(support & (q <= 0.0), axis=-1)] = KL_INFINITY
+    return float(total) if p.ndim == 1 else total

@@ -268,7 +268,7 @@ class TestNuProbability:
             gamma_star=np.full((3, 2, 2), 0.5), mu=np.ones(3))
         out = nu_probability(flat, np.full((3, 2, 2), 0.1),
                              np.array([0.1, 0.1]))
-        assert out["terms"][0] == pytest.approx(2 * 200)
+        assert out["nu_terms"][0] == pytest.approx(2 * 200)
         del spec
 
     def test_transcription_oracle(self):
@@ -286,9 +286,9 @@ class TestNuProbability:
                     for i in range(m) for a in range(k) for b in range(k))
         term3 = sum(2 * math.exp(-n * r[a] ** 2 / (3 * spec.pi_star[a]))
                     for a in range(k))
-        assert out["terms"][0] == pytest.approx(term1, rel=1e-12)
-        assert out["terms"][1] == pytest.approx(term2, rel=1e-12)
-        assert out["terms"][2] == pytest.approx(term3, rel=1e-12)
+        assert out["nu_terms"][0] == pytest.approx(term1, rel=1e-12)
+        assert out["nu_terms"][1] == pytest.approx(term2, rel=1e-12)
+        assert out["nu_terms"][2] == pytest.approx(term3, rel=1e-12)
         assert out["nu"] == pytest.approx(term1 + term2 + term3, rel=1e-12)
 
     def test_t_cap_enforced(self):
