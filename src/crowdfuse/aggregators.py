@@ -30,7 +30,6 @@ an iteration crosses layouts twice, each time in one transposed copy.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,22 +38,13 @@ from .constraints import (ConstraintSet, check_label_constraints,
                           count_violations)
 from .model import (PosteriorParams, PriorConfig, ResponseMatrix,
                     expected_logs)
-from .numerics import softmax_planes, sum_matrix
+from .numerics import check_nonnegative, softmax_planes, sum_matrix
 
 # Added to every count in the point-estimate M-step so a class an annotator
 # never emitted cannot produce log(0).
 _EM_SMOOTHING = 1e-10
 
 INIT_MODES = ("majority_vote", "given_posterior", "uniform")
-
-
-def _check_eta(eta) -> float:
-    """eta as a float; a NaN, infinite or negative weight raises
-    ValueError."""
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta >= 0):
-        raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    return eta
 
 
 @dataclass(frozen=True)
@@ -78,7 +68,7 @@ class FitOptions:
             raise ValueError("max_iters must be >= 1")
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
-        _check_eta(self.eta)
+        check_nonnegative(eta=float(self.eta))
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
         if self.init == "given_posterior" and self.init_posterior is None:
@@ -380,7 +370,9 @@ def _vb_ilc_fits(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     """`vb_ilc_fit` at each weight in `etas`, as one stacked fit loop; the
     weight in `opts` is not read. Every weight is checked before the loop
     starts. Each fit equals `vb_ilc_fit` at its weight, bit for bit."""
-    etas = [_check_eta(eta) for eta in etas]
+    etas = [float(eta) for eta in etas]
+    for eta in etas:
+        check_nonnegative(eta=eta)
     _check_prior_dimensions(rm, priors)
     if len(cs) and not cs.closed:
         raise ValueError("constraint set must be closed before fitting")

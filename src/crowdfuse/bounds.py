@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GroundTruth, PosteriorParams, PriorConfig
-from .numerics import kl_divergence
+from .numerics import check_nonnegative, kl_divergence
 from .synth import CrowdSpec
 
 NEG_INF = float("-inf")
@@ -73,14 +73,6 @@ def f_gamma(eps: float, rho_gamma: float, beta0_bar: float) -> float:
     return math.log(arg) if arg > 0 else NEG_INF
 
 
-def _check_nonnegative(**values) -> None:
-    """Raise ValueError naming the first of `values` that is NaN, infinite
-    or negative; a NaN passes a test written as `value < 0`."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
 @dataclass
 class BoundInputs:
     """Everything needed to evaluate the label and parameter error bounds.
@@ -105,8 +97,8 @@ class BoundInputs:
     lemma_exponent: str = THEOREM_FORM
 
     def __post_init__(self):
-        _check_nonnegative(eps_pi=self.eps_pi, eps_gamma=self.eps_gamma,
-                           eps_q=self.eps_q, eta=self.eta)
+        check_nonnegative(eps_pi=self.eps_pi, eps_gamma=self.eps_gamma,
+                          eps_q=self.eps_q, eta=self.eta)
         if self.lemma_exponent not in (THEOREM_FORM, LEMMA_FORM):
             raise ValueError(f"unknown exponent form {self.lemma_exponent}")
         if self.spec.rho_gamma <= 0:
@@ -138,16 +130,17 @@ class BoundInputs:
 
 
 def constraint_counts(cs, truth: GroundTruth, n_items: int,
-                      n_classes: int) -> tuple[np.ndarray, ...]:
+                      n_classes: int) -> dict:
     """Per-item must-link and cannot-link degrees plus, per item and class
     1..n_classes, the number of cannot-link partners whose true class is
-    that class."""
+    that class, under the names `BoundInputs` takes them by."""
     n_ml, n_cl = cs.per_item_counts(n_items)
     one_hot = truth.labels[:, None] == np.arange(1, n_classes + 1)
     items, _, cannot = cs.partner_sums(one_hot)
     by_class = np.zeros(one_hot.shape, dtype=np.intp)
     by_class[items] = cannot
-    return n_ml, n_cl, by_class
+    return {"n_ml_per_item": n_ml, "n_cl_per_item": n_cl,
+            "n_cl_by_class": by_class}
 
 
 def exponent_u(inputs: BoundInputs) -> float:
@@ -277,7 +270,7 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
     inputs that are those fractions of their caps: mu*pi*gamma and pi. A g
     or a scale that is NaN, infinite or negative raises ValueError naming
     it."""
-    _check_nonnegative(g_pi=g_pi, g_gamma=g_gamma)
+    check_nonnegative(g_pi=g_pi, g_gamma=g_gamma)
     spec = inputs.spec
     label = label_error_bound(inputs)
     tilde_max = float(np.max(label["tilde_eps_q"])) \
@@ -291,7 +284,7 @@ def build_report(inputs: BoundInputs, g_pi: float = 0.0, g_gamma: float = 0.0,
                   notes=[])
     if nu_scales is not None:
         t_scale, r_scale = nu_scales
-        _check_nonnegative(t_scale=t_scale, r_scale=r_scale)
+        check_nonnegative(t_scale=t_scale, r_scale=r_scale)
         report.update(nu_probability(spec, t_scale * _caps(spec),
                                      r_scale * spec.pi_star))
         report["notes"].append(

@@ -19,7 +19,7 @@ from .constraints import ConstraintConflictError, DEFAULT_ETA_GRID
 from .fileio import NUMBERS, InputFormatError, json_field, json_object
 from .model import (PosteriorParams, PriorConfig, paper_default_priors,
                     uniform_priors)
-from .numerics import check_finite
+from .numerics import check_finite, check_nonnegative
 from .synth import CrowdSpec, diag_dominant_spec, generate
 
 EXIT_INPUT = 2
@@ -111,9 +111,11 @@ def cmd_aggregate(args) -> int:
             if cs is None:
                 raise InputFormatError("vb-ilc needs a constraints file")
             # A fixed --eta is a one-candidate search, which makes one fit.
-            grid = [aggregators._check_eta(eta) for eta in (
+            grid = [float(eta) for eta in (
                 (args.eta,) if args.eta_grid is None
                 else _parse_eta_grid(args.eta_grid))]
+            for eta in grid:
+                check_nonnegative(eta=eta)
             cs_all = constraints.join_labels(cs, label_constraints,
                                              rm.n_items, rm.n_classes)
             cs_fit = constraints.close(cs_all)
@@ -230,9 +232,8 @@ def cmd_bounds(args) -> int:
             cs = constraints.join_labels(
                 *fileio.read_constraints(args.constraints, rm_ids),
                 spec.n_items, spec.n_classes)
-        counts = dict(zip(("n_ml_per_item", "n_cl_per_item", "n_cl_by_class"),
-                          bounds.constraint_counts(cs, truth, spec.n_items,
-                                                   spec.n_classes)))
+        counts = bounds.constraint_counts(cs, truth, spec.n_items,
+                                          spec.n_classes)
     inputs = bounds.BoundInputs(
         spec=spec, priors=priors,
         eps_pi=args.eps_pi if args.eps_pi is not None else emp_pi or 0.0,

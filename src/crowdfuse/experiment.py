@@ -13,6 +13,7 @@ import numpy as np
 from . import aggregators, constraints, fileio, metrics, selection
 from .constraints import DEFAULT_ETA_GRID
 from .model import GroundTruth, PriorConfig, ResponseMatrix
+from .numerics import check_nonnegative
 
 PROTOCOLS = ("random-constraints", "bvsb-constraints", "label-derived")
 
@@ -46,7 +47,7 @@ class ExperimentConfig:
         if not self.eta_grid:
             raise ValueError("candidate eta list is empty")
         for eta in self.eta_grid:
-            aggregators._check_eta(eta)
+            check_nonnegative(eta=float(eta))
 
 
 def _cell_seed(base: int, protocol: str, n_c: int, repeat: int) -> int:

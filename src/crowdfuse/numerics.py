@@ -7,6 +7,8 @@ arrays it is given.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # KL terms with zero in the second argument on the support of the first are
@@ -118,6 +120,14 @@ def check_finite(name: str, arr: np.ndarray) -> None:
     which pass range checks written as `np.any(arr < 0)`."""
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, not NaN or infinite")
+
+
+def check_nonnegative(**values) -> None:
+    """Raise ValueError naming the first of `values` that is NaN, infinite
+    or negative; a NaN passes a test written as `value < 0`."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def kl_divergence(p, q):

@@ -1176,10 +1176,11 @@ class TestCliBoundsConstraints:
                  for a, b in itertools.combinations(labelled, 2)]
         code, [from_pairs] = self.run_bounds(dataset, pairs, monkeypatch)
         assert code == 0
-        for got, want in zip(from_labels, from_pairs):
-            np.testing.assert_array_equal(got, want)
-        n_ml, n_cl, _ = from_labels
-        assert np.count_nonzero(n_ml + n_cl) == len(labelled)
+        assert from_labels.keys() == from_pairs.keys()
+        for key in from_labels:
+            np.testing.assert_array_equal(from_labels[key], from_pairs[key])
+        assert np.count_nonzero(from_labels["n_ml_per_item"]
+                                + from_labels["n_cl_per_item"]) == len(labelled)
 
     @pytest.mark.parametrize("labels, code, message", [
         ([(0, 1), (0, 2)], 3, "item '0': classes 1 and 2"),
@@ -1332,9 +1333,7 @@ class TestCliWritesLibraryReport:
         counts = {}
         if with_constraints:
             cs = constraints.join_labels(*read_constraints(cons, ids), 60, 3)
-            counts = dict(zip(
-                ("n_ml_per_item", "n_cl_per_item", "n_cl_by_class"),
-                bounds.constraint_counts(cs, truth, 60, 3)))
+            counts = bounds.constraint_counts(cs, truth, 60, 3)
         inputs = bounds.BoundInputs(
             spec=spec, priors=paper_default_priors(4, 3), eps_q=errors[0],
             eps_pi=errors[1], eps_gamma=errors[2],
