@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from crowdfuse.bounds import (HELD, LEMMA_FORM, THEOREM_FORM, VACUOUS,
-                              BoundInputs, build_report, constraint_counts,
-                              d_gamma, d_pi, empirical_errors,
-                              empirical_vs_bound, exponent_u, f_gamma, f_pi,
-                              label_error_bound, nu_probability,
-                              parameter_error_bounds, report_json)
+from crowdfuse import bounds
+from crowdfuse.bounds import (HELD, HELD_VACUOUSLY, LEMMA_FORM, THEOREM_FORM,
+                              VACUOUS, BoundInputs, build_report,
+                              constraint_counts, d_gamma, d_pi,
+                              empirical_errors, empirical_vs_bound,
+                              exponent_u, f_gamma, f_pi, label_error_bound,
+                              nu_probability, parameter_error_bounds,
+                              report_json)
 from crowdfuse.constraints import ConstraintSet
 from crowdfuse.model import (GroundTruth, PriorConfig,
                              paper_default_priors)
-from crowdfuse.numerics import kl_divergence
+from crowdfuse.numerics import KL_INFINITY
 from crowdfuse.synth import CrowdSpec, diag_dominant_spec
 
 
@@ -27,13 +29,20 @@ def oracle_d_pi(pi):
     return math.log(min(pi) / max(pi))
 
 
+def oracle_kl(p, q):
+    if any(pj > 0 and qj <= 0 for pj, qj in zip(p, q)):
+        return KL_INFINITY
+    return max(sum(pj * math.log(pj / qj) for pj, qj in zip(p, q) if pj > 0),
+               0.0)
+
+
 def oracle_d_gamma(gamma, mu):
     m, k, _ = gamma.shape
     vals = []
     for a in range(k):
         for b in range(k):
             if a != b:
-                vals.append(sum(mu[i] * kl_divergence(gamma[i, a], gamma[i, b])
+                vals.append(sum(mu[i] * oracle_kl(gamma[i, a], gamma[i, b])
                                 for i in range(m)) / m)
     return min(vals)
 
@@ -84,10 +93,17 @@ class TestDGamma:
         assert half == pytest.approx(full / 2)
 
     def test_matches_oracle_on_random_specs(self):
+        # Every other spec has a zero confusion entry: the KL divergences
+        # onto its row take the KL_INFINITY sentinel, those from it skip
+        # the zero term.
         rng = np.random.default_rng(6)
-        for _ in range(20):
-            m, k = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        for trial in range(20):
+            m, k = int(rng.integers(1, 51)), int(rng.integers(2, 13))
             gamma = rng.dirichlet(np.ones(k), size=(m, k))
+            if trial % 2:
+                at = (rng.integers(m), rng.integers(k), rng.integers(k))
+                gamma[at] = 0.0
+                gamma[at[:2]] /= gamma[at[:2]].sum()
             mu = rng.uniform(0.2, 1.0, size=m)
             assert d_gamma(gamma, mu) == pytest.approx(
                 oracle_d_gamma(gamma, mu), abs=1e-12)
@@ -430,3 +446,32 @@ class TestStatuses:
                              eps_gamma=0.4, eps_q=0.5)
         report = build_report(inputs)
         assert report["statuses"]["eps_q"] == VACUOUS
+
+    # Each bound, the transcription that gives it, a vacuous value and a
+    # finite one. A bound is vacuous when its largest entry is not below 1,
+    # so an inf or NaN entry makes it vacuous.
+    @pytest.mark.parametrize("key, bound_key, source, vacuous, finite", [
+        ("eps_q", "eps_q", "label_error_bound", math.inf, 0.1),
+        ("eps_pi", "eps_pi_bound", "parameter_error_bounds",
+         np.array([0.2, 1.0]), np.array([0.2, 0.3])),
+        ("eps_gamma", "eps_gamma_bound", "parameter_error_bounds",
+         np.array([[[0.1, 0.2], [0.3, math.inf]]]),
+         np.array([[[0.1, 0.2], [0.3, 0.4]]])),
+        ("nu", "nu", "nu_probability", math.nan, 0.5),
+    ])
+    def test_one_vacuity_rule(self, monkeypatch, key, bound_key, source,
+                              vacuous, finite):
+        spec = desk_spec(n=20, m=1, k=2, diag=0.8)
+        inputs = BoundInputs(spec=spec, priors=paper_default_priors(1, 2),
+                             eps_pi=0.01, eps_gamma=0.01, eps_q=0.01)
+        real = getattr(bounds, source)
+        for value, status in ((vacuous, VACUOUS), (finite, "finite")):
+            monkeypatch.setattr(
+                bounds, source,
+                lambda *args, **kw: {**real(*args, **kw), bound_key: value})
+            report = build_report(inputs, nu_scales=(0.5, 0.5))
+            assert report["statuses"][key] == status
+            report = empirical_vs_bound(report, (0.05, 0.05, 0.05))
+            if key != "nu":
+                assert report["statuses"][f"{key}_vs_empirical"] == (
+                    HELD_VACUOUSLY if status == VACUOUS else HELD)

@@ -9,7 +9,9 @@ The incidence-matrix products must give each fit of a stack exactly the
 np.add.at sums of that fit alone (same terms, added in the same order), and
 the class totals exactly `q.sum(axis=1)`, also on crowds with no responses,
 no items or unanswered items. The array digamma must agree with scipy and
-with its own scalar form on every positive input. The shared fit loop
+with its own scalar form on every positive input, and a stacked KL
+divergence must equal the 1-D call row by row, bit for bit, with zeros on
+either side. The shared fit loop
 must keep its trace, convergence flag and prior-only items consistent.
 The constraint penalty, taken from the group form's partner sums, must
 equal the sum over the closed pairs, closure must be idempotent and
@@ -63,8 +65,8 @@ from crowdfuse.fileio import InputFormatError, read_responses, write_responses
 from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
                              ResponseMatrix, expected_logs,
                              paper_default_priors)
-from crowdfuse.numerics import (digamma, digamma_vec, softmax_planes,
-                                softmax_rows)
+from crowdfuse.numerics import (KL_INFINITY, digamma, digamma_vec,
+                                kl_divergence, softmax_planes, softmax_rows)
 from crowdfuse.selection import plan_queries
 from crowdfuse.synth import diag_dominant_spec, generate
 
@@ -479,6 +481,28 @@ class TestDigammaProperties:
             digamma_vec(x)
         with pytest.raises(ValueError):
             digamma(bad)
+
+
+class TestKLDivergenceProperties:
+    @SETTINGS
+    @given(st.integers(2, 12), st.integers(1, 5), st.data())
+    def test_stack_equals_rows(self, k, n_rows, data):
+        # Zeros in p take the 0*ln 0 path; zeros in q on p's support give
+        # the sentinel.
+        entry = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+        p, q = (data.draw(arrays(float, (n_rows, k), elements=entry))
+                for _ in range(2))
+        p, q = (a / np.where(a.sum(axis=1) > 0, a.sum(axis=1), 1.0)[:, None]
+                for a in (p, q))
+        rows = kl_divergence(p, q)
+        pairs = kl_divergence(p[:, None], q[None])
+        assert rows.shape == (n_rows,) and pairs.shape == (n_rows, n_rows)
+        for i in range(n_rows):
+            alone = kl_divergence(p[i], q[i])
+            assert isinstance(alone, float) and rows[i] == alone
+            for j in range(n_rows):
+                assert pairs[i, j] == kl_divergence(p[i], q[j])
+        assert np.all((rows >= 0) & (rows <= KL_INFINITY))
 
 
 class TestExpectedLogs:
