@@ -142,7 +142,6 @@ def kl_divergence(p, q):
     q = np.asarray(q, dtype=float)
     if p.shape[-1:] != q.shape[-1:]:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    p, q = np.broadcast_arrays(p, q)
     # Written so that a NaN entry of p stays in the sum, as it fails `<=`.
     support = ~(p <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,4 +152,4 @@ def kl_divergence(p, q):
         total += terms[..., j]
     np.maximum(total, 0.0, out=total)
     total[np.any(support & (q <= 0.0), axis=-1)] = KL_INFINITY
-    return float(total) if p.ndim == 1 else total
+    return float(total) if terms.ndim == 1 else total

@@ -1179,8 +1179,8 @@ class TestCliBoundsConstraints:
         assert from_labels.keys() == from_pairs.keys()
         for key in from_labels:
             np.testing.assert_array_equal(from_labels[key], from_pairs[key])
-        assert np.count_nonzero(from_labels["n_ml_per_item"]
-                                + from_labels["n_cl_per_item"]) == len(labelled)
+        n_ml, n_cl = from_labels["n_ml_per_item"], from_labels["n_cl_per_item"]
+        assert np.count_nonzero(n_ml + n_cl) == len(labelled)
 
     @pytest.mark.parametrize("labels, code, message", [
         ([(0, 1), (0, 2)], 3, "item '0': classes 1 and 2"),
