@@ -134,13 +134,13 @@ def constraint_counts(cs, truth: GroundTruth, n_items: int,
     """Per-item must-link and cannot-link degrees plus, per item and class
     1..n_classes, the number of cannot-link partners whose true class is
     that class, under the names `BoundInputs` takes them by."""
-    n_ml, n_cl = cs.per_item_counts(n_items)
-    one_hot = truth.labels[:, None] == np.arange(1, n_classes + 1)
-    items, _, cannot = cs.partner_sums(one_hot)
-    by_class = np.zeros(one_hot.shape, dtype=np.intp)
-    by_class[items] = cannot
-    return {"n_ml_per_item": n_ml, "n_cl_per_item": n_cl,
-            "n_cl_by_class": by_class}
+    values = np.ones((n_items, 1 + n_classes))
+    values[:, 1:] = truth.labels[:, None] == np.arange(1, n_classes + 1)
+    items, *sums = cs.partner_sums(values)
+    must, cannot = np.zeros((2, n_items, 1 + n_classes), dtype=np.intp)
+    must[items], cannot[items] = sums
+    return {"n_ml_per_item": must[:, 0], "n_cl_per_item": cannot[:, 0],
+            "n_cl_by_class": cannot[:, 1:]}
 
 
 def exponent_u(inputs: BoundInputs) -> float:

@@ -142,13 +142,6 @@ class ConstraintSet:
             raise ValueError(f"constrained item {outside[0]} out of range "
                              f"(outside 0..{n_items - 1})")
 
-    def per_item_counts(self, n_items: int) -> tuple[np.ndarray, np.ndarray]:
-        """(must-link degree, cannot-link degree) per item index."""
-        items, must, cannot = self.partner_sums(np.ones(n_items))
-        ml, cl = np.zeros(n_items, np.intp), np.zeros(n_items, np.intp)
-        ml[items], cl[items] = must, cannot
-        return ml, cl
-
     def partner_sums(self, values) -> tuple[np.ndarray, ...]:
         """(items, must, cannot): each constrained item once, and for each
         of them the sum of values[j] over its must-link partners j, and

@@ -71,6 +71,7 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     # Each distinct label string is parsed and checked once: an int() per
     # row made the reader 11-22 % slower on 2-3 * 10^4 rows.
     checked = {}
+    fault = None
     try:
         for lineno, row in _data_rows(path, RESPONSES_HEADER, 3):
             item = item_index.setdefault(row[0].strip(), len(item_index))
@@ -92,22 +93,10 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
             anns.append(ann_index.setdefault(row[1].strip(), len(ann_index)))
             labels.append(label)
             linenos.append(lineno)
-    except InputFormatError:
-        # Repeats are found after the loop, so one on an earlier line than
-        # this fault would otherwise go unnamed.
-        _pair_arrays(path, item_index, ann_index, anns, items, linenos)
-        raise
-    anns, items = _pair_arrays(path, item_index, ann_index, anns, items,
-                               linenos)
-    return ResponseMatrix(len(item_index), len(ann_index), anns, items,
-                          np.array(labels, dtype=np.intp), n_classes,
-                          list(item_index), list(ann_index))
-
-
-def _pair_arrays(path, item_index, ann_index, anns, items, linenos):
-    """The responses' annotator and item lists as arrays. A repeated
-    (item, annotator) pair is an InputFormatError naming its first
-    repeating line."""
+    except InputFormatError as exc:
+        # The rows before a fault are on earlier lines, so a repeat among
+        # them is named first.
+        fault = exc
     anns, items = np.array(anns, dtype=np.intp), np.array(items, dtype=np.intp)
     _, repeat = pair_order(anns, items, len(item_index))
     if repeat is not None:
@@ -115,8 +104,12 @@ def _pair_arrays(path, item_index, ann_index, anns, items, linenos):
         raise InputFormatError(
             f"{path}:{linenos[repeat]}: duplicate response for item "
             f"{item_ids[items[repeat]]!r} by annotator "
-            f"{ann_ids[anns[repeat]]!r}") from None
-    return anns, items
+            f"{ann_ids[anns[repeat]]!r}")
+    if fault is not None:
+        raise fault
+    return ResponseMatrix(len(item_index), len(ann_index), anns, items,
+                          np.array(labels, dtype=np.intp), n_classes,
+                          list(item_index), list(ann_index))
 
 
 def write_responses(path, rm: ResponseMatrix) -> None:

@@ -61,7 +61,7 @@ class TestConstraintSet:
         cs = ConstraintSet(must_link=frozenset({(0, 1)}),
                            cannot_link=frozenset({(1, 2)}))
         assert cs.items == {0, 1, 2}
-        ml, cl = cs.per_item_counts(4)
+        ml, cl = placed_partner_sums(cs, np.ones(4))
         np.testing.assert_array_equal(ml, [1, 1, 0, 0])
         np.testing.assert_array_equal(cl, [0, 1, 1, 0])
 
@@ -137,7 +137,7 @@ class TestConstraintSet:
     def test_counts_reject_item_out_of_range(self):
         cs = ConstraintSet(cannot_link=frozenset({(0, 2)}))
         with pytest.raises(ValueError, match="outside"):
-            cs.per_item_counts(2)
+            placed_partner_sums(cs, np.ones(2))
         with pytest.raises(ValueError, match="item 2 out of range"):
             cs.partner_sums(np.ones((2, 3)))
 

@@ -19,8 +19,9 @@ monotone and its pairs must equal the union-find closure of
 `oracles.reference_close`, `derive_from_labels` must equal the pair
 expansion of `oracles.reference_derive_from_labels`, and the
 constraint-set queries, partner sums included, which a set answers from its
-groups, must equal loops over the pairs. The partner sums, taken as sparse
-products, must equal the `np.bincount` scatters of
+groups, must equal loops over the pairs, and so must the bound's
+constraint counts, taken from one partner-sum pass. The partner sums,
+taken as sparse products, must equal the `np.bincount` scatters of
 `oracles.reference_partner_sums` bit for bit, on closed sets and on joined
 sets whose items belong to several groups.
 
@@ -940,11 +941,49 @@ class TestConstraintSetProperties:
             return
         assert close(joined) == closed
 
+    @settings(max_examples=150, deadline=None)
+    @given(pairs_and_labels(), st.sampled_from(["pairs", "joined", "closed"]),
+           st.data())
+    def test_constraint_counts_equal_pair_loops(self, drawn, form, data):
+        # The degrees and the per-class cannot-link counts, all from one
+        # partner-sum pass, equal loops over the pairs; an item of unknown
+        # truth (0) counts for no class.
+        n_items, triples, labels = drawn
+        cs = constraint_set(triples)
+        if form == "closed":
+            cs = data.draw(closed_sets(n_items))
+        elif form == "joined":
+            try:
+                cs = join_labels(cs, labels, n_items, 3)
+            except ConstraintConflictError:
+                return
+        truth = data.draw(arrays(np.int64, n_items,
+                                 elements=st.integers(0, 3)))
+        must, cannot = np.zeros((2, n_items), dtype=np.intp)
+        by_class = np.zeros((n_items, 3), dtype=np.intp)
+        for a, b in cs.must_link:
+            must[a] += 1
+            must[b] += 1
+        for a, b in cs.cannot_link:
+            cannot[a] += 1
+            cannot[b] += 1
+            for item, partner in ((a, b), (b, a)):
+                if truth[partner]:
+                    by_class[item, truth[partner] - 1] += 1
+        expected = {"n_ml_per_item": must, "n_cl_per_item": cannot,
+                    "n_cl_by_class": by_class}
+        got = constraint_counts(cs, GroundTruth(truth), n_items, 3)
+        assert got.keys() == expected.keys()
+        for key, want in expected.items():
+            assert got[key].dtype == np.intp
+            np.testing.assert_array_equal(got[key], want)
+
     def test_empty_set(self):
         cs = ConstraintSet()
         assert count_violations(cs, np.array([1, 2])) == 0
         assert cs.items == set()
-        for degree in cs.per_item_counts(3):
+        counts = constraint_counts(cs, GroundTruth(np.zeros(3)), 3, 2)
+        for degree in (counts["n_ml_per_item"], counts["n_cl_per_item"]):
             np.testing.assert_array_equal(degree, [0, 0, 0])
         for sums in placed_partner_sums(cs, np.ones((3, 2))):
             np.testing.assert_array_equal(sums, np.zeros((3, 2)))
@@ -965,7 +1004,7 @@ def assert_queries_equal_pair_loops(cs, n_items, labels):
     assert items == {x for pair in cs.must_link | cs.cannot_link
                      for x in pair}
     assert all(type(x) is int for x in items)
-    ml, cl = cs.per_item_counts(n_items)
+    ml, cl = placed_partner_sums(cs, np.ones(n_items))
     for degree, pairs in ((ml, cs.must_link), (cl, cs.cannot_link)):
         expected = np.zeros(n_items, dtype=np.intp)
         for a, b in pairs:
