@@ -51,9 +51,8 @@ INIT_MODES = ("majority_vote", "given_posterior", "uniform")
 class FitOptions:
     """Settings shared by the iterative fits.
 
-    `seed` is recorded but read by no fit: every fit is deterministic. It
-    stays because callers pass it: the CLI, whose result JSON carries the
-    run's seed, the experiment driver and `perfbench/run.py`.
+    `seed` is read by no fit: every fit is deterministic. It stays only
+    because `perfbench/run.py` passes it; no package module does.
     """
 
     max_iters: int = 100

@@ -119,8 +119,7 @@ def cmd_aggregate(args) -> int:
             cs_all = constraints.join_labels(cs, label_constraints,
                                              rm.n_items, rm.n_classes)
             cs_fit = constraints.close(cs_all)
-    opts = aggregators.FitOptions(max_iters=args.max_iters, tol=args.tol,
-                                  seed=args.seed)
+    opts = aggregators.FitOptions(max_iters=args.max_iters, tol=args.tol)
 
     document = {"method": args.method, "seed": args.seed, "n_v": None,
                 "eta": None, "eta_table": None,

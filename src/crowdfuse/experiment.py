@@ -6,7 +6,7 @@ generated in a fixed order, whatever order the configuration lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,8 +121,9 @@ def build_constraints(protocol: str, n_c: int, truth: GroundTruth,
 
 
 def _run_cell(rm: ResponseMatrix, truth: GroundTruth, priors: PriorConfig,
-              config: ExperimentConfig, baselines: dict, protocol: str,
-              n_c: int, repeat: int) -> list:
+              config: ExperimentConfig, baselines: dict,
+              chain_opts: aggregators.FitOptions, protocol: str, n_c: int,
+              repeat: int) -> list:
     seed = _cell_seed(config.seed, protocol, n_c, repeat)
     vb_fit = baselines["vb"]
     rows = []
@@ -133,9 +134,6 @@ def _run_cell(rm: ResponseMatrix, truth: GroundTruth, priors: PriorConfig,
 
     cs_given, cs_fit, label_constraints = build_constraints(
         protocol, n_c, truth, vb_fit.posterior, seed)
-    chain_opts = aggregators.FitOptions(
-        max_iters=config.max_iters, tol=config.tol, seed=seed,
-        init="given_posterior", init_posterior=vb_fit.posterior)
 
     if label_constraints is not None:
         lc_fit = aggregators.vb_lc_fit(rm, priors, label_constraints,
@@ -160,16 +158,19 @@ def run_experiment(rm: ResponseMatrix, truth: GroundTruth,
     """Run every (protocol, N_C, repeat) cell and return result rows ordered
     by (protocol in PROTOCOLS order, N_C, repeat, method)."""
     base_opts = aggregators.FitOptions(max_iters=config.max_iters,
-                                       tol=config.tol, seed=config.seed)
+                                       tol=config.tol)
     baselines = {"mv": aggregators.majority_vote(rm),
                  "ds": aggregators.ds_em_fit(rm, base_opts),
                  "vb": aggregators.vbem_fit(rm, priors, base_opts)}
+    # vb-lc and vb-ilc start from the VB posterior.
+    chain_opts = replace(base_opts, init="given_posterior",
+                         init_posterior=baselines["vb"].posterior)
     return [row
             for protocol in sorted(config.protocols, key=PROTOCOLS.index)
             for n_c in sorted(config.nc_list)
             for repeat in range(config.repeats)
             for row in _run_cell(rm, truth, priors, config, baselines,
-                                 protocol, n_c, repeat)]
+                                 chain_opts, protocol, n_c, repeat)]
 
 
 def write_rows_csv(path, rows) -> None:

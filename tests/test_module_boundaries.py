@@ -1,6 +1,6 @@
 """Only `constraints.py` knows how a constraint set is stored: no other
 package module reads a set's pairs or its group arrays. Every other module
-asks the set for what it needs (`partner_sums`, `per_item_counts`, `items`,
+asks the set for what it needs (`partner_sums`, `items`,
 `count_violations`, `join_labels`, ...), so the storage can change in one
 file.
 
@@ -13,7 +13,10 @@ says what the module depends on.
 
 `bounds.py` evaluates the bounds from a posterior, parameters and a spec,
 so of the package it imports only `model`, `numerics` and `synth`, not the
-fits in `aggregators`."""
+fits in `aggregators`.
+
+No fit reads `FitOptions.seed`, so no package module passes one: a seed
+there would look as if it changed a fit."""
 
 import ast
 from pathlib import Path
@@ -179,3 +182,32 @@ def test_guard_sees_package_imports(tmp_path):
         "aggregators", "constraints", "model", "experiment", "fileio",
         "metrics", "selection"}
     assert "aggregators" in package_imports(PACKAGE / "cli.py")
+
+
+def fit_seed_calls(path):
+    """(line, callee) of every call in the module at `path` to a callee
+    named `FitOptions`, bare or as an attribute, with a `seed` keyword."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "FitOptions"
+            and any(keyword.arg == "seed" for keyword in node.keywords)]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in PACKAGE.glob("*.py")))
+def test_no_module_passes_fit_seed(module):
+    assert fit_seed_calls(PACKAGE / module) == []
+
+
+def test_guard_sees_fit_seed_keywords(tmp_path):
+    # Both callee forms are found, on the line where the call starts; a
+    # call without the keyword, and the keyword in another call, are not.
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "FitOptions(seed=1)\nopts = aggregators.FitOptions(\n"
+        "    tol=0, seed=s)\nFitOptions(tol=0)\nreplace(opts, seed=2)\n"
+        "generate(spec, seed=3)\n")
+    assert fit_seed_calls(caller) == [(1, "FitOptions"),
+                                      (2, "aggregators.FitOptions")]
