@@ -1,8 +1,7 @@
 """Only `constraints.py` knows how a constraint set is stored: no other
 package module reads a set's pairs or its group arrays. Every other module
-asks the set for what it needs (`partner_sums`, `items`,
-`count_violations`, `join_labels`, ...), so the storage can change in one
-file.
+asks the set for what it needs (`partner_sums`, `items`, `count_violations`,
+`join_labels`, ...), so the storage can change in one file.
 
 Only `fileio.py` opens files: no other package module calls `open`, reads
 or writes JSON, or makes a CSV reader or writer, so the file formats and
