@@ -386,12 +386,13 @@ def response_triples(rm):
 
 def reference_read_responses(path, n_classes=None):
     """The row-at-a-time responses reader: each field stripped, each label
-    converted and range-checked as its row is read, so that the first faulty
-    row in the file is the one reported. A blank or `0` label registers its
-    item but not its annotator. A repeated (item, annotator) pair is
-    reported at its second row. Returns (item_ids, annotator_ids, (ann,
-    item, label0)) with the triples sorted by (annotator, item)."""
-    item_index, ann_index, seen, triples = {}, {}, {}, []
+    converted and range-checked as its row is read, and a repeated (item,
+    annotator) pair reported at its second row as that row is read, so that
+    the first faulty row in the file is the one reported. A blank or `0`
+    label registers its item but not its annotator. Returns (item_ids,
+    annotator_ids, (ann, item, label0)) with the triples sorted by
+    (annotator, item)."""
+    item_index, ann_index, triples = {}, {}, {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -417,19 +418,15 @@ def reference_read_responses(path, n_classes=None):
                 raise InputFormatError(
                     f"{path}:{lineno}: label {label} out of range")
             ann = ann_index.setdefault(ann_id, len(ann_index))
-            seen.setdefault((ann, item), []).append(lineno)
-            triples.append((ann, item, label - 1))
-    repeats = [(lines[1], pair) for pair, lines in seen.items()
-               if len(lines) > 1]
-    if repeats:
-        lineno, (ann, item) = min(repeats)
-        raise InputFormatError(
-            f"{path}:{lineno}: duplicate response for item "
-            f"{list(item_index)[item]!r} by annotator "
-            f"{list(ann_index)[ann]!r}")
-    triples.sort()
-    coords = tuple(np.array([t[i] for t in triples], dtype=np.intp)
-                   for i in range(3))
+            if (ann, item) in triples:
+                raise InputFormatError(
+                    f"{path}:{lineno}: duplicate response for item "
+                    f"{item_id!r} by annotator {ann_id!r}")
+            triples[ann, item] = label - 1
+    pairs = sorted(triples)
+    coords = tuple(np.array(column, dtype=np.intp) for column in (
+        [ann for ann, _ in pairs], [item for _, item in pairs],
+        [triples[pair] for pair in pairs]))
     return list(item_index), list(ann_index), coords
 
 
