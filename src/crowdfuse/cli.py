@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import dataclasses
 import datetime
+import functools
 import sys
 
 import numpy as np
@@ -247,6 +248,9 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+# Built on the first call, not at import, and then kept: `main` parses each
+# argument list into a new namespace, and parsing changes no parser state.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crowdfuse",

@@ -6,6 +6,15 @@ spec, priors, a fit result) are read in `json_document`, through
 InputFormatError naming its file. `write_json` writes indented JSON (specs,
 bound reports), `write_result_json` a fit result, and `write_rows` every
 CSV (responses, truth, constraints, experiment rows).
+
+Every CSV is read whole by `_read_table`, as the csv module's default
+dialect reads it: rows end in `\r\n`, `\r` or `\n` (no other character
+ends a row), fields are split at commas, and a field may be quoted with
+`"`, a quote inside it doubled, to hold a comma, a quote or a line end. A
+file with no quote, no NUL and no line longer than the csv module's field
+limit is split at its line ends and commas with numpy, which gives the rows
+`csv.reader` gives; `csv.reader` reads any other file. `read_responses`
+then checks the rows column by column.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from importlib import resources
 import numpy as np
 
 from .constraints import ConstraintSet
-from .model import GroundTruth, ResponseMatrix, pair_order
+from .model import (DuplicateResponseError, GroundTruth, ResponseMatrix,
+                    pair_order)
 
 
 class InputFormatError(ValueError):
@@ -31,32 +41,257 @@ RESPONSES_HEADER = ["item", "annotator", "label"]
 TRUTH_HEADER = ["item", "label"]
 CONSTRAINTS_HEADER = ["kind", "a", "b"]
 
+# Zero bytes after a table's text, so that an 8-byte read from any field
+# start stays in its buffer.
+_PAD = 8
+# _MASKS[n] keeps the first n bytes of a little-endian 8-byte word, and
+# _FILLS[n] sets the others to 0xff.
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_FILLS = ~_MASKS
+# The byte 0xff, which no UTF-8 text has, separates the fields of a table
+# read by csv.reader; it decodes to _SEP with "surrogateescape".
+_SEP = "\udcff"
 
-def _data_rows(path, header, width):
-    """(line number, row) of each non-blank row after the header of the CSV
-    at `path`, the header counting as line 1. A wrong header, a row of
-    another width, or a row the csv module cannot read (a field over its
-    size limit, say) raises InputFormatError naming its line. Bytes that
-    are not UTF-8 raise it naming the file only: the decoder reads ahead
-    in blocks, so the reader's line is not theirs."""
+
+class _Table:
+    """The rows of a CSV file after its header, each of `width` fields, up
+    to the first fault. `seps` holds the positions in `buf` of the
+    separators, and field c of row r lies between `seps[first[r] + c]` and
+    the next one. `linenos` holds each row's line number, the header
+    counting as line 1, and `fault` the InputFormatError of the first
+    faulty row (or header, or byte that is not UTF-8), or None. `rows`
+    arguments are row indices, all by default.
+
+    Positions are 4-byte integers in a text under 2 GiB: the arrays of
+    positions, of their sums and of their gathers are most of the memory
+    a read takes."""
+
+    def __init__(self, buf, seps, first, linenos, fault):
+        self.buf = buf
+        kind = _position_type(buf)
+        self.seps = seps.astype(kind, copy=False)
+        self.first = first.astype(kind, copy=False)
+        self.linenos, self.fault = linenos.astype(kind, copy=False), fault
+
+    def _spans(self, column, rows):
+        """(begin, length) of each field of `column` in `rows`."""
+        at = (self.first if rows is None else self.first[rows]) + column
+        begin = self.seps[at] + 1
+        return begin, self.seps[at + 1] - begin
+
+    def keys(self, column, rows=None) -> np.ndarray:
+        """(rows, words) uint64: each field's bytes, 8 to a word, padded
+        with 0xff bytes. Two fields have equal keys exactly when they are
+        equal."""
+        begin, length = self._spans(column, rows)
+        n_words = max(1, -(-int(length.max(initial=0)) // 8))
+        # Every 8-byte word of the buffer, one starting at each byte.
+        words = np.ndarray(self.buf.size - 7, "<u8", self.buf, strides=(1,))
+        keys = np.empty((begin.size, n_words), dtype=np.uint64)
+        for j, key in enumerate(keys.T):
+            if j:
+                begin += 8
+                np.minimum(begin, self.buf.size - _PAD, out=begin)
+                length -= 8
+            kept = np.clip(length, 0, 8)
+            np.bitwise_and(words[begin], _MASKS[kept], out=key)
+            key |= _FILLS[kept]
+        return keys
+
+    def strings(self, column, rows=None) -> list:
+        """The fields, decoded: their bytes are gathered, each followed by
+        0xff, and the whole is decoded once and split."""
+        begin, length = self._spans(column, rows)
+        size = length + 1
+        start = np.cumsum(size) - size
+        text = self.buf[np.repeat(begin - start, size) + np.arange(size.sum())]
+        text[start + length] = 0xff
+        return text.tobytes().decode("utf-8", "surrogateescape").split(
+            _SEP)[:-1]
+
+
+def _padded(text: bytes) -> np.ndarray:
+    """`text` as bytes in a buffer that goes on for _PAD zero bytes."""
+    return np.frombuffer(text + bytes(_PAD), dtype=np.uint8)
+
+
+def _position_type(buf: np.ndarray):
+    return np.int32 if buf.size < 2**31 else np.intp
+
+
+def _header_fault(path, first, header):
+    """The InputFormatError of a first row `first` (None if the file has
+    none) that is not `header`, or None."""
+    if first is None or [c.strip() for c in first] != header:
+        return InputFormatError(f"{path}: expected header {','.join(header)}")
+    return None
+
+
+def _width_fault(path, lineno, width):
+    return InputFormatError(f"{path}:{lineno}: expected {width} fields")
+
+
+def _read_table(path, header, width) -> _Table:
+    """The _Table of the CSV at `path`, whose header must be `header` and
+    whose non-blank rows must have `width` fields."""
+    with open(path, "rb") as handle:
+        table = _split_plain(path, handle.read(), header, width)
+    return _split_csv(path, header, width) if table is None else table
+
+
+def _split_plain(path, data: bytes, header, width) -> _Table | None:
+    """The _Table of `data`, split at line ends and commas; None if it has
+    a quote, a NUL, a byte that is not UTF-8 or a line longer than the csv
+    module's field limit, which only csv.reader reads as the csv module
+    does."""
+    if b'"' in data or b"\0" in data:
+        return None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = _padded(data if data.endswith(b"\n") else data + b"\n")
+    del data  # the text is in `buf`
+    text = buf[:-_PAD]
+    newline = text == ord("\n")
+    seps = np.flatnonzero(newline | (text == ord(","))).astype(
+        _position_type(buf))
+    # Line i ends at separator end[i]; its fields lie between end[i - 1]
+    # (or the text's start) and end[i].
+    end = np.flatnonzero(newline[seps])
+    length = np.diff(seps[end], prepend=-1) - 1
+    if length.max() > csv.field_size_limit():
+        return None
+    fault = _header_fault(
+        path, text[:length[0]].tobytes().decode().split(","), header)
+    if fault is not None:
+        return _Table(buf, seps, end[:0], end[:0], fault)
+    full = np.diff(end, prepend=-1) == width
+    bad = np.flatnonzero(~full[1:] & (length[1:] > 0))
+    stop = end.size
+    if bad.size:
+        stop = bad[0] + 1
+        fault = _width_fault(path, stop + 1, width)
+    rows = np.flatnonzero(full[1:stop] & (length[1:stop] > 0))
+    return _Table(buf, seps, end[rows], rows + 2, fault)
+
+
+def _split_csv(path, header, width) -> _Table:
+    """The _Table of the CSV at `path` as csv.reader reads it: its fields
+    joined, each after 0xff. A row the csv module cannot read (a field
+    over its size limit, say) is a fault naming its line; bytes that are
+    not UTF-8 are one naming the file only: the decoder reads ahead in
+    blocks, so the reader's line is not theirs."""
+    fields, linenos, fault = [], [], None
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            first = next(reader, None)
-            if first is None or [c.strip() for c in first] != header:
-                raise InputFormatError(
-                    f"{path}: expected header {','.join(header)}")
-            for lineno, row in enumerate(reader, start=2):
+            fault = _header_fault(path, next(reader, None), header)
+            rows = enumerate(reader, start=2) if fault is None else ()
+            for lineno, row in rows:
                 if len(row) == width:
-                    yield lineno, row
+                    fields += row
+                    linenos.append(lineno)
                 elif row:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: expected {width} fields")
+                    fault = _width_fault(path, lineno, width)
+                    break
         except csv.Error as exc:
-            raise InputFormatError(
-                f"{path}:{reader.line_num}: {exc}") from None
+            fault = InputFormatError(f"{path}:{reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:
-            raise InputFormatError(f"{path}: {exc}") from None
+            fault = InputFormatError(f"{path}: {exc}")
+    buf = _padded("".join(_SEP + field for field in fields + [""]).encode(
+        "utf-8", "surrogateescape"))
+    seps = np.flatnonzero(buf == 0xff)
+    return _Table(buf, seps, np.arange(0, len(fields), width),
+                  np.array(linenos), fault)
+
+
+def _data_rows(path, header, width):
+    """(line number, row) of each non-blank row after the header of the CSV
+    at `path`, then the table's fault, if any, raised."""
+    table = _read_table(path, header, width)
+    yield from zip(table.linenos.tolist(), zip(*(
+        table.strings(column) for column in range(width))))
+    if table.fault is not None:
+        raise table.fault
+
+
+def _groups(values: np.ndarray):
+    """(first, inverse): the first index of each distinct value of the 1-D
+    `values`, in sorted order of the values, and each value's group."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    group = np.cumsum(new)
+    group -= 1
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = group
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts) if starts.size else starts
+    return first, inverse
+
+
+def _field_groups(table: _Table, column: int, rows=None):
+    """`_groups` of the fields of `column` in `rows`: one word of their
+    keys at a time, each word's groups joined with those so far."""
+    keys = table.keys(column, rows)
+    first, inverse = _groups(keys[:, 0])
+    for word in keys.T[1:]:
+        word_first, word_inverse = _groups(word)
+        first, inverse = _groups(inverse * word_first.size + word_inverse)
+    return first, inverse
+
+
+def _first_seen(table: _Table, column: int, rows: np.ndarray):
+    """(index, ids): the stripped ids of `column` in `rows` in first-seen
+    order, and the index of each row's id in `ids`. Each distinct field is
+    decoded and stripped once."""
+    first, inverse = _field_groups(table, column, rows)
+    order = np.argsort(first)
+    stripped = list(map(str.strip, table.strings(column, rows[first[order]])))
+    ids = list(dict.fromkeys(stripped))
+    # Fields that differ only in their padding are one id.
+    code = dict(zip(ids, range(len(ids))))
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.fromiter(map(code.__getitem__, stripped), np.intp,
+                               len(stripped))
+    return index[inverse], ids
+
+
+def _labels(path, table: _Table, top: int):
+    """(labels, fault): the label of each row (0 for a blank or `0` label),
+    up to the first row whose label is not an integer in 1..top, and that
+    row's InputFormatError, or None. Each distinct label string is parsed
+    and checked once."""
+    first, inverse = _field_groups(table, 2)
+    # -1 marks a label fault, whose message is in `faults`.
+    value, faults = np.zeros(first.size, dtype=np.intp), {}
+    for group, label_str in enumerate(map(str.strip,
+                                          table.strings(2, first))):
+        if label_str in ("", "0"):
+            continue
+        try:
+            label = int(label_str)
+        except ValueError:
+            faults[group] = f"non-integer label {label_str!r}"
+            label = -1
+        else:
+            if not 1 <= label <= top:
+                faults[group] = f"label {label} out of range"
+                label = -1
+        value[group] = label
+    labels = value[inverse]
+    bad = np.flatnonzero(labels < 0)
+    if not bad.size:
+        return labels, None
+    row = bad[0]
+    return labels[:row], InputFormatError(
+        f"{path}:{table.linenos[row]}: {faults[inverse[row]]}")
 
 
 def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
@@ -64,52 +299,36 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     response": such a row registers its item, which then gets the prior
     posterior if nothing else answers it, but not its annotator.
     Duplicate (item, annotator) pairs are an error. Identifiers are
-    arbitrary strings mapped to dense indices in first-seen order."""
-    item_index, ann_index = {}, {}
-    anns, items, labels, linenos = [], [], [], []
+    arbitrary strings mapped to dense indices in first-seen order.
+
+    The first fault in file order is the one raised: the table's fault
+    comes after all its rows, a label fault ends the rows read, and a
+    repeated pair among those rows is on a line before either."""
+    table = _read_table(path, RESPONSES_HEADER, 3)
     top = np.iinfo(np.intp).max if n_classes is None else n_classes
-    # Each distinct label string is parsed and checked once: an int() per
-    # row made the reader 11-22 % slower on 2-3 * 10^4 rows.
-    checked = {}
-    fault = None
-    try:
-        for lineno, row in _data_rows(path, RESPONSES_HEADER, 3):
-            item = item_index.setdefault(row[0].strip(), len(item_index))
-            label_str = row[2].strip()
-            if label_str == "" or label_str == "0":
-                continue
-            label = checked.get(label_str)
-            if label is None:
-                try:
-                    label = int(label_str)
-                except ValueError:
-                    raise InputFormatError(f"{path}:{lineno}: non-integer "
-                                           f"label {label_str!r}") from None
-                if not 1 <= label <= top:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: label {label} out of range")
-                checked[label_str] = label
-            items.append(item)
-            anns.append(ann_index.setdefault(row[1].strip(), len(ann_index)))
-            labels.append(label)
-            linenos.append(lineno)
-    except InputFormatError as exc:
-        # The rows before a fault are on earlier lines, so a repeat among
-        # them is named first.
-        fault = exc
-    anns, items = np.array(anns, dtype=np.intp), np.array(items, dtype=np.intp)
-    _, repeat = pair_order(anns, items, len(item_index))
-    if repeat is not None:
-        item_ids, ann_ids = list(item_index), list(ann_index)
-        raise InputFormatError(
-            f"{path}:{linenos[repeat]}: duplicate response for item "
-            f"{item_ids[items[repeat]]!r} by annotator "
-            f"{ann_ids[anns[repeat]]!r}")
-    if fault is not None:
+    labels, label_fault = _labels(path, table, top)
+    fault = label_fault or table.fault
+    answered = np.flatnonzero(labels)
+    anns, ann_ids = _first_seen(table, 1, answered)
+    items, item_ids = _first_seen(table, 0, np.arange(labels.size))
+    items, labels = items[answered], labels[answered]
+    linenos = table.linenos[answered]
+    del table  # its buffers are not needed to build the matrix
+    repeat = None
+    if fault is None:
+        try:
+            return ResponseMatrix(len(item_ids), len(ann_ids), anns, items,
+                                  labels, n_classes, item_ids, ann_ids)
+        except DuplicateResponseError as exc:
+            repeat = exc.index
+    else:
+        _, repeat = pair_order(anns, items, len(item_ids))
+    if repeat is None:
         raise fault
-    return ResponseMatrix(len(item_index), len(ann_index), anns, items,
-                          np.array(labels, dtype=np.intp), n_classes,
-                          list(item_index), list(ann_index))
+    raise InputFormatError(
+        f"{path}:{linenos[repeat]}: duplicate response for item "
+        f"{item_ids[items[repeat]]!r} by annotator "
+        f"{ann_ids[anns[repeat]]!r}")
 
 
 def write_responses(path, rm: ResponseMatrix) -> None:

@@ -15,14 +15,24 @@ from .numerics import digamma, digamma_vec  # noqa: F401
 UNKNOWN_LABEL = 0
 
 
+class DuplicateResponseError(ValueError):
+    """A response repeats the (annotator, item) pair of an earlier one;
+    `index` is its position in the arrays given."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class ResponseMatrix:
     """Sparse annotator responses over a dataset.
 
     Each response is an (annotator, item, label) triple with its label in
     1..K; a pair with no triple means the annotator gave no response. The
     triples are stored only as coordinate arrays sorted by (annotator,
-    item), so that every reduction over responses is deterministic.
-    Immutable after construction.
+    item), so that every reduction over responses is deterministic. A
+    repeated pair raises DuplicateResponseError. Immutable after
+    construction.
     """
 
     def __init__(self, n_items: int, n_annotators: int, annotators, items,
@@ -54,8 +64,9 @@ class ResponseMatrix:
                      f"label {{}} outside 1..{n_classes}")
         order, repeat = pair_order(ann, item, n_items)
         if repeat is not None:
-            raise ValueError(f"duplicate response by annotator {ann[repeat]} "
-                             f"for item {item[repeat]}")
+            raise DuplicateResponseError(
+                f"duplicate response by annotator {ann[repeat]} for item "
+                f"{item[repeat]}", repeat)
         self.n_items = n_items
         self.n_annotators = n_annotators
         self.n_classes = n_classes

@@ -1,15 +1,18 @@
+import contextlib
+import csv
 import itertools
 import json
 import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 
-from crowdfuse import aggregators, bounds, cli, constraints, fileio
+from crowdfuse import aggregators, bounds, cli, constraints, fileio, model
 from crowdfuse.fileio import (InputFormatError, read_constraints,
                               read_responses, read_truth, result_schema,
                               write_constraints, write_responses,
@@ -17,7 +20,8 @@ from crowdfuse.fileio import (InputFormatError, read_constraints,
 from crowdfuse.model import GroundTruth, PosteriorParams, paper_default_priors
 from crowdfuse.synth import CrowdSpec, diag_dominant_spec, generate
 
-from oracles import reference_label_union, response_triples
+from oracles import (reference_label_union, reference_read_responses,
+                     response_triples)
 
 
 def fit_must_not_run(*args, **kwargs):
@@ -262,6 +266,65 @@ class TestResponsesFile:
             read_responses(path, n_classes=3)
         assert str(raised.value) == f"{path}:4: {order[0][1]}"
 
+
+    @pytest.mark.parametrize("text", [
+        "item,annotator,label\nx,a,1\ny,a,2\nx,b,\n",
+        "item,annotator,label\nx,a,1\ny,a,2\nx,a,3\n",
+        "item,annotator,label\nx,a,1\ny,a,9\nx,a,3\n",
+        "item,annotator,label\nx,a,1\ny,a,2\nx,a\n",
+    ], ids=["clean", "repeat", "label-fault", "width-fault"])
+    def test_one_pair_order_call(self, tmp_path, text):
+        # The reader's repeat check and ResponseMatrix's order share one
+        # sort, whether the file is clean or not.
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        counted = mock.Mock(wraps=model.pair_order)
+        with mock.patch.object(model, "pair_order", counted), \
+                mock.patch.object(fileio, "pair_order", counted):
+            with contextlib.suppress(InputFormatError):
+                read_responses(path, n_classes=3)
+        assert counted.call_count == 1
+
+
+class TestTokenizers:
+    # A file with no quote, no NUL, no line over the field limit and no
+    # byte outside UTF-8 is split without the csv module, into the rows the
+    # csv module reads; any other file is read by csv.reader. Either way
+    # the reader gives what the csv-module oracle gives, or its fault.
+    @pytest.mark.parametrize("data, plain", [
+        (b"item,annotator,label\r\nx,a,1\r\n\r\n y ,b, 2\r\nz,a,",
+         True),
+        (b"item,annotator,label\rx,a,1\r\ry,a\x0bb,+1\rz\x1c,a,01\r",
+         True),
+        ("item,annotator,label\n\u00e9,a\u2028b,1\n\n\n\u6f22, a,2\n"
+         .encode(), True),
+        (b"item,annotator,label\nx,a,1\ny,a,2\nx,a\n", True),
+        (b'item,annotator,label\r\n" x,1 ",a,1\r\n"y""",a,2\r\n', False),
+        (b"item,annotator,label\nx\0,a,1\n", False),
+        (b"item,annotator,label\nx,a,1\n" + b"y" * 131_073 + b",a,1\n",
+         False),
+        (b"item,annotator,label\nx,a,1\ny,\xff,1\n", False),
+    ], ids=["crlf", "cr", "non-ascii", "width-fault", "quoted", "nul",
+            "long-line", "not-utf8"])
+    def test_plain_split_unless_csv_needed(self, tmp_path, data, plain):
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        split_csv = mock.Mock(wraps=fileio._split_csv)
+        with mock.patch.object(fileio, "_split_csv", split_csv):
+            try:
+                rm = read_responses(path, n_classes=3)
+            except InputFormatError as exc:
+                rm = exc
+        assert split_csv.called != plain
+        try:
+            item_ids, ann_ids, coords = reference_read_responses(path, 3)
+        except (InputFormatError, csv.Error, UnicodeDecodeError) as exc:
+            assert isinstance(rm, InputFormatError)
+            assert str(exc) in str(rm)
+            return
+        assert (rm.item_ids, rm.annotator_ids) == (item_ids, ann_ids)
+        for got, want in zip(rm.coords, coords):
+            np.testing.assert_array_equal(got, want)
 
 # One of each fault read_constraints names, with its message.
 CONSTRAINT_FAULTS = [(("ML", "a", "zzz"), "unknown item in pair ('a', 'zzz')"),
@@ -1385,3 +1448,38 @@ class TestCliDeterminism:
             assert proc.returncode == 0, proc.stderr
             docs.append(self.strip_timestamp(out.read_text()))
         assert docs[0] == docs[1]
+
+
+class TestParserOnce:
+    def test_calls_read_as_with_a_fresh_parser(self, dataset):
+        # `main` builds its parser once; a second call that leaves out
+        # flags the first gave (--eta-grid, --truth) writes what it writes
+        # when it is the first call, and so does the first call.
+        ids, labels = dataset["rm"].item_ids, dataset["truth"].labels
+        same = [i for i in range(len(ids)) if labels[i] == labels[0]]
+        other = next(i for i in range(len(ids)) if labels[i] != labels[0])
+        cons = dataset["dir"] / "c.csv"
+        cons.write_text(f"kind,a,b\nML,{ids[0]},{ids[same[1]]}\n"
+                        f"CL,{ids[0]},{ids[other]}\n")
+        common = ["aggregate", "--responses", str(dataset["responses"]),
+                  "--method", "vb-ilc", "--constraints", str(cons),
+                  "--max-iters", "5"]
+        calls = [common + ["--eta-grid", "0.5,2", "--truth",
+                           str(dataset["truth_path"])], common]
+
+        def documents(fresh):
+            docs = []
+            for i, argv in enumerate(calls):
+                if fresh:
+                    cli.build_parser.cache_clear()
+                out = dataset["dir"] / f"{fresh}-{i}.json"
+                assert cli.main(argv + ["--output", str(out)]) == 0
+                docs.append(re.sub(r'"timestamp": "[^"]*"', "",
+                                   out.read_text()))
+            return docs
+
+        cached, fresh = documents(False), documents(True)
+        assert cached == fresh
+        assert '"eta_table": null' in cached[1]
+        assert '"scores": null' in cached[1]
+        assert '"eta_table": null' not in cached[0]

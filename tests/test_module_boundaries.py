@@ -5,7 +5,9 @@ asks the set for what it needs (`partner_sums`, `items`, `count_violations`,
 
 Only `fileio.py` opens files: no other package module calls `open`, reads
 or writes JSON, or makes a CSV reader or writer, so the file formats and
-their error messages live in one file.
+their error messages live in one file. Within it, `csv.reader` is called
+in one place, `_split_csv`, the tokenizer that `_read_table` turns to for
+quoted input, so every CSV is read through that one function.
 
 Every name a package module imports is used in that module, so an import
 says what the module depends on.
@@ -83,6 +85,41 @@ def test_guard_sees_fileio_calls(tmp_path):
     found = {name for path in (PACKAGE / "fileio.py", caller)
              for _, name in file_calls(path)}
     assert found == FILE_CALLS | {"path.open"}
+
+
+def csv_reader_calls(path):
+    """(function, line) of every `csv.reader` call in the module at `path`,
+    the function being the innermost one that holds the call (None at
+    module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and \
+                    ast.unparse(child.func) == "csv.reader":
+                found.append((function, child.lineno))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+          None)
+    return found
+
+
+def test_one_csv_reader_call():
+    found = [(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+             for function, _ in csv_reader_calls(path)]
+    assert found == [("fileio.py", "_split_csv")]
+
+
+def test_guard_sees_each_csv_reader_call(tmp_path):
+    # Both call sites are found, with the function around each; another
+    # csv call is not.
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "import csv\nrows = csv.reader(handle)\ndef split(handle):\n"
+        "    csv.writer(handle)\n    return list(csv.reader(handle))\n")
+    assert csv_reader_calls(caller) == [(None, 2), ("split", 5)]
 
 
 NOQA = "# noqa: F401"
