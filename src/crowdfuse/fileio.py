@@ -8,13 +8,14 @@ bound reports), `write_result_json` a fit result, and `write_rows` every
 CSV (responses, truth, constraints, experiment rows).
 
 Every CSV is read whole by `_read_table`, as the csv module's default
-dialect reads it: rows end in `\r\n`, `\r` or `\n` (no other character
-ends a row), fields are split at commas, and a field may be quoted with
-`"`, a quote inside it doubled, to hold a comma, a quote or a line end. A
-file with no quote, no NUL and no line longer than the csv module's field
-limit is split at its line ends and commas with numpy, which gives the rows
-`csv.reader` gives; `csv.reader` reads any other file. `read_responses`
-then checks the rows column by column.
+dialect reads it, which is what the readers have always accepted: rows end
+in `\r\n`, `\r` or `\n` (no other character ends a row), fields are split
+at commas, and a field may be quoted with `"`, a quote inside it doubled,
+to hold a comma, a quote or a line end. A file with no quote, no NUL and
+no line longer than the csv module's field limit is split at its line ends
+and commas with numpy, which gives the rows `csv.reader` gives;
+`csv.reader` reads any other file. `read_responses` then checks the rows
+column by column.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class _Table:
         with 0xff bytes. Two fields have equal keys exactly when they are
         equal."""
         begin, length = self._spans(column, rows)
-        n_words = max(1, -(-int(length.max(initial=0)) // 8))
+        n_words = max(1, (int(length.max(initial=0)) + 7) // 8)
         # Every 8-byte word of the buffer, one starting at each byte.
         words = np.ndarray(self.buf.size - 7, "<u8", self.buf, strides=(1,))
         keys = np.empty((begin.size, n_words), dtype=np.uint64)

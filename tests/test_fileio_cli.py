@@ -299,13 +299,15 @@ class TestTokenizers:
         ("item,annotator,label\n\u00e9,a\u2028b,1\n\n\n\u6f22, a,2\n"
          .encode(), True),
         (b"item,annotator,label\nx,a,1\ny,a,2\nx,a\n", True),
+        (b"item,annotator,label\nabcdefgh1,annotator-a,1\n"
+         b"abcdefgh2,annotator-a,2\nabcdefgh1,annotator-b,3\n", True),
         (b'item,annotator,label\r\n" x,1 ",a,1\r\n"y""",a,2\r\n', False),
-        (b"item,annotator,label\nx\0,a,1\n", False),
+        (b"item,annotator,label\nx\0,a,1\nx,a,2\n", False),
         (b"item,annotator,label\nx,a,1\n" + b"y" * 131_073 + b",a,1\n",
          False),
         (b"item,annotator,label\nx,a,1\ny,\xff,1\n", False),
-    ], ids=["crlf", "cr", "non-ascii", "width-fault", "quoted", "nul",
-            "long-line", "not-utf8"])
+    ], ids=["crlf", "cr", "non-ascii", "width-fault", "long-ids", "quoted",
+            "nul", "long-line", "not-utf8"])
     def test_plain_split_unless_csv_needed(self, tmp_path, data, plain):
         path = tmp_path / "r.csv"
         path.write_bytes(data)
