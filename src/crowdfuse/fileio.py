@@ -49,6 +49,8 @@ _PAD = 8
 # _FILLS[n] sets the others to 0xff.
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _FILLS = ~_MASKS
+# An odd multiplier that folds the words of a key into one.
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
 # The byte 0xff, which no UTF-8 text has, separates the fields of a table
 # read by csv.reader; it decodes to _SEP with "surrogateescape".
 _SEP = "\udcff"
@@ -151,25 +153,31 @@ def _split_plain(path, data: bytes, header, width) -> _Table | None:
         data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    buf = _padded(data if data.endswith(b"\n") else data + b"\n")
+    buf = _padded(data if data.endswith((b"\n", b"\r")) else data + b"\n")
     del data  # the text is in `buf`
     text = buf[:-_PAD]
-    newline = text == ord("\n")
-    seps = np.flatnonzero(newline | (text == ord(","))).astype(
-        _position_type(buf))
+    found = text == ord(",")
+    found |= text == ord("\n")
+    found |= text == ord("\r")
+    seps = np.flatnonzero(found).astype(_position_type(buf))
+    del found
+    # The \r of a \r\n ends its line's last field, and the \n the line.
+    byte = text[seps]
+    crlf = (byte == ord("\r")) & (buf[seps + 1] == ord("\n"))
     # Line i ends at separator end[i]; its fields lie between end[i - 1]
-    # (or the text's start) and end[i].
-    end = np.flatnonzero(newline[seps])
-    length = np.diff(seps[end], prepend=-1) - 1
+    # (or the text's start) and end[i], or the \r before it. The separator
+    # before end[0] is the last one, which ends a line, so in_crlf[0] is
+    # False.
+    end = np.flatnonzero((byte != ord(",")) & ~crlf)
+    in_crlf = crlf[end - 1]
+    length = np.diff(seps[end], prepend=-1) - 1 - in_crlf
     if length.max() > csv.field_size_limit():
         return None
     fault = _header_fault(
         path, text[:length[0]].tobytes().decode().split(","), header)
     if fault is not None:
         return _Table(buf, seps, end[:0], end[:0], fault)
-    full = np.diff(end, prepend=-1) == width
+    full = np.diff(end, prepend=-1) - in_crlf == width
     bad = np.flatnonzero(~full[1:] & (length[1:] > 0))
     stop = end.size
     if bad.size:
@@ -221,12 +229,15 @@ def _data_rows(path, header, width):
 
 def _groups(values: np.ndarray):
     """(first, inverse): the first index of each distinct value of the 1-D
-    `values`, in sorted order of the values, and each value's group."""
+    `values`, in sorted order of the values, and each value's group: what
+    `np.unique(values, return_index=True, return_inverse=True)` gives, but
+    with numpy's default sort, not the slower stable sort np.unique needs
+    for its first indices."""
     order = np.argsort(values)
     ordered = values[order]
     new = np.empty(values.size, dtype=bool)
     new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new[1:] = ordered[1:] != ordered[:-1]
     del ordered
     group = np.cumsum(new)
     group -= 1
@@ -238,13 +249,20 @@ def _groups(values: np.ndarray):
 
 
 def _field_groups(table: _Table, column: int, rows=None):
-    """`_groups` of the fields of `column` in `rows`: one word of their
-    keys at a time, each word's groups joined with those so far."""
+    """`_groups` of the fields of `column` in `rows`. Their keys are folded
+    into one word each and sorted once, so the sort costs the same for long
+    fields as for short; only if two distinct keys fold alike are the whole
+    keys sorted."""
     keys = table.keys(column, rows)
-    first, inverse = _groups(keys[:, 0])
+    folded = keys[:, 0].copy()
     for word in keys.T[1:]:
-        word_first, word_inverse = _groups(word)
-        first, inverse = _groups(inverse * word_first.size + word_inverse)
+        folded *= _FOLD
+        folded += word
+    first, inverse = _groups(folded)
+    if keys.shape[1] > 1 and not (keys == keys[first[inverse]]).all():
+        # Each key as one value, compared byte by byte.
+        whole = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+        first, inverse = _groups(whole[:, 0])
     return first, inverse
 
 

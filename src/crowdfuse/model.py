@@ -48,16 +48,14 @@ class ResponseMatrix:
             raise ValueError("annotators, items and labels must be 1-D "
                              "arrays of one length")
         max_label = int(label.max(initial=0))
+        if n_classes is not None and max_label > n_classes:
+            raise ValueError(
+                f"label {max_label} exceeds configured class count {n_classes}")
+        # Classes no label reaches are warned of only once the responses
+        # are known to be valid.
+        unreached = n_classes is not None and 0 < max_label < n_classes
         if n_classes is None:
             n_classes = max(max_label, 2)
-        else:
-            if max_label > n_classes:
-                raise ValueError(
-                    f"label {max_label} exceeds configured class count {n_classes}")
-            if max_label and max_label != n_classes:
-                warnings.warn(
-                    f"configured {n_classes} classes but max observed label is "
-                    f"{max_label}", stacklevel=2)
         _check_range(ann, 0, n_annotators, "annotator index {} out of range")
         _check_range(item, 0, n_items, "item index {} out of range")
         _check_range(label, 1, n_classes + 1,
@@ -67,6 +65,10 @@ class ResponseMatrix:
             raise DuplicateResponseError(
                 f"duplicate response by annotator {ann[repeat]} for item "
                 f"{item[repeat]}", repeat)
+        if unreached:
+            warnings.warn(
+                f"configured {n_classes} classes but max observed label is "
+                f"{max_label}", stacklevel=2)
         self.n_items = n_items
         self.n_annotators = n_annotators
         self.n_classes = n_classes

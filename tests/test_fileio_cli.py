@@ -105,6 +105,20 @@ class TestResponsesRoundTrip:
                                  r"'y' by annotator 'b'"):
             read_responses(path)
 
+    def test_duplicate_raised_before_class_warning(self, tmp_path):
+        # Classes above the highest label are warned of for a valid file
+        # only; a repeated pair is raised with no warning before it.
+        path = tmp_path / "r.csv"
+        path.write_text("item,annotator,label\nx,a,1\ny,a,2\n")
+        with pytest.warns(UserWarning, match="configured 4 classes"):
+            read_responses(path, n_classes=4)
+        path.write_text("item,annotator,label\nx,a,1\nx,a,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputFormatError,
+                               match=r"r\.csv:3: duplicate response"):
+                read_responses(path, n_classes=4)
+
     def test_bad_label(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("item,annotator,label\nx,a,zebra\n")
@@ -327,6 +341,41 @@ class TestTokenizers:
         assert (rm.item_ids, rm.annotator_ids) == (item_ids, ann_ids)
         for got, want in zip(rm.coords, coords):
             np.testing.assert_array_equal(got, want)
+
+    def test_one_sort_per_column_for_long_ids(self, tmp_path):
+        # Ids of several 8-byte words are folded into one word each, so
+        # each column is sorted once, however long its ids.
+        path = tmp_path / "r.csv"
+        path.write_text("item,annotator,label\n" + "".join(
+            f"item-{i % 7:031d},worker-{i % 5:033d},{1 + i % 3}\n"
+            for i in range(35)))
+        groups = mock.Mock(wraps=fileio._groups)
+        with mock.patch.object(fileio, "_groups", groups):
+            rm = read_responses(path, n_classes=3)
+        assert groups.call_count == 3
+        assert (rm.n_items, rm.n_annotators) == (7, 5)
+
+    def test_keys_folded_alike_sorted_whole(self, tmp_path):
+        # With a multiplier of 0 every key folds to its last word, so ids
+        # that differ only before it fold alike, and the reader must sort
+        # the whole keys to tell them apart.
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"item,annotator,label\r\n" + b"".join(
+            b"%c-same-last-word,%c-annotator-id,%d\r\n" % (item, ann, label)
+            for item, ann, label in [(97, 120, 1), (98, 120, 2),
+                                     (97, 121, 3), (99, 121, 1),
+                                     (98, 122, 2)]))
+        groups = mock.Mock(wraps=fileio._groups)
+        with mock.patch.object(fileio, "_FOLD", np.uint64(0)), \
+                mock.patch.object(fileio, "_groups", groups):
+            rm = read_responses(path, n_classes=3)
+        # Labels once; items and annotators folded, then whole.
+        assert groups.call_count == 5
+        item_ids, ann_ids, coords = reference_read_responses(path, 3)
+        assert (rm.item_ids, rm.annotator_ids) == (item_ids, ann_ids)
+        for got, want in zip(rm.coords, coords):
+            np.testing.assert_array_equal(got, want)
+
 
 # One of each fault read_constraints names, with its message.
 CONSTRAINT_FAULTS = [(("ML", "a", "zzz"), "unknown item in pair ('a', 'zzz')"),

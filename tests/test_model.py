@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from scipy import special
 
-from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
-                             ResponseMatrix, expected_logs,
-                             paper_default_priors, uniform_priors)
+from crowdfuse.model import (DuplicateResponseError, GroundTruth,
+                             PosteriorParams, PriorConfig, ResponseMatrix,
+                             expected_logs, paper_default_priors,
+                             uniform_priors)
 
 
 def small_matrix():
@@ -51,6 +54,13 @@ class TestResponseMatrix:
         with pytest.raises(ValueError, match="duplicate response by "
                                              "annotator 1 for item 0"):
             ResponseMatrix(3, 2, [1, 0, 1], [0, 2, 0], [1, 2, 2])
+
+    def test_duplicate_raised_before_class_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DuplicateResponseError):
+                ResponseMatrix(3, 2, [1, 0, 1], [0, 2, 0], [1, 2, 2],
+                               n_classes=4)
 
     def test_ragged_arrays_rejected(self):
         with pytest.raises(ValueError, match="1-D arrays of one length"):
