@@ -106,8 +106,13 @@ class _Table:
         0xff, and the whole is decoded once and split."""
         begin, length = self._spans(column, rows)
         size = length + 1
-        start = np.cumsum(size) - size
-        text = self.buf[np.repeat(begin - start, size) + np.arange(size.sum())]
+        # The sizes add up to no more than the buffer's, so the positions
+        # keep its position type.
+        start = np.cumsum(size, dtype=size.dtype) - size
+        at = np.repeat(begin - start, size)
+        at += np.arange(at.size, dtype=at.dtype)
+        text = self.buf[at]
+        del at
         text[start + length] = 0xff
         return text.tobytes().decode("utf-8", "surrogateescape").split(
             _SEP)[:-1]
@@ -259,7 +264,8 @@ def _field_groups(table: _Table, column: int, rows=None):
         folded *= _FOLD
         folded += word
     first, inverse = _groups(folded)
-    if keys.shape[1] > 1 and not (keys == keys[first[inverse]]).all():
+    rep = first[inverse]
+    if keys.shape[1] > 1 and any((word != word[rep]).any() for word in keys.T):
         # Each key as one value, compared byte by byte.
         whole = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
         first, inverse = _groups(whole[:, 0])
