@@ -264,11 +264,12 @@ def _field_groups(table: _Table, column: int, rows=None):
         folded *= _FOLD
         folded += word
     first, inverse = _groups(folded)
-    rep = first[inverse]
-    if keys.shape[1] > 1 and any((word != word[rep]).any() for word in keys.T):
-        # Each key as one value, compared byte by byte.
-        whole = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-        first, inverse = _groups(whole[:, 0])
+    if keys.shape[1] > 1:
+        rep = first[inverse]
+        if any((word != word[rep]).any() for word in keys.T):
+            # Each key as one value, compared byte by byte.
+            whole = keys.view(np.dtype((np.void, 8 * keys.shape[1])))
+            first, inverse = _groups(whole[:, 0])
     return first, inverse
 
 
