@@ -20,7 +20,7 @@ from .experiment import ExperimentConfig, run_experiment, write_rows_csv
 from .fileio import (InputFormatError, read_constraints, read_responses,
                      read_truth, result_schema, write_constraints,
                      write_responses, write_result_json, write_truth)
-from .metrics import ClassScores, ScoreCard, score
+from .metrics import ScoreCard, score
 from .model import (GroundTruth, PosteriorParams, PriorConfig, ResponseMatrix,
                     paper_default_priors, uniform_priors)
 from .numerics import digamma, digamma_vec, kl_divergence, softmax_rows
@@ -42,7 +42,7 @@ __all__ = [
     "InputFormatError", "read_constraints", "read_responses", "read_truth",
     "result_schema", "write_constraints", "write_responses",
     "write_result_json", "write_truth",
-    "ClassScores", "ScoreCard", "score",
+    "ScoreCard", "score",
     "GroundTruth", "PosteriorParams", "PriorConfig", "ResponseMatrix",
     "paper_default_priors", "uniform_priors",
     "digamma", "digamma_vec", "kl_divergence", "softmax_rows",

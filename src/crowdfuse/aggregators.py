@@ -6,7 +6,9 @@ parameter estimates from the current label posterior, then recomputes the
 posterior; convergence is declared when the largest per-entry posterior
 change drops below the tolerance. Only the M-step differs: DS-EM uses the
 logs of point estimates, with every count smoothed by 1e-10; VB uses the
-expected logs under Dirichlet posteriors, through digamma.
+expected logs under Dirichlet posteriors, through digamma. Every VB fit,
+plain, label-pinned or pairwise, enters the loop through `_vb_fits`, which
+checks its inputs and binds the VB M-step to the priors.
 
 The loop advances a stack of fits that differ only in the constraint
 weight eta: the eta search runs its whole grid as one stack, and every
@@ -173,11 +175,6 @@ class _Incidence:
         return np.einsum("ij->j", q).reshape(g, k), counts
 
 
-def _check_prior_dimensions(rm: ResponseMatrix, priors: PriorConfig) -> None:
-    if priors.n_classes != rm.n_classes or priors.n_annotators != rm.n_annotators:
-        raise ValueError("prior dimensions do not match the response matrix")
-
-
 def _pin(q: np.ndarray, items: np.ndarray, classes0: np.ndarray) -> None:
     """Set each pinned item's posterior, in every fit of the stack's class
     rows q (G, K, N), to its known class (zero-based), in place."""
@@ -327,25 +324,43 @@ def _fit_loop(rm: ResponseMatrix, opts: FitOptions, m_step,
     return results
 
 
+def _vb_fits(rm: ResponseMatrix, priors: PriorConfig, opts: FitOptions,
+             etas=(0.0,), label_constraints=(),
+             cs: ConstraintSet | None = None) -> list:
+    """Every VB fit: one per weight in `etas`, as one stacked fit loop, in
+    the order of `etas`; the weight in `opts` is not read. Before the loop
+    starts it checks every weight, the prior dimensions, the (item, class)
+    `label_constraints` to pin, and that a non-empty pairwise set `cs` is
+    closed and its items in range. Each fit equals a stack of one at its
+    weight, bit for bit."""
+    etas = [float(eta) for eta in etas]
+    for eta in etas:
+        check_nonnegative(eta=eta)
+    if priors.n_classes != rm.n_classes or priors.n_annotators != rm.n_annotators:
+        raise ValueError("prior dimensions do not match the response matrix")
+    pinned = check_label_constraints(label_constraints, rm.n_items,
+                                     rm.n_classes)
+    if cs is not None:
+        if len(cs) and not cs.closed:
+            raise ValueError("constraint set must be closed before fitting")
+        cs.check_range(rm.n_items)
+    return _fit_loop(rm, opts, functools.partial(_vb_m_step, priors=priors),
+                     etas=etas, pinned=pinned, cs=cs)
+
+
 def vbem_fit(rm: ResponseMatrix, priors: PriorConfig,
              opts: FitOptions | None = None) -> FitResult:
     """Mean-field variational inference over labels, class priors, and
     annotator confusion rows."""
-    _check_prior_dimensions(rm, priors)
-    [fit] = _fit_loop(rm, opts or FitOptions(),
-                      functools.partial(_vb_m_step, priors=priors))
+    [fit] = _vb_fits(rm, priors, opts or FitOptions())
     return fit
 
 
 def vb_lc_fit(rm: ResponseMatrix, priors: PriorConfig, label_constraints,
               opts: FitOptions | None = None) -> FitResult:
     """Variational inference with known labels pinned for selected items."""
-    _check_prior_dimensions(rm, priors)
-    pinned = check_label_constraints(label_constraints, rm.n_items,
-                                     rm.n_classes)
-    [fit] = _fit_loop(rm, opts or FitOptions(),
-                      functools.partial(_vb_m_step, priors=priors),
-                      pinned=pinned)
+    [fit] = _vb_fits(rm, priors, opts or FitOptions(),
+                     label_constraints=label_constraints)
     return fit
 
 
@@ -360,24 +375,8 @@ def vb_ilc_fit(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
     not build, or a constrained item outside the crowd, raises ValueError.
     """
     opts = opts or FitOptions()
-    [fit] = _vb_ilc_fits(rm, priors, cs, (opts.eta,), opts)
+    [fit] = _vb_fits(rm, priors, opts, (opts.eta,), cs=cs)
     return fit
-
-
-def _vb_ilc_fits(rm: ResponseMatrix, priors: PriorConfig, cs: ConstraintSet,
-                 etas, opts: FitOptions) -> list:
-    """`vb_ilc_fit` at each weight in `etas`, as one stacked fit loop; the
-    weight in `opts` is not read. Every weight is checked before the loop
-    starts. Each fit equals `vb_ilc_fit` at its weight, bit for bit."""
-    etas = [float(eta) for eta in etas]
-    for eta in etas:
-        check_nonnegative(eta=eta)
-    _check_prior_dimensions(rm, priors)
-    if len(cs) and not cs.closed:
-        raise ValueError("constraint set must be closed before fitting")
-    cs.check_range(rm.n_items)
-    return _fit_loop(rm, opts, functools.partial(_vb_m_step, priors=priors),
-                     etas=etas, cs=cs)
 
 
 def ds_em_fit(rm: ResponseMatrix, opts: FitOptions | None = None) -> FitResult:

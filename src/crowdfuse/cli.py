@@ -148,8 +148,8 @@ def cmd_aggregate(args) -> int:
 
     scores = None
     if truth is not None and np.any(truth.known_mask):
-        scores = metrics.score(fit.hard_labels, truth,
-                               n_classes=rm.n_classes).to_dict()
+        scores = dataclasses.asdict(metrics.score(
+            fit.hard_labels, truth, n_classes=rm.n_classes))
     document.update(
         labels=fit.hard_labels.tolist(), posterior=fit.posterior.tolist(),
         params=_params_doc(fit), scores=scores,

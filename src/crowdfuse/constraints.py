@@ -438,7 +438,7 @@ def eta_search(rm, priors, cs: ConstraintSet, candidate_etas, opts):
     candidates = [float(eta) for eta in candidate_etas]
     if not candidates:
         raise ValueError("candidate eta list is empty")
-    fits = aggregators._vb_ilc_fits(rm, priors, cs, candidates, opts)
+    fits = aggregators._vb_fits(rm, priors, opts, candidates, cs=cs)
     table = [(eta, fit.n_violations) for eta, fit in zip(candidates, fits)]
     best = min(range(len(candidates)),
                key=lambda i: (fits[i].n_violations, candidates[i]))

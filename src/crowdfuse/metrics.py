@@ -10,33 +10,16 @@ from .model import GroundTruth
 
 
 @dataclass(frozen=True)
-class ClassScores:
-    precision: float
-    recall: float
-    f1: float
-    absent: bool = False
-
-
-@dataclass(frozen=True)
 class ScoreCard:
+    """The scores of fused labels, with `per_class` keyed by the class as a
+    string, "1".."K", each a dict of precision, recall, f1 and absent: the
+    `scores` block of a result document is this card as a dict."""
+
     accuracy: float
     micro_f1: float
     macro_f1: float
     per_class: dict
     n_evaluated: int
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "per_class": {
-                str(k): {"precision": v.precision, "recall": v.recall,
-                         "f1": v.f1, "absent": v.absent}
-                for k, v in self.per_class.items()
-            },
-            "n_evaluated": self.n_evaluated,
-        }
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -71,13 +54,13 @@ def score(pred, truth: GroundTruth, n_classes: int | None = None) -> ScoreCard:
         precision = _safe_div(tp, tp + fp)
         recall = _safe_div(tp, tp + fn)
         f1 = _safe_div(2 * precision * recall, precision + recall)
-        per_class[k] = ClassScores(precision=precision, recall=recall, f1=f1,
-                                   absent=(tp + fp + fn == 0))
+        per_class[str(k)] = {"precision": precision, "recall": recall,
+                             "f1": f1, "absent": tp + fp + fn == 0}
 
     accuracy = float(np.mean(p == t))
     micro_p = _safe_div(tp_total, tp_total + fp_total)
     micro_r = _safe_div(tp_total, tp_total + fn_total)
     micro_f1 = _safe_div(2 * micro_p * micro_r, micro_p + micro_r)
-    macro_f1 = float(np.mean([c.f1 for c in per_class.values()]))
+    macro_f1 = float(np.mean([c["f1"] for c in per_class.values()]))
     return ScoreCard(accuracy=accuracy, micro_f1=micro_f1, macro_f1=macro_f1,
                      per_class=per_class, n_evaluated=int(mask.sum()))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from crowdfuse.aggregators import (FitOptions, _vb_ilc_fits, ds_em_fit,
+from crowdfuse import aggregators
+from crowdfuse.aggregators import (FitOptions, _vb_fits, ds_em_fit,
                                    hard_labels_from, majority_vote,
                                    vb_ilc_fit, vb_lc_fit, vbem_fit)
 from crowdfuse.constraints import (DEFAULT_ETA_GRID, ConstraintSet, close,
@@ -261,6 +262,36 @@ class TestVbIlc:
         assert len(calls) == 1
 
 
+class TestOneVbEntry:
+    @pytest.fixture
+    def weights(self, monkeypatch):
+        """The weights of each call of `_vb_fits`, as a list per call."""
+        calls = []
+        real = aggregators._vb_fits
+
+        def counted(rm, priors, opts, etas=(0.0,), **kwargs):
+            calls.append([float(eta) for eta in etas])
+            return real(rm, priors, opts, etas, **kwargs)
+        monkeypatch.setattr(aggregators, "_vb_fits", counted)
+        return calls
+
+    def test_every_vb_fit_enters_once(self, weights):
+        rm, truth = generate(diag_dominant_spec(30, 3, 2, 0.8, seed=4))
+        priors = paper_default_priors(3, 2)
+        cs = close(ConstraintSet(must_link=frozenset({(0, 1)})))
+        vbem_fit(rm, priors)
+        vb_lc_fit(rm, priors, [(0, int(truth.labels[0]))])
+        vb_ilc_fit(rm, priors, cs, FitOptions(eta=2.0))
+        assert weights == [[0.0], [0.0], [2.0]]
+        weights.clear()
+        eta_search(rm, priors, cs, DEFAULT_ETA_GRID, FitOptions())
+        assert weights == [list(DEFAULT_ETA_GRID)]
+        weights.clear()
+        ds_em_fit(rm)
+        majority_vote(rm)
+        assert weights == []
+
+
 class TestStackedGridMemory:
     def test_grid_peak_within_six_single_fits(self):
         # The stacked grid shares every response-indexed array, so only its
@@ -282,8 +313,8 @@ class TestStackedGridMemory:
             finally:
                 tracemalloc.stop()
         one = traced_peak(lambda: vb_ilc_fit(rm, priors, cs, opts))
-        grid = traced_peak(lambda: _vb_ilc_fits(rm, priors, cs,
-                                                DEFAULT_ETA_GRID, opts))
+        grid = traced_peak(lambda: _vb_fits(rm, priors, opts,
+                                            DEFAULT_ETA_GRID, cs=cs))
         assert grid <= 6 * one, (grid, one)
 
 

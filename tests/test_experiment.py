@@ -18,21 +18,23 @@ ETA_GRID = (0.1, 1.0, 10.0)
 
 
 def recording_stacked_fits(monkeypatch):
-    """Record each stacked VB-ILC call as (rm, priors, cs, weights, opts,
-    fits). A call of the standalone `vb_ilc_fit`, which would be a refit,
-    fails."""
+    """Record each call of `_vb_fits` with a pairwise set, a VB-ILC call, as
+    (rm, priors, cs, weights, opts, fits). A call of the standalone
+    `vb_ilc_fit`, which would be a refit, fails."""
     calls = []
-    real = aggregators._vb_ilc_fits
+    real = aggregators._vb_fits
 
-    def wrapped(rm, priors, cs, etas, opts):
-        fits = real(rm, priors, cs, etas, opts)
-        calls.append((rm, priors, cs, list(etas), opts, fits))
+    def wrapped(rm, priors, opts, etas=(0.0,), label_constraints=(),
+                cs=None):
+        fits = real(rm, priors, opts, etas, label_constraints, cs)
+        if cs is not None:
+            calls.append((rm, priors, cs, list(etas), opts, fits))
         return fits
 
     def refit(*args, **kwargs):
         raise AssertionError("vb_ilc_fit called: the search refitted")
 
-    monkeypatch.setattr(aggregators, "_vb_ilc_fits", wrapped)
+    monkeypatch.setattr(aggregators, "_vb_fits", wrapped)
     monkeypatch.setattr(aggregators, "vb_ilc_fit", refit)
     return calls
 

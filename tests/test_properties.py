@@ -1057,14 +1057,14 @@ def recorded_eta_search(rm, priors, cs, grid, opts):
     """(eta_search's result, [(weights, fits) of each stacked fit call]).
     A call of the standalone `vb_ilc_fit`, which would be a refit, fails."""
     calls = []
-    real = aggregators._vb_ilc_fits
+    real = aggregators._vb_fits
 
-    def recording(*args):
-        fits = real(*args)
-        calls.append((list(args[3]), fits))
+    def recording(rm, priors, opts, etas, **kwargs):
+        fits = real(rm, priors, opts, etas, **kwargs)
+        calls.append((list(etas), fits))
         return fits
     refit = mock.Mock(side_effect=AssertionError("eta_search refitted"))
-    with mock.patch.object(aggregators, "_vb_ilc_fits", recording), \
+    with mock.patch.object(aggregators, "_vb_fits", recording), \
             mock.patch.object(aggregators, "vb_ilc_fit", refit):
         result = eta_search(rm, priors, cs, grid, opts)
     return result, calls
