@@ -72,11 +72,9 @@ def _load_priors(args, n_annotators: int, n_classes: int) -> PriorConfig:
 
 def _params_doc(fit) -> dict | None:
     if fit.params is not None:
-        return {"alpha": fit.params.alpha.tolist(),
-                "beta": fit.params.beta.tolist()}
+        return {"alpha": fit.params.alpha, "beta": fit.params.beta}
     if fit.pi_hat is not None:
-        return {"pi_hat": fit.pi_hat.tolist(),
-                "gamma_hat": fit.gamma_hat.tolist()}
+        return {"pi_hat": fit.pi_hat, "gamma_hat": fit.gamma_hat}
     return None
 
 
@@ -151,7 +149,7 @@ def cmd_aggregate(args) -> int:
         scores = dataclasses.asdict(metrics.score(
             fit.hard_labels, truth, n_classes=rm.n_classes))
     document.update(
-        labels=fit.hard_labels.tolist(), posterior=fit.posterior.tolist(),
+        labels=fit.hard_labels, posterior=fit.posterior,
         params=_params_doc(fit), scores=scores,
         iterations=fit.iterations_run, converged=fit.converged,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())

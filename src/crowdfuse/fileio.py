@@ -5,7 +5,8 @@ spec, priors, a fit result) are read in `json_document`, through
 `json_object` and `json_field`, so each fault in them is an
 InputFormatError naming its file. `write_json` writes indented JSON (specs,
 bound reports), `write_result_json` a fit result, and `write_rows` every
-CSV (responses, truth, constraints, experiment rows).
+CSV (responses, truth, constraints, experiment rows). A fit result's arrays
+are written with orjson, each float in its shortest round-trip spelling.
 
 Every CSV is read whole by `_read_table`, as the csv module's default
 dialect reads it, which is what the readers have always accepted: rows end
@@ -28,6 +29,7 @@ import operator
 from importlib import resources
 
 import numpy as np
+import orjson
 
 from .constraints import ConstraintSet
 from .model import (DuplicateResponseError, GroundTruth, ResponseMatrix,
@@ -510,27 +512,37 @@ def result_schema() -> dict:
     return json.loads(text)
 
 
-# Rows per call of the C encoder in write_result_json.
-_BLOCK = 1024
+def _encode(value) -> bytes:
+    """The JSON text of `value` as `json.dumps(value, sort_keys=True)` spells
+    it, except that a float of a numpy array is written by orjson, in its
+    shortest round-trip spelling: the same digits and value as `repr`, with
+    the exponent written as `1e-7`, `0.00001` or `1e16` where `repr` writes
+    `1e-07`, `1e-05` or `1e+16`. NaN or an infinity raises ValueError."""
+    if isinstance(value, dict):
+        return b"{" + b", ".join(
+            json.dumps(key).encode() + b": " + _encode(value[key])
+            for key in sorted(value)) + b"}"
+    if not isinstance(value, np.ndarray):
+        return json.dumps(value, sort_keys=True, allow_nan=False).encode()
+    if value.ndim == 0:
+        return _encode(value.tolist())
+    # orjson reads the buffer as native C-ordered data, and writes a float32
+    # with float32's shortest digits, which `tolist()` does not.
+    dtype = np.float64 if value.dtype.kind == "f" else \
+        value.dtype.newbyteorder("=")
+    value = np.ascontiguousarray(value, dtype=dtype)
+    if value.dtype.kind == "f" and not np.isfinite(value).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    # A numeric array holds no string, so every comma separates values.
+    return orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY).replace(
+        b",", b", ")
 
 
 def write_result_json(path, document: dict) -> None:
-    """Write `json.dumps(document, sort_keys=True)` and a newline: one line,
-    default separators, made by the C encoder. That encoder keeps every
-    fragment of a value until it joins them, so each top-level list (the
-    labels, the posterior rows) goes through it a block of rows at a time."""
-    encode = json.JSONEncoder(sort_keys=True).encode
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{")
-        for i, key in enumerate(sorted(document)):
-            if i:
-                handle.write(", ")
-            handle.write(encode(key) + ": ")
-            value = document[key]
-            if isinstance(value, list):
-                handle.write("[" + ", ".join(
-                    encode(value[start:start + _BLOCK])[1:-1]
-                    for start in range(0, len(value), _BLOCK)) + "]")
-            else:
-                handle.write(encode(value))
-        handle.write("}\n")
+    """Write `document` and a newline: one line, keys sorted, json's default
+    separators. Its numpy arrays are written by orjson (see `_encode`), any
+    other value by `json.dumps`. NaN or an infinity raises ValueError, and
+    no file is written."""
+    text = _encode(document)
+    with open(path, "wb") as handle:
+        handle.write(text + b"\n")

@@ -9,11 +9,15 @@ oracles of their replacements (the softmax's from K = 8 on is
 `reference_softmax_rows_in_order`). `placed_partner_sums` is no reference:
 it puts the rows that `ConstraintSet.partner_sums` gives for the
 constrained items into zeros, the every-item form the references give.
+`repr_spelled` is no reference either: it re-spells the numbers of a JSON
+text as `json.dumps` spells them, which a result document's arrays, written
+by orjson, must match after it.
 """
 
 import csv
 import itertools
 import math
+import re
 
 import numpy as np
 from scipy import special
@@ -472,3 +476,19 @@ def reference_plan_queries(posterior, n_constraints, seed=0):
         partners[n] = [int(pool[i]) for i in picks]
     queries = tuple((n, p) for n in uncertain for p in partners[n])
     return tuple(uncertain), partners, queries, fb_u, fb_c
+
+
+# A JSON string, or a JSON number.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+def repr_spelled(text: str) -> str:
+    """`text` with each JSON number that has a fraction or an exponent
+    written as `repr(float(number))`, the spelling of `json.dumps`; strings
+    and integers are left as they are."""
+    def spelled(match):
+        token = match.group()
+        if token.startswith('"') or not set(token) & set(".eE"):
+            return token
+        return repr(float(token))
+    return _JSON_TOKEN.sub(spelled, text)

@@ -1,5 +1,6 @@
 """The package's third-party imports: each is a declared runtime dependency,
-and the CLI's import does not load `scipy.sparse`, which only a fit needs."""
+each declared runtime dependency is imported, and the CLI's import does not
+load `scipy.sparse`, which only a fit needs."""
 
 import ast
 import re
@@ -33,17 +34,27 @@ def third_party_imports():
     return found
 
 
-def test_third_party_imports_are_declared():
+def declared_dependencies():
+    """The names of pyproject.toml's runtime dependencies, as imported."""
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
-                .replace("-", "_") for spec in project["dependencies"]}
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+            .replace("-", "_") for spec in project["dependencies"]}
+
+
+def test_third_party_imports_are_declared():
+    declared = declared_dependencies()
     imports = third_party_imports()
     assert {"numpy", "scipy"} <= imports.keys()  # the scan sees both
     undeclared = {name: module for name, module in imports.items()
                   if name.lower() not in declared}
     assert undeclared == {}
+
+
+def test_declared_dependencies_are_imported():
+    imported = {name.lower() for name in third_party_imports()}
+    assert declared_dependencies() - imported == set()
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

@@ -21,7 +21,7 @@ from crowdfuse.model import GroundTruth, PosteriorParams, paper_default_priors
 from crowdfuse.synth import CrowdSpec, diag_dominant_spec, generate
 
 from oracles import (reference_label_union, reference_read_responses,
-                     response_triples)
+                     repr_spelled, response_triples)
 
 
 def fit_must_not_run(*args, **kwargs):
@@ -438,9 +438,10 @@ class TestResultSchema:
         assert schema["type"] == "object"
         assert "labels" in schema["required"]
 
-    def test_aggregate_result_layout(self, dataset, tmp_path, monkeypatch):
-        # One line with the default separators: the benchmark blanks the
-        # timestamp by matching `"timestamp": "...`.
+    @staticmethod
+    def aggregate(dataset, tmp_path, monkeypatch, method):
+        """(text written, `json.dumps` of the document passed to the writer
+        with its arrays as lists) for an `aggregate` call."""
         written, write = [], fileio.write_result_json
 
         def capture(path, document):
@@ -448,18 +449,60 @@ class TestResultSchema:
             write(path, document)
 
         monkeypatch.setattr(fileio, "write_result_json", capture)
-        out = tmp_path / "vb.json"
+        out = tmp_path / f"{method}.json"
         assert cli.main(["aggregate", "--responses",
-                         str(dataset["responses"]), "--method", "vb",
+                         str(dataset["responses"]), "--method", method,
                          "--k", "3", "--truth", str(dataset["truth_path"]),
                          "--output", str(out)]) == 0
-        text = out.read_text(encoding="utf-8")
+        return (out.read_text(encoding="utf-8"),
+                json.dumps(written[0], sort_keys=True,
+                           default=np.ndarray.tolist))
+
+    def test_aggregate_result_layout(self, dataset, tmp_path, monkeypatch):
+        # One line with the default separators: the benchmark blanks the
+        # timestamp by matching `"timestamp": "...`.
+        text, listed = self.aggregate(dataset, tmp_path, monkeypatch, "vb")
         assert re.search(r'"timestamp": "[^"]+"', text)
         assert text.endswith("}\n") and text.count("\n") == 1
+        # The floats of the arrays keep their values bit for bit, which
+        # `repr` tells apart; only their spelling may differ from json's.
+        assert repr_spelled(text) == listed + "\n"
         doc = json.loads(text)
-        assert doc == written[0]
-        assert text == json.dumps(doc, sort_keys=True) + "\n"
+        assert doc == json.loads(listed)
         jsonschema.validate(doc, result_schema())
+
+    def test_mv_result_is_json_dumps(self, dataset, tmp_path, monkeypatch):
+        # Vote shares are at least 1/M, so orjson spells them as repr does.
+        text, listed = self.aggregate(dataset, tmp_path, monkeypatch, "mv")
+        assert text == listed + "\n"
+
+
+class TestResultWriter:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("place", ["array", "params", "scalar"])
+    def test_non_finite_writes_no_file(self, tmp_path, place, bad):
+        posterior = np.full((2, 2), 0.5)
+        params = {"alpha": np.ones(2)}
+        document = {"posterior": posterior, "params": params, "eta": 1.0}
+        if place == "array":
+            posterior[1, 0] = bad
+        elif place == "params":
+            params["alpha"][1] = bad
+        else:
+            document["eta"] = bad
+        out = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            fileio.write_result_json(out, document)
+        assert not out.exists()
+
+    def test_seed_past_64_bits(self, dataset, tmp_path):
+        out = tmp_path / "mv.json"
+        assert cli.main(["aggregate", "--responses",
+                         str(dataset["responses"]), "--method", "mv",
+                         "--seed", str(2**64), "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert '"seed": 18446744073709551616,' in text
+        assert json.loads(text)["seed"] == 2**64
 
 
 class TestCliAggregate:

@@ -3,7 +3,9 @@ loop and constraint sets.
 
 The array constructor of ResponseMatrix must give what the dict form gave,
 the responses CSV must round-trip, and the responses reader must read what
-the row-at-a-time reader read, or report the same fault.
+the row-at-a-time reader read, or report the same fault. The result
+writer's text of an array must parse to `tolist()` bit for bit, and equal
+`json.dumps` of it once its floats are spelled as `repr` spells them.
 
 The incidence-matrix products must give each fit of a stack exactly the
 np.add.at sums of that fit alone (same terms, added in the same order), and
@@ -41,6 +43,7 @@ classes permutes the posterior.
 """
 
 import itertools
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -53,7 +56,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
 
-from crowdfuse import aggregators, constraints, model
+from crowdfuse import aggregators, constraints, fileio, model
 from crowdfuse.bounds import constraint_counts
 from crowdfuse.aggregators import (FitOptions, _Incidence, ds_em_fit,
                                    initial_posterior, majority_vote,
@@ -77,7 +80,8 @@ from oracles import (placed_partner_sums, reference_close,
                      reference_pair_penalty, reference_partner_sums,
                      reference_plan_queries, reference_read_responses,
                      reference_response_matrix, reference_softmax_rows,
-                     reference_softmax_rows_in_order, response_triples)
+                     reference_softmax_rows_in_order, repr_spelled,
+                     response_triples)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -359,6 +363,51 @@ def with_edge_crowds(test):
         for n_fits in (1, 3):
             test = example(crowd=(rm, 0), n_fits=n_fits)(test)
     return test
+
+
+def _near(scale):
+    """Floats of either sign within a factor of two of `scale`."""
+    return st.floats(scale / 2, scale * 2).flatmap(
+        lambda x: st.sampled_from([x, -x]))
+
+
+# The floats whose spelling is most likely to differ from `repr`'s: the
+# edges of the range, subnormals, -0.0, and exponents near where `repr`
+# switches between fixed and exponent form.
+RESULT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     1e-4, 1e-5, 1e16]),
+    _near(1e-5), _near(1e-10), _near(1e16))
+RESULT_SHAPES = st.one_of(st.just(()),
+                          st.tuples(st.integers(0, 30), st.integers(0, 6)))
+RESULT_ARRAYS = st.one_of(
+    arrays(np.float64, RESULT_SHAPES, elements=RESULT_FLOATS),
+    arrays(np.int64, RESULT_SHAPES),
+    arrays(np.bool_, RESULT_SHAPES),
+    arrays(np.float32, RESULT_SHAPES,
+           elements=st.floats(width=32, allow_nan=False,
+                              allow_infinity=False)))
+
+
+class TestResultEncoder:
+    @SETTINGS
+    @given(drawn=RESULT_ARRAYS)
+    def test_array_text(self, drawn):
+        # Also a view (the transpose) and a big-endian copy, whose buffers
+        # orjson would misread as they are.
+        for value in (drawn, drawn.T,
+                      drawn.astype(drawn.dtype.newbyteorder(">"))):
+            text = fileio._encode(value).decode("ascii")
+            listed = value.tolist()
+            assert json.loads(text) == listed
+            assert repr_spelled(text) == json.dumps(listed)
+            if value.dtype.kind == "f":
+                np.testing.assert_array_equal(
+                    np.asarray(json.loads(text), dtype=np.float64)
+                    .reshape(value.shape).view(np.int64),
+                    value.astype(np.float64).view(np.int64))
 
 
 class TestScatterKernels:
