@@ -514,10 +514,11 @@ def result_schema() -> dict:
 
 def _encode(value) -> bytes:
     """The JSON text of `value` as `json.dumps(value, sort_keys=True)` spells
-    it, except that a float of a numpy array is written by orjson, in its
-    shortest round-trip spelling: the same digits and value as `repr`, with
-    the exponent written as `1e-7`, `0.00001` or `1e16` where `repr` writes
-    `1e-07`, `1e-05` or `1e+16`. NaN or an infinity raises ValueError."""
+    it with each numpy array as its `tolist()`, except that a float of an
+    array is written by orjson, in its shortest round-trip spelling: the
+    same digits and value as `repr`, with the exponent written as `1e-7`,
+    `0.00001` or `1e16` where `repr` writes `1e-07`, `1e-05` or `1e+16`.
+    NaN or an infinity raises ValueError."""
     if isinstance(value, dict):
         return b"{" + b", ".join(
             json.dumps(key).encode() + b": " + _encode(value[key])

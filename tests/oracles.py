@@ -9,9 +9,9 @@ oracles of their replacements (the softmax's from K = 8 on is
 `reference_softmax_rows_in_order`). `placed_partner_sums` is no reference:
 it puts the rows that `ConstraintSet.partner_sums` gives for the
 constrained items into zeros, the every-item form the references give.
-`repr_spelled` is no reference either: it re-spells the numbers of a JSON
-text as `json.dumps` spells them, which a result document's arrays, written
-by orjson, must match after it.
+`repr_spelled` is no reference either: it spells the numbers of a JSON
+text as `json.dumps` does, so that a result written with orjson can be
+compared with `json.dumps` text.
 """
 
 import csv
