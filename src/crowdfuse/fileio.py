@@ -44,6 +44,10 @@ RESPONSES_HEADER = ["item", "annotator", "label"]
 TRUTH_HEADER = ["item", "label"]
 CONSTRAINTS_HEADER = ["kind", "a", "b"]
 
+# Rows of a responses CSV that `write_responses` converts to Python objects
+# at a time.
+_WRITE_ROWS = 1 << 16
+
 # Zero bytes after a table's text, so that an 8-byte read from any field
 # start stays in its buffer.
 _PAD = 8
@@ -365,10 +369,13 @@ def write_responses(path, rm: ResponseMatrix) -> None:
     ann, item, label0 = rm.coords
     order = np.lexsort((ann, item))
     item_ids, ann_ids = rm.item_ids, rm.annotator_ids
+    blocks = (order[start:start + _WRITE_ROWS]
+              for start in range(0, order.size, _WRITE_ROWS))
     write_rows(path, RESPONSES_HEADER, (
         [item_ids[n], ann_ids[m], label + 1]
-        for m, n, label in zip(ann[order].tolist(), item[order].tolist(),
-                               label0[order].tolist())))
+        for block in blocks
+        for m, n, label in zip(ann[block].tolist(), item[block].tolist(),
+                               label0[block].tolist())))
 
 
 def read_truth(path, item_ids: list, n_classes: int) -> GroundTruth:

@@ -107,10 +107,16 @@ def pair_order(annotators: np.ndarray, items: np.ndarray, n_items: int):
     and the index of the first response whose pair an earlier response
     already has, or None. Indices must be in range."""
     key = annotators * n_items + items
+    order = np.argsort(key)
+    sorted_key = key[order]
+    if not np.any(sorted_key[1:] == sorted_key[:-1]):
+        # Distinct keys have one sorted order, so the default sort gives
+        # the stable one.
+        return order, None
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]
-    return order, (int(repeats.min()) if repeats.size else None)
+    return order, int(repeats.min())
 
 
 @dataclass(frozen=True)

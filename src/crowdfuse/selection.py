@@ -9,6 +9,10 @@ import numpy as np
 from . import constraints as constraints_mod
 from .model import GroundTruth
 
+# Weights held per block of rows by `_draw_rows` (2 MB of float64); a block
+# holds at least one row.
+_DRAW_BLOCK = 1 << 18
+
 
 def bvsb(posterior):
     """Margin between the largest and second-largest entries of each row of
@@ -36,31 +40,47 @@ class QueryPlan:
     uniform_fallback_partners: bool = False
 
 
-def _sequential_draw(rng: np.random.Generator, weights: np.ndarray,
-                     count: int) -> tuple[list, bool]:
-    """Draw `count` distinct indices, each proportional to its remaining
-    weight; falls back to uniform if every weight is zero."""
-    w = np.asarray(weights, dtype=float).copy()
+def _draw_rows(rng: np.random.Generator, weights: np.ndarray,
+               count: int) -> tuple[np.ndarray, bool]:
+    """Draw `count` distinct indices from each row of the (R, n) `weights`,
+    each with probability proportional to its remaining weight, as one
+    `rng.choice(n, p=w / w.sum())` per pick, row after row, would. A row
+    whose remaining weights sum to zero switches to uniform weights over
+    the indices it has not drawn. Returns the (R, count) picks and whether
+    any row switched. Rows are drawn a block at a time, so the work arrays
+    stay small whatever R."""
+    n_rows, n = weights.shape
+    step = max(1, _DRAW_BLOCK // max(n, 1))
+    picks = np.empty((n_rows, count), dtype=np.intp)
     fallback = False
-    chosen = []
-    for _ in range(count):
-        total = w.sum()
-        if total <= 0:
-            w = np.ones(w.size)
-            w[chosen] = 0.0
-            total = w.sum()
-            fallback = True
-        idx = int(rng.choice(w.size, p=w / total))
-        chosen.append(idx)
-        w[idx] = 0.0
-    return chosen, fallback
+    for start in range(0, n_rows, step):
+        w = np.array(weights[start:start + step], dtype=float)
+        u = rng.random((w.shape[0], count))
+        block = picks[start:start + step]
+        rows = np.arange(w.shape[0])
+        for j in range(count):
+            total = w.sum(axis=1)
+            spent = total <= 0
+            if spent.any():
+                w[spent] = 1.0
+                w[rows[spent, None], block[spent, :j]] = 0.0
+                total[spent] = w[spent].sum(axis=1)
+                fallback = True
+            # rng.choice's cdf; the pick is where searchsorted(cdf, u,
+            # "right") puts u.
+            cdf = np.cumsum(w / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            block[:, j] = np.count_nonzero(cdf <= u[:, j, None], axis=1)
+            w[rows, block[:, j]] = 0.0
+    return picks, fallback
 
 
 def plan_queries(posterior: np.ndarray, n_constraints: int,
                  seed: int = 0) -> QueryPlan:
     """Pick floor(N_C/K) uncertain items (probability proportional to
     1 - margin) and match each with K items drawn from the rest
-    (probability proportional to margin)."""
+    (probability proportional to margin). A NaN margin, or one above 1,
+    raises ValueError."""
     posterior = np.asarray(posterior, dtype=float)
     n_items, n_classes = posterior.shape
     if n_constraints < n_classes:
@@ -70,19 +90,19 @@ def plan_queries(posterior: np.ndarray, n_constraints: int,
         raise ValueError("not enough items for the requested plan")
 
     margins = bvsb(posterior)
+    if not np.all(margins <= 1.0):
+        raise ValueError("posterior margins must be at most 1 and not NaN")
     rng = np.random.default_rng(seed)
-    uncertain, fb_u = _sequential_draw(rng, 1.0 - margins, n_uncertain)
+    picks, fb_u = _draw_rows(rng, (1.0 - margins)[None], n_uncertain)
+    uncertain = picks[0].tolist()
 
     in_pool = np.ones(n_items, dtype=bool)
     in_pool[uncertain] = False
     pool = np.flatnonzero(in_pool)
-    pool_w = margins[pool]
-    partners = {}
-    fb_c = False
-    for n in uncertain:
-        picks, fb = _sequential_draw(rng, pool_w, n_classes)
-        fb_c = fb_c or fb
-        partners[n] = [int(pool[i]) for i in picks]
+    picks, fb_c = _draw_rows(
+        rng, np.broadcast_to(margins[pool], (n_uncertain, pool.size)),
+        n_classes)
+    partners = {n: pool[row].tolist() for n, row in zip(uncertain, picks)}
     queries = tuple((n, p) for n in uncertain for p in partners[n])
     return QueryPlan(
         uncertain=tuple(uncertain),

@@ -10,6 +10,10 @@ from .fileio import INTEGER, NUMBERS, json_field
 from .model import GroundTruth, ResponseMatrix
 from .numerics import validate_prob_vector
 
+# Uniforms drawn from each response stream per block of annotators in
+# `generate` (2 MB of float64); a block holds at least one annotator.
+_BLOCK_UNIFORMS = 1 << 18
+
 
 @dataclass(frozen=True)
 class CrowdSpec:
@@ -109,7 +113,9 @@ def generate(spec: CrowdSpec) -> tuple[ResponseMatrix, GroundTruth]:
 
     The root seed is split into separate streams for the truth draw, the
     response mask, and the response labels, so resizing one dimension does
-    not reshuffle the others.
+    not reshuffle the others. The mask and label uniforms are drawn for a
+    block of annotators at a time, which consumes each stream as one
+    (M, N) draw would, so memory grows with the responses, not with M·N.
     """
     streams = np.random.SeedSequence(spec.seed).spawn(3)
     rng_truth = np.random.default_rng(streams[0])
@@ -117,14 +123,20 @@ def generate(spec: CrowdSpec) -> tuple[ResponseMatrix, GroundTruth]:
     rng_labels = np.random.default_rng(streams[2])
 
     y0 = rng_truth.choice(spec.n_classes, size=spec.n_items, p=spec.pi_star)
-    mask = rng_mask.random((spec.n_annotators, spec.n_items)) < \
-        spec.mu[:, None]
-    u = rng_labels.random((spec.n_annotators, spec.n_items))
-
     cdf = np.cumsum(spec.gamma_star, axis=2)
-    ann_idx, item_idx = np.nonzero(mask)
-    rows = cdf[ann_idx, y0[item_idx]]
-    emitted0 = np.argmax(u[ann_idx, item_idx][:, None] < rows, axis=1)
+    step = max(1, _BLOCK_UNIFORMS // max(spec.n_items, 1))
+    empty = np.empty(0, dtype=np.intp)
+    blocks = [(empty, empty, empty)]
+    for start in range(0, spec.n_annotators, step):
+        mu = spec.mu[start:start + step, None]
+        mask = rng_mask.random((mu.shape[0], spec.n_items)) < mu
+        u = rng_labels.random((mu.shape[0], spec.n_items))[mask]
+        ann, item = np.nonzero(mask)
+        ann += start
+        rows = cdf[ann, y0[item]]
+        blocks.append((ann, item, np.argmax(u[:, None] < rows, axis=1)))
+    ann_idx, item_idx, emitted0 = (np.concatenate(column)
+                                   for column in zip(*blocks))
 
     rm = ResponseMatrix(n_items=spec.n_items, n_annotators=spec.n_annotators,
                         annotators=ann_idx, items=item_idx,

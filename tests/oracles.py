@@ -434,6 +434,25 @@ def reference_read_responses(path, n_classes=None):
     return list(item_index), list(ann_index), coords
 
 
+def reference_generate(spec):
+    """The dense draw of a crowd: the truth from the first of three streams
+    spawned from the spec's seed, then one (M, N) array of mask uniforms
+    and one of label uniforms from the other two. Returns (ann, item,
+    label0, truth0), the responses in (annotator, item) order and the
+    zero-based truth."""
+    streams = np.random.SeedSequence(spec.seed).spawn(3)
+    rng_truth, rng_mask, rng_labels = (np.random.default_rng(s)
+                                       for s in streams)
+    y0 = rng_truth.choice(spec.n_classes, size=spec.n_items, p=spec.pi_star)
+    shape = (spec.n_annotators, spec.n_items)
+    mask = rng_mask.random(shape) < spec.mu[:, None]
+    u = rng_labels.random(shape)
+    cdf = np.cumsum(spec.gamma_star, axis=2)
+    ann, item = np.nonzero(mask)
+    label0 = np.argmax(u[ann, item][:, None] < cdf[ann, y0[item]], axis=1)
+    return ann, item, label0, y0
+
+
 def reference_plan_queries(posterior, n_constraints, seed=0):
     """The row-loop set-up of the query plan: each item's margin from a
     partition of its own row, and the partner pool rebuilt item by item,

@@ -132,6 +132,30 @@ class TestResponsesRoundTrip:
             read_responses(path, n_classes=3)
 
 
+    def test_block_wise_write_equals_one_pass(self, tmp_path):
+        # Seven responses written two rows at a time, so that blocks end
+        # inside an item and the last block is short; the ids need quoting.
+        item_ids = ["a,b", 'say "hi"', "line\nend", "cr\r\nlf", "plain"]
+        ann_ids = ['q"', "x,y"]
+        rm = model.ResponseMatrix(5, 2, [0, 0, 0, 1, 1, 1, 1],
+                                  [0, 1, 3, 0, 2, 3, 4],
+                                  [1, 2, 3, 3, 1, 2, 1], n_classes=3,
+                                  item_ids=item_ids, annotator_ids=ann_ids)
+        path = tmp_path / "blocks.csv"
+        with mock.patch.object(fileio, "_WRITE_ROWS", 2):
+            write_responses(path, rm)
+        one_pass = tmp_path / "one.csv"
+        with open(one_pass, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(
+                [["item", "annotator", "label"], ["a,b", 'q"', 1],
+                 ["a,b", "x,y", 3], ['say "hi"', 'q"', 2],
+                 ["line\nend", "x,y", 1], ["cr\r\nlf", 'q"', 3],
+                 ["cr\r\nlf", "x,y", 2], ["plain", "x,y", 1]])
+        assert path.read_bytes() == one_pass.read_bytes()
+        back = read_responses(path, n_classes=3)
+        assert response_triples(back) == response_triples(rm)
+
+
 class TestTruthRoundTrip:
     def test_roundtrip(self, dataset):
         truth = read_truth(dataset["truth_path"], dataset["rm"].item_ids, 3)

@@ -40,8 +40,12 @@ weight, and the search equals the sequential search of
 `oracles.reference_eta_search`; and the array set-up of `plan_queries`
 gives the row loop's plan. Permuting the items, the annotators or the
 classes permutes the posterior.
+
+The block-wise generator must give the crowd of the dense draw of
+`oracles.reference_generate` exactly, whatever the block size.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -56,7 +60,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
 
-from crowdfuse import aggregators, constraints, fileio, model
+from crowdfuse import (aggregators, constraints, fileio, model, selection,
+                       synth)
 from crowdfuse.bounds import constraint_counts
 from crowdfuse.aggregators import (FitOptions, _Incidence, ds_em_fit,
                                    initial_posterior, majority_vote,
@@ -72,11 +77,12 @@ from crowdfuse.model import (GroundTruth, PosteriorParams, PriorConfig,
 from crowdfuse.numerics import (KL_INFINITY, digamma, digamma_vec,
                                 kl_divergence, softmax_planes, softmax_rows)
 from crowdfuse.selection import plan_queries
-from crowdfuse.synth import diag_dominant_spec, generate
+from crowdfuse.synth import CrowdSpec, diag_dominant_spec, generate
 
 from oracles import (placed_partner_sums, reference_close,
                      reference_derive_from_labels,
-                     reference_eta_search, reference_label_union,
+                     reference_eta_search, reference_generate,
+                     reference_label_union,
                      reference_pair_penalty, reference_partner_sums,
                      reference_plan_queries, reference_read_responses,
                      reference_response_matrix, reference_softmax_rows,
@@ -666,6 +672,45 @@ class TestSoftmaxRows:
 
 
 @st.composite
+def crowd_specs(draw):
+    """CrowdSpecs with N up to 25 and M up to 6, empty ones included;
+    response rates of 1, near 0 and between, and confusion rows with
+    zeros."""
+    n_items, n_annotators = draw(st.integers(0, 25)), draw(st.integers(0, 6))
+    n_classes = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = rng.dirichlet(np.ones(n_classes),
+                          size=(n_annotators, n_classes))
+    if draw(st.booleans()):
+        gamma = np.where(gamma < 0.2, 0.0, gamma)
+        gamma /= gamma.sum(axis=2, keepdims=True)
+    rate = st.one_of(st.sampled_from([1.0, 1e-3]), st.floats(1e-3, 1.0))
+    mu = draw(st.lists(rate, min_size=n_annotators, max_size=n_annotators))
+    return CrowdSpec(n_items=n_items, n_annotators=n_annotators,
+                     n_classes=n_classes,
+                     pi_star=rng.dirichlet(np.ones(n_classes)),
+                     gamma_star=gamma, mu=np.array(mu, dtype=float),
+                     seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestGenerate:
+    # A block of one uniform holds one annotator; 31 uniforms, a prime
+    # above every N drawn, make blocks of several annotators and a short
+    # last block; None keeps the default.
+    @SETTINGS
+    @given(crowd_specs(), st.sampled_from([1, 31, None]))
+    def test_equals_dense_draw(self, spec, block):
+        with mock.patch.object(synth, "_BLOCK_UNIFORMS", block) if block \
+                else contextlib.nullcontext():
+            rm, truth = generate(spec)
+        ann, item, label0, truth0 = reference_generate(spec)
+        for got, want in zip(rm.coords, (ann, item, label0)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        np.testing.assert_array_equal(truth.labels, truth0 + 1)
+
+
+@st.composite
 def plan_inputs(draw):
     """(posterior, n_constraints, seed) that plan_queries accepts. Rows
     with ties and zero rows occur, so both uniform fallbacks are reached."""
@@ -680,10 +725,14 @@ def plan_inputs(draw):
 
 
 class TestPlanQueries:
+    # Blocks of one weight, or of 7, hold one row, or some rows, at a time;
+    # None keeps the default.
     @SETTINGS
-    @given(plan_inputs())
-    def test_equals_row_loop(self, drawn):
-        plan = plan_queries(*drawn)
+    @given(plan_inputs(), st.sampled_from([1, 7, None]))
+    def test_equals_row_loop(self, drawn, block):
+        with mock.patch.object(selection, "_DRAW_BLOCK", block) if block \
+                else contextlib.nullcontext():
+            plan = plan_queries(*drawn)
         assert (plan.uncertain, plan.partners, plan.queries,
                 plan.uniform_fallback_uncertain,
                 plan.uniform_fallback_partners) == \

@@ -82,6 +82,14 @@ class TestPlanQueries:
         with pytest.raises(ValueError):
             plan_queries(np.full((3, 3), 1 / 3), 9)
 
+    @pytest.mark.parametrize("bad", [np.nan, 2.0], ids=["nan", "above-1"])
+    def test_bad_margin_rejected(self, bad):
+        # rng.choice rejected the NaN or negative weight either gives.
+        posterior = np.full((10, 2), 0.5)
+        posterior[3] = [bad, 0.0]
+        with pytest.raises(ValueError, match="margins"):
+            plan_queries(posterior, 4, seed=0)
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
         posterior = rng.dirichlet(np.ones(3), size=20)

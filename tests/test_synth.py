@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,16 @@ class TestGenerate:
         n1 = int(class1.sum())
         se = np.sqrt(0.8 * 0.2 / n1)
         assert abs(correct - 0.8) <= 3 * se
+
+    def test_memory_grows_with_responses(self):
+        # 200 x 50,000 at mu = 0.01: a dense draw holds 80 MB per stream
+        # for about 10^5 responses.
+        spec = diag_dominant_spec(50_000, 200, 3, 0.7, seed=1, mu=0.01)
+        tracemalloc.start()
+        try:
+            rm, _ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 90_000 < rm.n_responses < 110_000
+        assert peak < 24e6
