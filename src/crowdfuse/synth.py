@@ -134,11 +134,12 @@ def generate(spec: CrowdSpec) -> tuple[ResponseMatrix, GroundTruth]:
         ann, item = np.nonzero(mask)
         ann += start
         rows = cdf[ann, y0[item]]
-        blocks.append((ann, item, np.argmax(u[:, None] < rows, axis=1)))
-    ann_idx, item_idx, emitted0 = (np.concatenate(column)
-                                   for column in zip(*blocks))
+        blocks.append((ann, item, np.argmax(u[:, None] < rows, axis=1) + 1))
+    ann_idx, item_idx, labels = (np.concatenate(column)
+                                 for column in zip(*blocks))
+    del blocks  # so that the matrix is built without the block copies
 
     rm = ResponseMatrix(n_items=spec.n_items, n_annotators=spec.n_annotators,
-                        annotators=ann_idx, items=item_idx,
-                        labels=emitted0 + 1, n_classes=spec.n_classes)
+                        annotators=ann_idx, items=item_idx, labels=labels,
+                        n_classes=spec.n_classes)
     return rm, GroundTruth(labels=y0 + 1)
