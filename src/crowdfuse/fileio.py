@@ -71,16 +71,12 @@ class _Table:
     faulty row (or header, or byte that is not UTF-8), or None. `rows`
     arguments are row indices, all by default.
 
-    Positions are 4-byte integers in a text under 2 GiB: the arrays of
-    positions, of their sums and of their gathers are most of the memory
-    a read takes."""
+    Positions are numpy's index type (intp), so that every gather indexes
+    with them as they are, not with a converted copy."""
 
     def __init__(self, buf, seps, first, linenos, fault):
-        self.buf = buf
-        kind = _position_type(buf)
-        self.seps = seps.astype(kind, copy=False)
-        self.first = first.astype(kind, copy=False)
-        self.linenos, self.fault = linenos.astype(kind, copy=False), fault
+        self.buf, self.seps, self.first = buf, seps, first
+        self.linenos, self.fault = linenos, fault
 
     def _spans(self, column, rows):
         """(begin, length) of each field of `column` in `rows`."""
@@ -112,9 +108,7 @@ class _Table:
         0xff, and the whole is decoded once and split."""
         begin, length = self._spans(column, rows)
         size = length + 1
-        # The sizes add up to no more than the buffer's, so the positions
-        # keep its position type.
-        start = np.cumsum(size, dtype=size.dtype) - size
+        start = np.cumsum(size) - size
         at = np.repeat(begin - start, size)
         at += np.arange(at.size, dtype=at.dtype)
         text = self.buf[at]
@@ -127,10 +121,6 @@ class _Table:
 def _padded(text: bytes) -> np.ndarray:
     """`text` as bytes in a buffer that goes on for _PAD zero bytes."""
     return np.frombuffer(text + bytes(_PAD), dtype=np.uint8)
-
-
-def _position_type(buf: np.ndarray):
-    return np.int32 if buf.size < 2**31 else np.intp
 
 
 def _header_fault(path, first, header):
@@ -170,7 +160,7 @@ def _split_plain(path, data: bytes, header, width) -> _Table | None:
     found = text == ord(",")
     found |= text == ord("\n")
     found |= text == ord("\r")
-    seps = np.flatnonzero(found).astype(_position_type(buf))
+    seps = np.flatnonzero(found)
     del found
     # The \r of a \r\n ends its line's last field, and the \n the line.
     byte = text[seps]
@@ -225,7 +215,7 @@ def _split_csv(path, header, width) -> _Table:
         "utf-8", "surrogateescape"))
     seps = np.flatnonzero(buf == 0xff)
     return _Table(buf, seps, np.arange(0, len(fields), width),
-                  np.array(linenos), fault)
+                  np.array(linenos, dtype=np.intp), fault)
 
 
 def _data_rows(path, header, width):
@@ -238,24 +228,43 @@ def _data_rows(path, header, width):
         raise table.fault
 
 
+def _changes(values: np.ndarray) -> np.ndarray:
+    """Whether each value differs from the one before it; the first does."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    # `!=`, not np.not_equal(..., out=new[1:]), which has no loop for the
+    # void keys of `_field_groups`.
+    new[1:] = values[1:] != values[:-1]
+    return new
+
+
 def _groups(values: np.ndarray):
     """(first, inverse): the first index of each distinct value of the 1-D
     `values`, in sorted order of the values, and each value's group: what
     `np.unique(values, return_index=True, return_inverse=True)` gives, but
     with numpy's default sort, not the slower stable sort np.unique needs
-    for its first indices."""
+    for its first indices. Where runs of equal values are common (their
+    first values at most half of all), only the first value of each run is
+    sorted."""
+    size = values.size
+    heads = None
+    new = _changes(values)
+    if 2 * np.count_nonzero(new) <= size:
+        heads = np.flatnonzero(new)
+        values = values[heads]
     order = np.argsort(values)
-    ordered = values[order]
-    new = np.empty(values.size, dtype=bool)
-    new[:1] = True
-    new[1:] = ordered[1:] != ordered[:-1]
-    del ordered
+    new = _changes(values[order])
     group = np.cumsum(new)
     group -= 1
     inverse = np.empty(values.size, dtype=np.intp)
     inverse[order] = group
     starts = np.flatnonzero(new)
     first = np.minimum.reduceat(order, starts) if starts.size else starts
+    if heads is not None:
+        # A run's values share its first value's group, and a group's
+        # first value is the head of its first run.
+        first = heads[first]
+        inverse = np.repeat(inverse, np.diff(heads, append=size))
     return first, inverse
 
 
@@ -279,19 +288,26 @@ def _field_groups(table: _Table, column: int, rows=None):
     return first, inverse
 
 
-def _first_seen(table: _Table, column: int, rows: np.ndarray):
-    """(index, ids): the stripped ids of `column` in `rows` in first-seen
-    order, and the index of each row's id in `ids`. Each distinct field is
-    decoded and stripped once."""
+def _first_seen(table: _Table, column: int, rows=None):
+    """(index, ids): the stripped ids of `column` in `rows` (all rows by
+    default) in first-seen order, and the index of each row's id in `ids`.
+    Each distinct field is decoded and stripped once."""
     first, inverse = _field_groups(table, column, rows)
     order = np.argsort(first)
-    stripped = list(map(str.strip, table.strings(column, rows[first[order]])))
-    ids = list(dict.fromkeys(stripped))
-    # Fields that differ only in their padding are one id.
-    code = dict(zip(ids, range(len(ids))))
+    seen = first[order] if rows is None else rows[first[order]]
+    fields = table.strings(column, seen)
+    stripped = list(map(str.strip, fields))
     index = np.empty(order.size, dtype=np.intp)
-    index[order] = np.fromiter(map(code.__getitem__, stripped), np.intp,
-                               len(stripped))
+    if stripped == fields:
+        # No field is padded, so distinct fields are distinct ids.
+        ids = stripped
+        index[order] = np.arange(order.size)
+    else:
+        ids = list(dict.fromkeys(stripped))
+        # Fields that differ only in their padding are one id.
+        code = dict(zip(ids, range(len(ids))))
+        index[order] = np.fromiter(map(code.__getitem__, stripped), np.intp,
+                                   len(stripped))
     return index[inverse], ids
 
 
@@ -342,7 +358,9 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
     fault = label_fault or table.fault
     answered = np.flatnonzero(labels)
     anns, ann_ids = _first_seen(table, 1, answered)
-    items, item_ids = _first_seen(table, 0, np.arange(labels.size))
+    # Every row registers its item. Rows past a label fault only add ids
+    # after the others, and the read then raises.
+    items, item_ids = _first_seen(table, 0)
     items, labels = items[answered], labels[answered]
     linenos = table.linenos[answered]
     del table  # its buffers are not needed to build the matrix
@@ -354,7 +372,7 @@ def read_responses(path, n_classes: int | None = None) -> ResponseMatrix:
         except DuplicateResponseError as exc:
             repeat = exc.index
     else:
-        _, repeat = pair_order(anns, items, len(item_ids))
+        _, repeat = pair_order(anns, items, len(item_ids), len(ann_ids))
     if repeat is None:
         raise fault
     raise InputFormatError(

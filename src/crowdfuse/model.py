@@ -60,7 +60,7 @@ class ResponseMatrix:
         _check_range(item, 0, n_items, "item index {} out of range")
         _check_range(label, 1, n_classes + 1,
                      f"label {{}} outside 1..{n_classes}")
-        order, repeat = pair_order(ann, item, n_items)
+        order, repeat = pair_order(ann, item, n_items, n_annotators)
         if repeat is not None:
             raise DuplicateResponseError(
                 f"duplicate response by annotator {ann[repeat]} for item "
@@ -76,8 +76,12 @@ class ResponseMatrix:
             [str(i) for i in range(n_items)]
         self.annotator_ids = list(annotator_ids) if annotator_ids is not None else \
             [str(i) for i in range(n_annotators)]
-        self._ann, self._item = ann[order], item[order]
-        self._label0 = label[order] - 1
+        if order is None:
+            self._ann, self._item = ann.copy(), item.copy()
+            self._label0 = label - 1
+        else:
+            self._ann, self._item = ann[order], item[order]
+            self._label0 = label[order] - 1
         for arr in self.coords:
             arr.flags.writeable = False
 
@@ -102,11 +106,22 @@ def _check_range(values: np.ndarray, low: int, high: int,
         raise ValueError(message.format(values[bad[0]]))
 
 
-def pair_order(annotators: np.ndarray, items: np.ndarray, n_items: int):
+def pair_order(annotators: np.ndarray, items: np.ndarray, n_items: int,
+               n_annotators: int):
     """(order, repeat): the stable order of responses by (annotator, item),
-    and the index of the first response whose pair an earlier response
-    already has, or None. Indices must be in range."""
+    or None if they are in that order already, and the index of the first
+    response whose pair an earlier response already has, or None. Indices
+    must be in range."""
     key = annotators * n_items + items
+    if _increasing(key):
+        return None, None
+    # In a file grouped by item, items are numbered in file order, so the
+    # stable order of the annotators alone is often the pair order. Below
+    # 2**16 annotators it is a radix sort of 8- or 16-bit indices.
+    order = np.argsort(annotators.astype(np.min_scalar_type(n_annotators)),
+                       kind="stable")
+    if _increasing(key[order]):
+        return order, None
     order = np.argsort(key)
     sorted_key = key[order]
     if not np.any(sorted_key[1:] == sorted_key[:-1]):
@@ -117,6 +132,10 @@ def pair_order(annotators: np.ndarray, items: np.ndarray, n_items: int):
     sorted_key = key[order]
     repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]
     return order, int(repeats.min())
+
+
+def _increasing(values: np.ndarray) -> bool:
+    return bool(np.all(values[1:] > values[:-1]))
 
 
 @dataclass(frozen=True)

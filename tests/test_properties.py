@@ -3,7 +3,10 @@ loop and constraint sets.
 
 The array constructor of ResponseMatrix must give what the dict form gave,
 the responses CSV must round-trip, and the responses reader must read what
-the row-at-a-time reader read, or report the same fault. The result
+the row-at-a-time reader read, or report the same fault. Its grouping of
+equal keys must give what `np.unique` gives, on runs of keys and on void
+keys, and the pair order of a matrix must be the stable sort's order with
+its first repeat. The result
 writer's text of an array must parse to `tolist()` bit for bit, and equal
 `json.dumps` of it once its floats are spelled as `repr` spells them.
 
@@ -257,15 +260,29 @@ def responses_csv(draw):
     line ends in `\n`, `\r\n` or `\r`, the last one possibly in nothing.
     In about half the files some ids have a comma or a quote, and are
     written quoted, padding inside the quotes; the other files have no
-    quote at all. Labels are also written as `+1` and `01`."""
+    quote at all. About half the files pad no field. In about half the
+    files the rows are grouped by item, in the order `write_responses`
+    writes them (items in first-seen order, then annotators), before the
+    faults are put in; in half of those, each of two parts of the rows is
+    grouped. Labels are also written as `+1` and `01`."""
     n_classes = draw(st.sampled_from([None, 2, 3]))
     ids = st.one_of(CSV_IDS, QUOTED_IDS) if draw(st.booleans()) else CSV_IDS
+    padding = PADDING if draw(st.booleans()) else st.just("")
     items = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
     anns = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
     top = n_classes or 4
     pairs = draw(st.lists(st.tuples(st.sampled_from(items),
                                     st.sampled_from(anns)),
-                          max_size=10, unique=True))
+                          max_size=20, unique=True))
+    if draw(st.booleans()):
+        # Grouped whole, or in two parts each grouped, so that an item's
+        # rows can form two runs.
+        cut = len(pairs) if draw(st.booleans()) else \
+            draw(st.integers(0, len(pairs)))
+        seen = list(dict.fromkeys(item for item, _ in pairs))
+        pairs = [pair for part in (pairs[:cut], pairs[cut:])
+                 for pair in sorted(part, key=lambda pair: (
+                     seen.index(pair[0]), anns.index(pair[1])))]
     labels = st.one_of(st.sampled_from(["", "0", "+1", "01"]),
                        st.integers(1, top).map(str))
     rows = [[item, ann, draw(labels)] for item, ann in pairs]
@@ -290,7 +307,7 @@ def responses_csv(draw):
     for _ in range(draw(st.integers(0, 3))):
         rows.insert(draw(st.integers(0, len(rows))), [])
     lines = ["item,annotator,label"] + [
-        ",".join(csv_field(draw(PADDING) + field + draw(PADDING))
+        ",".join(csv_field(draw(padding) + field + draw(padding))
                  for field in row)
         for row in rows]
     text = "".join(line + draw(LINE_ENDS) for line in lines)
@@ -326,6 +343,98 @@ class TestResponsesReader:
         assert rm.annotator_ids == ann_ids
         for got, want in zip(rm.coords, coords):
             np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def run_values(draw):
+    """A 1-D array of uint64 values or of void keys (each of one to three
+    uint64 words, compared byte by byte), made of runs of equal values:
+    long runs, runs of one, or none at all. Values repeat across runs."""
+    width = draw(st.sampled_from([None, 1, 2, 3]))
+    distinct = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                             max_size=6))
+    longest = draw(st.sampled_from([1, 2, 9]))
+    runs = draw(st.lists(st.tuples(st.sampled_from(distinct),
+                                   st.integers(1, longest)), max_size=12))
+    values = np.repeat(np.array([v for v, _ in runs], dtype=np.uint64),
+                       [n for _, n in runs])
+    if width is None:
+        return values
+    # Each value becomes a key whose words all hold it but one, which
+    # spreads it over the key's bytes.
+    keys = np.repeat(values[:, None], width, axis=1)
+    keys[:, 0] = ~values
+    return keys.view(np.dtype((np.void, 8 * width)))[:, 0]
+
+
+class TestGroups:
+    # `_groups` sorts only the first value of each run when runs are
+    # common, and every value otherwise; either way it gives np.unique's
+    # first indices and inverse.
+    @SETTINGS
+    @given(run_values())
+    @example(np.zeros(0, dtype=np.uint64))
+    @example(np.array([5, 5, 3, 3, 5, 5], dtype=np.uint64))
+    def test_equals_unique(self, values):
+        first, inverse = fileio._groups(values)
+        _, want_first, want_inverse = np.unique(
+            values, return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
+
+
+@st.composite
+def pair_inputs(draw):
+    """(annotators, items, n_items, n_annotators): up to 12 responses,
+    grouped by item in item order (as a file that `write_responses` wrote
+    reads), sorted by (annotator, item), or shuffled, some with a pair
+    repeated. Annotator counts reach past 2**16."""
+    n_items = draw(st.integers(1, 6))
+    n_annotators = draw(st.sampled_from([1, 3, 256, 2**16, 2**16 + 3]))
+    ann = st.sampled_from(sorted({0, 1 % n_annotators, n_annotators // 2,
+                                  n_annotators - 1}))
+    pairs = draw(st.lists(st.tuples(ann, st.integers(0, n_items - 1)),
+                          max_size=12, unique=True))
+    layout = draw(st.sampled_from(["grouped", "sorted", "shuffled"]))
+    if layout == "grouped":
+        pairs.sort(key=lambda pair: pair[1])
+    elif layout == "sorted":
+        pairs.sort()
+    else:
+        pairs = draw(st.permutations(pairs))
+    if pairs and draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     draw(st.sampled_from(pairs)))
+    annotators, items = (np.array([pair[i] for pair in pairs], dtype=np.intp)
+                         for i in range(2))
+    return annotators, items, n_items, n_annotators
+
+
+class TestPairOrder:
+    # The order is the stable sort by (annotator, item), given as None
+    # when the responses are in it already with no pair repeated, and the
+    # repeat is the first response whose pair an earlier one has.
+    @SETTINGS
+    @given(pair_inputs())
+    def test_equals_stable_sort(self, drawn):
+        annotators, items, n_items, n_annotators = drawn
+        pairs = list(zip(annotators.tolist(), items.tolist()))
+        want = sorted(range(len(pairs)), key=lambda i: (pairs[i], i))
+        seen, want_repeat = set(), None
+        for i, pair in enumerate(pairs):
+            if pair in seen:
+                want_repeat = i
+                break
+            seen.add(pair)
+        order, repeat = model.pair_order(annotators, items, n_items,
+                                         n_annotators)
+        assert repeat == want_repeat
+        if order is None:
+            assert want == list(range(len(pairs))) and repeat is None
+        else:
+            assert order.tolist() == want
+            assert repeat is not None or any(
+                a >= b for a, b in zip(pairs, pairs[1:]))
 
 
 def add_at_likelihood_logits(rm, log_gamma):

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,3 +123,16 @@ class TestGenerate:
             tracemalloc.stop()
         assert 90_000 < rm.n_responses < 110_000
         assert peak < 24e6
+
+    def test_sorted_crowd_built_without_a_sort(self):
+        # The generator hands over its responses in (annotator, item)
+        # order, so the matrix keeps that order without sorting or
+        # gathering, and its arrays are its own.
+        spec = diag_dominant_spec(300, 12, 3, 0.7, seed=2, mu=0.4)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            rm, _ = generate(spec)
+        assert argsort.call_count == 0
+        ann, item, label0 = rm.coords
+        assert np.all(ann[1:] * 300 + item[1:] > ann[:-1] * 300 + item[:-1])
+        for arr in rm.coords:
+            assert arr.flags.owndata and not arr.flags.writeable
