@@ -16,7 +16,11 @@ to hold a comma, a quote or a line end. A file with no quote, no NUL and
 no line longer than the csv module's field limit is split at its line ends
 and commas with numpy, which gives the rows `csv.reader` gives;
 `csv.reader` reads any other file. `read_responses` then checks the rows
-column by column.
+column by column. It reads any file correctly, and fastest one whose ids
+are unpadded and whose rows are grouped by item, as `write_responses`
+writes them: only the first field of each run of equal fields is sorted,
+unpadded ids need no merging of padded spellings, and one stable sort of
+the annotators puts the responses in (annotator, item) order.
 """
 
 from __future__ import annotations
